@@ -38,7 +38,11 @@ from .penalty import (
     PenaltySpec,
     adaptive_weights,
     fit_penalized,
+    kkt_violation,
+    lambda_max,
     lambda_path,
+    penalized_objective,
+    restricted_fit,
     select,
 )
 from .reduced import (
@@ -86,17 +90,21 @@ __all__ = [
     "export_reduced_graph",
     "fit_mle",
     "fit_penalized",
+    "kkt_violation",
+    "lambda_max",
     "lambda_path",
     "load_attributes",
     "load_edge_list",
     "load_node_list",
     "log_likelihood",
     "partition_from_attributes",
+    "penalized_objective",
     "read_fit_json",
     "reconstruct_interactions",
     "reduce_positive",
     "reduce_threshold",
     "reduced_graph_from_json",
+    "restricted_fit",
     "sample_graph",
     "select",
     "sparse_interactions",

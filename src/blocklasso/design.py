@@ -17,6 +17,12 @@ between-block dyad puts +1 in its pair column, and a within-block dyad
 in block r puts -1 in every column {r, t}. Sum-to-zero node and block
 effects are coded the usual way, folding the last (sorted) level into
 the remaining columns with -1 entries.
+
+The solvers work on the same columns with node and block effects coded
+by reference instead (:class:`ReferenceCoding`): the fold puts n-2
+entries on every dyad of the last node, reference coding at most two.
+:func:`effect_levels` is the one place that turns either coding into
+the full sum-to-zero level vector.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from .graphs import Partition
 __all__ = [
     "ModelSpec",
     "DesignMatrix",
+    "ReferenceCoding",
+    "effect_levels",
     "encode",
     "reconstruct_interactions",
 ]
@@ -151,34 +159,13 @@ class DesignMatrix:
             raise ValueError(f"expected {self.n_columns} coefficients")
         return self.matrix @ coefficients
 
-    def csc(self) -> sp.csc_array:
-        """Column-oriented form of the matrix, cached for solvers."""
-        cached = getattr(self, "_csc", None)
-        if cached is None:
-            cached = self.matrix.tocsc()
-            cached.sort_indices()
-            object.__setattr__(self, "_csc", cached)
-        return cached
-
-    def column_slices(self):
-        """(indptr, indices, data) of the CSC form."""
-        csc = self.csc()
-        return csc.indptr, csc.indices, csc.data
-
-    def columns_submatrix(self, mask) -> sp.csc_array:
-        return self.csc()[:, np.flatnonzero(mask)]
-
     def expand_node_effects(self, coefficients) -> np.ndarray:
         """Full length-n node-effect vector; the folded last entry is
         minus the sum of the free ones, so the vector sums to zero."""
-        idx = self.group_indices(GROUP_NODE)
-        free = np.asarray(coefficients)[idx]
-        return np.concatenate([free, [-free.sum()]]) if len(idx) else np.zeros(0)
+        return effect_levels(coefficients, self.groups, GROUP_NODE)
 
     def expand_block_effects(self, coefficients) -> np.ndarray:
-        idx = self.group_indices(GROUP_BLOCK)
-        free = np.asarray(coefficients)[idx]
-        return np.concatenate([free, [-free.sum()]]) if len(idx) else np.zeros(0)
+        return effect_levels(coefficients, self.groups, GROUP_BLOCK)
 
     def interaction_matrix(self, coefficients) -> np.ndarray:
         """Symmetric p-by-p block-interaction matrix implied by a fit."""
@@ -357,3 +344,97 @@ def reconstruct_interactions(coefficients, block_count: int) -> np.ndarray:
     np.fill_diagonal(out, 0.0)
     np.fill_diagonal(out, -out.sum(axis=1))
     return out
+
+
+def effect_levels(coefficients, groups, group: str, *, reference: bool = False) -> np.ndarray:
+    """Full level vector of the sum-to-zero effect ``group`` (node or
+    block effects); empty when ``groups`` has no such group.
+
+    In the public coding the group's coefficients are the first levels
+    and the folded last level is minus their sum. With ``reference`` they
+    code the levels against a last level of 0; the levels are then
+    centered, and twice the mean removed (minus twice the returned last
+    level) belongs to the intercept, once per dyad endpoint.
+    """
+    idx = np.flatnonzero(np.asarray(groups) == group)
+    if not len(idx):
+        return np.zeros(0)
+    free = np.asarray(coefficients, dtype=np.float64)[idx]
+    if reference:
+        levels = np.append(free, 0.0)
+        return levels - levels.mean()
+    return np.append(free, -free.sum())
+
+
+class ReferenceCoding:
+    """Columns ``cols`` of a design, as the solvers see them.
+
+    Node and block effects are coded by reference (last level 0): a dyad
+    endpoint puts a 1 in the column of its level unless that level is
+    the last one. Both codings span the same column space, so a fit is
+    the same in either; :meth:`to_public` and :meth:`to_reference`
+    convert coefficients in O(q). An effect group is recoded only when
+    the intercept and all of the group's columns are among ``cols``;
+    every other column keeps its public coding.
+    """
+
+    def __init__(self, design: DesignMatrix, cols):
+        self.design = design
+        self.cols = np.asarray(cols, dtype=np.int64)
+        self.groups = tuple(design.groups[k] for k in self.cols)
+        has_intercept = len(self.cols) > 0 and self.cols[0] == 0  # column 0 is the intercept
+        self.recoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for group in (GROUP_NODE, GROUP_BLOCK):
+            idx = design.group_indices(group)
+            if has_intercept and len(idx) and np.isin(idx, self.cols).all():
+                self.recoded[group] = (idx, np.flatnonzero(np.asarray(self.groups) == group))
+        self.matrix = self._reference_matrix()
+        # row-compressed too, so that X'WX needs no format conversion
+        self._matrix_t = self.matrix.T.tocsr()
+
+    def _reference_matrix(self) -> sp.csr_array:
+        coo = self.design.matrix.tocoo()
+        rows, cols, vals = [coo.row], [coo.col], [coo.data]
+        for idx, _ in self.recoded.values():
+            # an endpoint at the folded last level puts -1 in each of the
+            # g group columns, so a row's group entries sum to
+            # 2 - folds*(g+1); adding the fold count to each undoes it
+            g = len(idx)
+            inside = np.isin(coo.col, idx)
+            totals = np.bincount(coo.row[inside], weights=coo.data[inside],
+                                 minlength=self.design.n_rows)
+            folds = np.rint((2.0 - totals) / (g + 1))
+            hit = np.flatnonzero(folds)
+            rows.append(np.repeat(hit, g))
+            cols.append(np.tile(idx, len(hit)))
+            vals.append(np.repeat(folds[hit], g))
+        matrix = sp.coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                              shape=self.design.matrix.shape).tocsc()
+        matrix.eliminate_zeros()
+        return matrix[:, self.cols].tocsr()
+
+    def gram(self, w: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Dense X'WX and X'Wz of one IRLS step (working weights ``w``,
+        working response ``z``), built once and shared by every solve."""
+        XT = self._matrix_t
+        WXT = sp.csr_array((XT.data * w[XT.indices], XT.indices, XT.indptr), shape=XT.shape)
+        return (WXT @ self.matrix).toarray(), WXT @ z
+
+    def to_public(self, x) -> np.ndarray:
+        """Full-length public coefficient vector of solver coefficients."""
+        beta = np.zeros(self.design.n_columns)
+        beta[self.cols] = x
+        for group, (idx, _) in self.recoded.items():
+            levels = effect_levels(x, self.groups, group, reference=True)
+            beta[idx] = levels[:-1]
+            beta[0] -= 2.0 * levels[-1]
+        return beta
+
+    def to_reference(self, beta) -> np.ndarray:
+        """Solver coefficients of a full-length public coefficient vector."""
+        x = np.asarray(beta, dtype=np.float64)[self.cols]
+        for group, (_, pos) in self.recoded.items():
+            levels = effect_levels(beta, self.design.groups, group)
+            x[pos] = levels[:-1] - levels[-1]
+            x[0] += 2.0 * levels[-1]
+        return x

@@ -1,10 +1,15 @@
 """Maximum-likelihood fitting of the blockmodel GLMs.
 
 Both families are fit by iteratively reweighted least squares with a
-step-halving line search on the exact log-likelihood. The weighted
-least-squares subproblems are solved by a direct (Cholesky) factorization
-of the normal equations, so a fit is deterministic for a fixed input.
-Columns flagged inestimable by the encoder are held at zero.
+step-halving line search on the exact log-likelihood. Inside the solver,
+node and block effects are coded by reference (``ReferenceCoding``), so
+each dyad has at most two effect entries. Each step builds X'WX and X'Wz
+once in that coding (``ReferenceCoding.gram``, shared with the penalized
+solver) and solves the normal equations by a direct (Cholesky)
+factorization, so a fit is deterministic for a fixed input. The proposal
+is mapped back to the sum-to-zero coding in O(q); the line search, the
+separation test and the score test run on the public design. Columns
+flagged inestimable by the encoder are held at zero.
 
 Quasi-separation is a realistic input for the Bernoulli family with node
 effects (a node adjacent to everything, or to nothing, drives its effect
@@ -19,15 +24,14 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.special import expit, gammaln, xlogy
 
-from .design import FAMILIES, DesignMatrix
+from .design import FAMILIES, GROUP_BLOCK, GROUP_NODE, DesignMatrix, ReferenceCoding, effect_levels
 
 __all__ = [
     "ConvergenceError",
@@ -68,11 +72,18 @@ def _working_weights(family: str, mu: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _log_likelihood_eta(eta: np.ndarray, y: np.ndarray, family: str) -> float:
+def _log_y_factorial(y: np.ndarray, family: str) -> float:
+    """The response-only term of the log-likelihood: sum of log(y!) for
+    Poisson, 0 for Bernoulli; computed once per fit."""
+    return float(np.sum(gammaln(y + 1.0))) if family == "poisson_log" else 0.0
+
+
+def _log_likelihood_eta(eta: np.ndarray, y: np.ndarray, family: str,
+                        log_y_factorial: float) -> float:
     if family == "bernoulli_logit":
         return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
     with np.errstate(over="ignore"):
-        return float(np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0)))
+        return float(np.sum(y * eta - np.exp(eta))) - log_y_factorial
 
 
 def _deviance(y: np.ndarray, mu: np.ndarray, family: str) -> float:
@@ -107,7 +118,7 @@ def log_likelihood(coefficients, design: DesignMatrix, response, family: str | N
     family = _check_family(family or design.spec.family)
     y = _validate_response(response, family, design.n_rows)
     eta = design.linear_predictor(coefficients)
-    return _log_likelihood_eta(eta, y, family)
+    return _log_likelihood_eta(eta, y, family, _log_y_factorial(y, family))
 
 
 @dataclass
@@ -116,7 +127,6 @@ class _IrlsResult:
     log_likelihood: float
     iterations: int
     converged: bool
-    separation: bool
     score_max: float
     score_bound: float
     cause: str | None
@@ -136,32 +146,36 @@ def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(A, rhs, rcond=None)[0]
 
 
-def _initial_beta(family: str, y: np.ndarray, qa: int, intercept_pos: int | None) -> np.ndarray:
-    beta = np.zeros(qa)
-    if intercept_pos is None:
+def _initial_beta(family: str, y: np.ndarray, coding: ReferenceCoding) -> np.ndarray:
+    beta = np.zeros(coding.design.n_columns)
+    if not len(coding.cols) or coding.cols[0] != 0:  # no intercept
         return beta
     m = len(y)
     mean = float(np.mean(y)) if m else 0.5
     if family == "bernoulli_logit":
         mean = min(max(mean, 1.0 / (m + 2.0)), 1.0 - 1.0 / (m + 2.0))
-        beta[intercept_pos] = float(np.log(mean / (1.0 - mean)))
+        beta[0] = float(np.log(mean / (1.0 - mean)))
     else:
-        beta[intercept_pos] = float(np.log(max(mean, 1.0 / (m + 2.0))))
+        beta[0] = float(np.log(max(mean, 1.0 / (m + 2.0))))
     return beta
 
 
-def _irls(X: sp.csc_array, y: np.ndarray, family: str, *, ridge: float = 0.0,
-          intercept_pos: int | None = 0, max_iter: int = MAX_ITERATIONS,
-          ll_tol: float = LL_TOL, score_tol: float = SCORE_TOL,
+def _irls(coding: ReferenceCoding, y: np.ndarray, family: str, *, ridge: float = 0.0,
+          max_iter: int = MAX_ITERATIONS, ll_tol: float = LL_TOL, score_tol: float = SCORE_TOL,
           detect_separation: bool = True) -> _IrlsResult:
-    """IRLS with step halving on the columns of ``X`` (all treated free)."""
-    m, qa = X.shape
-    Xt = X.T.tocsr()
-    score_bound = score_tol * (1.0 + float(np.abs(Xt @ y).max(initial=0.0)))
-    beta = _initial_beta(family, y, qa, intercept_pos)
+    """IRLS with step halving on the columns of ``coding`` (all treated
+    free); returns full-length public coefficients."""
+    X, cols = coding.design.matrix, coding.cols
+    log_y_factorial = _log_y_factorial(y, family)
+    score_bound = score_tol * (1.0 + float(np.abs((X.T @ y)[cols]).max(initial=0.0)))
+    if ridge:
+        # the ridge is on the public coefficients M x, M the map from
+        # the solver coding over ``cols``
+        M = np.column_stack([coding.to_public(e)[cols] for e in np.eye(len(cols))])
+        ridge_gram = 2.0 * ridge * (M.T @ M)
+    beta = _initial_beta(family, y, coding)
     eta = X @ beta
-    objective = _log_likelihood_eta(eta, y, family) - ridge * float(beta @ beta)
-    separation = False
+    objective = _log_likelihood_eta(eta, y, family, log_y_factorial) - ridge * float(beta @ beta)
     cause: str | None = "max_iterations"
     converged = False
     iterations = 0
@@ -169,18 +183,17 @@ def _irls(X: sp.csc_array, y: np.ndarray, family: str, *, ridge: float = 0.0,
     for iterations in range(1, max_iter + 1):
         mu = _mean_value(family, eta)
         w = np.clip(_working_weights(family, mu), WEIGHT_FLOOR, None)
-        z = eta + (y - mu) / w
-        A = (Xt @ X.multiply(w[:, None])).toarray()
+        A, rhs = coding.gram(w, eta + (y - mu) / w)
         if ridge:
-            A[np.diag_indices_from(A)] += 2.0 * ridge
-        rhs = Xt @ (w * z)
-        proposal = _solve_normal_equations(A, rhs)
+            A += ridge_gram
+        proposal = coding.to_public(_solve_normal_equations(A, rhs))
 
         accepted = None
         candidate = proposal
         for _ in range(31):
             eta_try = X @ candidate
-            obj_try = _log_likelihood_eta(eta_try, y, family) - ridge * float(candidate @ candidate)
+            obj_try = (_log_likelihood_eta(eta_try, y, family, log_y_factorial)
+                       - ridge * float(candidate @ candidate))
             if obj_try >= objective - 1e-13 * (1.0 + abs(objective)):
                 accepted = (candidate, eta_try, obj_try)
                 break
@@ -194,12 +207,11 @@ def _irls(X: sp.csc_array, y: np.ndarray, family: str, *, ridge: float = 0.0,
         if (detect_separation and family == "bernoulli_logit" and ridge == 0.0
                 and float(np.abs(beta).max(initial=0.0)) > SEPARATION_BOUND
                 and delta > 1e-8 * (1.0 + abs(objective))):
-            separation = True
             cause = "separation"
             break
 
         mu = _mean_value(family, eta)
-        score = Xt @ (y - mu) - 2.0 * ridge * beta
+        score = (X.T @ (y - mu))[cols] - 2.0 * ridge * beta[cols]
         score_max = float(np.abs(score).max(initial=0.0))
         if abs(delta) <= ll_tol * (1.0 + abs(objective)) and score_max <= score_bound:
             converged = True
@@ -207,13 +219,12 @@ def _irls(X: sp.csc_array, y: np.ndarray, family: str, *, ridge: float = 0.0,
             break
 
     mu = _mean_value(family, eta)
-    raw_score = float(np.abs(Xt @ (y - mu)).max(initial=0.0))
+    raw_score = float(np.abs((X.T @ (y - mu))[cols]).max(initial=0.0))
     return _IrlsResult(
         beta=beta,
-        log_likelihood=_log_likelihood_eta(eta, y, family),
+        log_likelihood=_log_likelihood_eta(eta, y, family, log_y_factorial),
         iterations=iterations,
         converged=converged,
-        separation=separation,
         score_max=raw_score,
         score_bound=score_bound,
         cause=cause,
@@ -259,19 +270,11 @@ class FitResult:
 
     def node_effect_values(self) -> dict[str, float]:
         """Full node-effect vector keyed by node id (sums to zero)."""
-        idx = [k for k, g in enumerate(self.groups) if g == "node_effect"]
-        if not idx:
-            return {}
-        free = self.coefficients[idx]
-        values = np.concatenate([free, [-free.sum()]])
+        values = effect_levels(self.coefficients, self.groups, GROUP_NODE)
         return {node: float(v) for node, v in zip(self.node_ids, values)}
 
     def block_effect_values(self) -> dict[str, float]:
-        idx = [k for k, g in enumerate(self.groups) if g == "block_effect"]
-        if not idx:
-            return {}
-        free = self.coefficients[idx]
-        values = np.concatenate([free, [-free.sum()]])
+        values = effect_levels(self.coefficients, self.groups, GROUP_BLOCK)
         return {label: float(v) for label, v in zip(self.block_labels, values)}
 
     def to_json_dict(self) -> dict:
@@ -356,7 +359,7 @@ def assemble_fit(design: DesignMatrix, beta: np.ndarray, response, family: str, 
         family=family,
         column_names=design.column_names,
         coefficients=np.asarray(beta, dtype=np.float64),
-        log_likelihood=_log_likelihood_eta(eta, y, family),
+        log_likelihood=_log_likelihood_eta(eta, y, family, _log_y_factorial(y, family)),
         deviance=_deviance(y, mu, family),
         converged=converged,
         iterations=iterations,
@@ -376,25 +379,17 @@ def fit_mle(design: DesignMatrix, response, family: str | None = None, *,
     A converged result satisfies the score condition
     ``max|X'(y - fitted)| <= 1e-6 * (1 + max|X'y|)``. Non-convergence is
     reported through ``converged``/``diagnostics``, not an exception.
-    ``exclude`` optionally forces extra columns to zero (used internally
-    for restricted fits).
+    ``exclude`` optionally forces extra columns to zero.
     """
     family = _check_family(family or design.spec.family)
     y = _validate_response(response, family, design.n_rows)
     active = ~design.inestimable
     if exclude is not None:
         active &= ~np.asarray(exclude, dtype=bool)
-    active_idx = np.flatnonzero(active)
-    X_active = design.columns_submatrix(active)
-    names = np.array(design.column_names)
-    try:
-        intercept_pos = int(np.flatnonzero(names[active_idx] == "intercept")[0])
-    except IndexError:
-        intercept_pos = None
-
-    result = _irls(X_active, y, family, intercept_pos=intercept_pos, max_iter=max_iter)
+    coding = ReferenceCoding(design, np.flatnonzero(active))
+    result = _irls(coding, y, family, max_iter=max_iter)
     ridge_used = 0.0
-    if result.separation:
+    if result.cause == "separation":
         warnings.warn(
             "quasi-separation detected (a coefficient passed "
             f"{SEPARATION_BOUND:g} with the likelihood still climbing); "
@@ -402,23 +397,12 @@ def fit_mle(design: DesignMatrix, response, family: str | None = None, *,
             RuntimeWarning,
             stacklevel=2,
         )
-        stabilized = _irls(X_active, y, family, ridge=SEPARATION_RIDGE,
-                           intercept_pos=intercept_pos, max_iter=max_iter,
+        stabilized = _irls(coding, y, family, ridge=SEPARATION_RIDGE, max_iter=max_iter,
                            detect_separation=False)
         ridge_used = SEPARATION_RIDGE
-        result = _IrlsResult(
-            beta=stabilized.beta,
-            log_likelihood=stabilized.log_likelihood,
-            iterations=result.iterations + stabilized.iterations,
-            converged=False,
-            separation=True,
-            score_max=stabilized.score_max,
-            score_bound=stabilized.score_bound,
-            cause="separation",
-        )
+        result = replace(stabilized, iterations=result.iterations + stabilized.iterations,
+                         converged=False, cause="separation")
 
-    beta = np.zeros(design.n_columns)
-    beta[active_idx] = result.beta
     diagnostics = {
         "score_max": result.score_max,
         "score_bound": result.score_bound,
@@ -426,5 +410,5 @@ def fit_mle(design: DesignMatrix, response, family: str | None = None, *,
     }
     if result.cause:
         diagnostics["cause"] = result.cause
-    return assemble_fit(design, beta, y, family, converged=result.converged,
+    return assemble_fit(design, result.beta, y, family, converged=result.converged,
                         iterations=result.iterations, diagnostics=diagnostics)

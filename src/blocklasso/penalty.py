@@ -8,18 +8,23 @@ from a converged reference fit as ``w_j = |ref_j| ** -gamma_w``; a
 reference coefficient below 1e-10 in magnitude gets an infinite weight,
 freezing that coefficient at zero.
 
-Solver: penalized IRLS. Each outer step builds the usual working
-least-squares problem and solves it by cyclic coordinate-descent
-soft-thresholding over the penalized columns (fixed column order), with
-a sign-restricted direct solve over the unpenalized block plus the
-current active set in between passes to polish the smooth part to
-machine precision. Zeros are produced only by the soft threshold or by
-explicit clipping at a zero crossing, so they are exact and downstream
-sign counts need no cutoff. Convergence is declared on the
-exact-likelihood KKT conditions: ``score_j = lam * w_j * sign(beta_j)``
-for active penalized columns, ``|score_j| <= lam * w_j`` for inactive
-ones, and ``score_j = 0`` for unpenalized columns, all within
-``kkt_tol``.
+Solver: penalized IRLS with node and block effects coded by reference
+inside it (``ReferenceCoding``; the penalized columns are unchanged).
+Each outer step builds the working Gram matrix A = X'WX and b = X'Wz
+once and solves the working problem in covariance mode (Friedman,
+Hastie & Tibshirani 2010, J. Stat. Softw. 33(1), section 2.2): cyclic
+coordinate-descent soft-thresholding over the penalized columns (fixed
+column order) keeps the gradient b - A beta current with one row of A
+per move, and a sign-restricted direct solve on A over the unpenalized
+block plus the current active set polishes the smooth part to machine
+precision in between passes. The result is mapped back to the public
+sum-to-zero coding for the line search and the convergence test. Zeros
+are produced only by the soft threshold or by explicit clipping at a
+zero crossing, so they are exact and downstream sign counts need no
+cutoff. Convergence is declared on the exact-likelihood KKT conditions:
+``score_j = lam * w_j * sign(beta_j)`` for active penalized columns,
+``|score_j| <= lam * w_j`` for inactive ones, and ``score_j = 0`` for
+unpenalized columns, all within ``kkt_tol``.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .design import DesignMatrix
+from .design import DesignMatrix, ReferenceCoding
 from .glm import (
     WEIGHT_FLOOR,
     ConvergenceError,
@@ -39,6 +45,7 @@ from .glm import (
     _check_family,
     _irls,
     _log_likelihood_eta,
+    _log_y_factorial,
     _mean_value,
     _solve_normal_equations,
     _validate_response,
@@ -51,7 +58,11 @@ __all__ = [
     "PathResult",
     "adaptive_weights",
     "fit_penalized",
+    "kkt_violation",
+    "lambda_max",
     "lambda_path",
+    "penalized_objective",
+    "restricted_fit",
     "select",
     "soft_threshold",
 ]
@@ -131,101 +142,102 @@ class _PenalizedSolver:
         if np.any((weights > 0) & ~design.penalized_mask):
             raise ValueError("positive penalty weight on an unpenalized column")
         self.weights = weights
+        self.log_y_factorial = _log_y_factorial(self.y, self.family)
 
         free = ~design.inestimable
         frozen = np.isinf(weights) & design.penalized_mask
-        self.pen_idx = np.flatnonzero(design.penalized_mask & free & ~frozen)
-        self.unpen_idx = np.flatnonzero(free & ~design.penalized_mask)
         self.fixed_idx = np.flatnonzero(~free | frozen)
-        self.X = design.matrix
-        self.Xt = self.X.T.tocsr()
-        self.indptr, self.indices, self.data = design.column_slices()
-        unpen_mask = np.zeros(design.n_columns, dtype=bool)
-        unpen_mask[self.unpen_idx] = True
-        self.Xu = design.columns_submatrix(unpen_mask)
-        self.XuT = self.Xu.T.tocsr()
-        names = np.array(design.column_names)
-        hits = np.flatnonzero(names[self.unpen_idx] == "intercept")
-        self.intercept_pos = int(hits[0]) if len(hits) else None
+        # the solver columns, and where the penalized ones sit among them
+        self.cols = np.flatnonzero(free & ~frozen)
+        self.pen_pos = np.flatnonzero(design.penalized_mask[self.cols])
+        self.unpen_pos = np.flatnonzero(~design.penalized_mask[self.cols])
+        self.pen_idx, self.unpen_idx = self.cols[self.pen_pos], self.cols[self.unpen_pos]
+
+    @cached_property
+    def coding(self) -> ReferenceCoding:
+        return ReferenceCoding(self.design, self.cols)
 
     # -- restricted problem (penalized block forced to zero) ------------
 
     def restricted_fit(self, kkt_tol: float = KKT_TOL):
-        score_scale = 1.0 + float(np.abs(self.XuT @ self.y).max(initial=0.0))
-        result = _irls(self.Xu, self.y, self.family,
-                       intercept_pos=self.intercept_pos,
+        score_scale = 1.0 + float(np.abs((self.design.matrix.T @ self.y)[self.unpen_idx])
+                                  .max(initial=0.0))
+        result = _irls(ReferenceCoding(self.design, self.unpen_idx), self.y, self.family,
                        max_iter=200, score_tol=kkt_tol / score_scale)
-        beta = np.zeros(self.design.n_columns)
-        beta[self.unpen_idx] = result.beta
-        return beta, result
+        return result.beta, result
+
+    def score(self, eta: np.ndarray) -> np.ndarray:
+        return self.design.matrix.T @ (self.y - _mean_value(self.family, eta))
 
     def lambda_max(self, beta_restricted: np.ndarray) -> float:
-        if len(self.pen_idx) == 0:
-            return 0.0
-        mu = _mean_value(self.family, self.X @ beta_restricted)
-        score = self.Xt @ (self.y - mu)
-        ratios = np.abs(score[self.pen_idx]) / self.weights[self.pen_idx]
-        return float(ratios.max(initial=0.0))
+        score = self.score(self.design.matrix @ beta_restricted)[self.pen_idx]
+        return float((np.abs(score) / self.weights[self.pen_idx]).max(initial=0.0))
 
     # -- penalized objective and optimality ------------------------------
 
-    def penalty_value(self, beta: np.ndarray) -> float:
-        idx = self.pen_idx
-        return float(np.sum(self.weights[idx] * np.abs(beta[idx])))
-
     def objective(self, beta: np.ndarray, lam: float, eta=None) -> float:
-        eta = self.X @ beta if eta is None else eta
-        return -_log_likelihood_eta(eta, self.y, self.family) + lam * self.penalty_value(beta)
+        eta = self.design.matrix @ beta if eta is None else eta
+        penalty = float(np.sum(self.weights[self.pen_idx] * np.abs(beta[self.pen_idx])))
+        return -_log_likelihood_eta(eta, self.y, self.family, self.log_y_factorial) + lam * penalty
 
-    def _polish_active_set(self, beta, r, w, lam, max_drops: int = 12) -> None:
+    def kkt_violation(self, beta: np.ndarray, lam: float, eta=None) -> float:
+        score = self.score(self.design.matrix @ beta if eta is None else eta)
+        b, s = beta[self.pen_idx], score[self.pen_idx]
+        bound = lam * self.weights[self.pen_idx]
+        gaps = np.where(b != 0.0, np.abs(s - bound * np.sign(b)),
+                        np.maximum(0.0, np.abs(s) - bound))
+        return max(float(np.abs(score[self.unpen_idx]).max(initial=0.0)),
+                   float(gaps.max(initial=0.0)))
+
+    # -- working problem in covariance mode --------------------------------
+
+    def _coordinate_pass(self, A, x, grad, thresholds) -> float:
+        """One cyclic soft-thresholding pass over the penalized positions
+        of ``x``, keeping the gradient ``grad = b - Ax`` current with one
+        row of A per move (both in place); returns the largest
+        score-unit change."""
+        worst = 0.0
+        for k in self.pen_pos:
+            old, diag = x[k], A[k, k]
+            target = soft_threshold(grad[k] + diag * old, thresholds[k]) / diag
+            if target != old:
+                step = target - old
+                grad -= A[k] * step
+                x[k] = target
+                worst = max(worst, abs(step) * diag)
+        return worst
+
+    def _polish_active_set(self, A, b, x, grad, thresholds, max_drops: int = 12) -> None:
         """Sign-restricted direct solve over the unpenalized block plus
-        the active penalized columns, updating ``beta`` and ``r`` in place.
+        the active penalized positions, updating ``x`` and ``grad`` in
+        place.
 
-        The working-problem normal equations are solved with the L1
-        subgradient folded into the right-hand side, landing the active
-        coefficients on the exact optimum for their current sign pattern.
-        A coefficient that would cross zero is stopped exactly at zero
-        (the step is a descent direction of the convex working objective,
-        so partial steps are safe) and the system is re-solved without it.
+        The normal equations on ``A[sel, sel]`` carry the L1 subgradient
+        on their right-hand side, landing the active coefficients on the
+        exact optimum for their current sign pattern. A coefficient that
+        would cross zero is stopped exactly at zero (the step is a
+        descent direction of the convex working objective, so partial
+        steps are safe) and the system is re-solved without it.
         """
-        Xcsc = self.design.csc()
         for _ in range(max_drops):
-            active = self.pen_idx[beta[self.pen_idx] != 0.0]
-            sel = np.concatenate([self.unpen_idx, active])
+            sel = np.concatenate([self.unpen_pos, self.pen_pos[x[self.pen_pos] != 0.0]])
             if len(sel) == 0:
                 return
-            signs = np.concatenate([np.zeros(len(self.unpen_idx)), np.sign(beta[active])])
-            pen_w = np.concatenate([np.zeros(len(self.unpen_idx)), self.weights[active]])
-            Xs = Xcsc[:, sel]
-            A = (Xs.T @ Xs.multiply(w[:, None])).toarray()
-            old = beta[sel].copy()
-            rhs = Xs.T @ (w * (r + Xs @ old)) - lam * pen_w * signs
-            new = _solve_normal_equations(A, rhs)
+            signs = np.sign(x[sel])
+            signs[: len(self.unpen_pos)] = 0.0
+            old = x[sel]
+            new = _solve_normal_equations(A[np.ix_(sel, sel)], b[sel] - thresholds[sel] * signs)
             flips = (signs != 0.0) & (np.sign(new) != signs)
             if not flips.any():
-                beta[sel] = new
-                r -= Xs @ (new - old)
-                return
+                x[sel] = new
+                break
             with np.errstate(divide="ignore", invalid="ignore"):
                 crossings = np.where(flips, old / (old - new), np.inf)
             t_star = min(float(crossings.min()), 1.0)
             stepped = old + t_star * (new - old)
             stepped[flips & (crossings <= t_star)] = 0.0
-            beta[sel] = stepped
-            r -= Xs @ (stepped - old)
-
-    def kkt_violation(self, beta: np.ndarray, lam: float, mu=None) -> float:
-        mu = _mean_value(self.family, self.X @ beta) if mu is None else mu
-        score = self.Xt @ (self.y - mu)
-        worst = float(np.abs(score[self.unpen_idx]).max(initial=0.0))
-        for j in self.pen_idx:
-            bound = lam * self.weights[j]
-            if beta[j] != 0.0:
-                gap = abs(score[j] - bound * np.sign(beta[j]))
-            else:
-                gap = max(0.0, abs(score[j]) - bound)
-            worst = max(worst, gap)
-        return worst
+            x[sel] = stepped
+        grad[:] = b - A @ x
 
     # -- main solve -------------------------------------------------------
 
@@ -233,12 +245,11 @@ class _PenalizedSolver:
               max_outer: int = MAX_OUTER, kkt_tol: float = KKT_TOL):
         if lam < 0:
             raise ValueError("lambda must be nonnegative")
-        indptr, indices, data = self.indptr, self.indices, self.data
-        pen_cols = [(j, indices[indptr[j]:indptr[j + 1]], data[indptr[j]:indptr[j + 1]])
-                    for j in self.pen_idx]
+        X, coding = self.design.matrix, self.coding
+        thresholds = lam * self.weights[self.cols]
         beta = np.array(beta_start, dtype=np.float64)
         beta[self.fixed_idx] = 0.0
-        eta = self.X @ beta
+        eta = X @ beta
         objective = self.objective(beta, lam, eta=eta)
         converged = False
         cause = "max_iterations"
@@ -250,53 +261,29 @@ class _PenalizedSolver:
         for outer in range(1, max_outer + 1):
             mu = _mean_value(self.family, eta)
             w = np.clip(_working_weights(self.family, mu), WEIGHT_FLOOR, None)
-            z = eta + (self.y - mu) / w
-            r = z - eta
-            beta_prev = beta.copy()
-
-            # per-outer caches: W is fixed within the working problem
-            weighted = [w[idx] * val for _, idx, val in pen_cols]
-            diag = np.array([float(wv @ val) for (_, _, val), wv in zip(pen_cols, weighted)])
-            thresholds = lam * self.weights[self.pen_idx]
-
-            def sweep(members):
-                """One coordinate pass; returns the largest score-unit change."""
-                worst = 0.0
-                for k in members:
-                    j, idx, val = pen_cols[k]
-                    old = beta[j]
-                    num = float(weighted[k] @ r[idx]) + diag[k] * old
-                    target = soft_threshold(num, thresholds[k]) / diag[k]
-                    if target != old:
-                        step = target - old
-                        r[idx] -= val * step
-                        beta[j] = target
-                        moved = abs(step) * diag[k]
-                        if moved > worst:
-                            worst = moved
-                return worst
-
+            A, b = coding.gram(w, eta + (self.y - mu) / w)
+            x = coding.to_reference(beta)
+            grad = b - A @ x
             # the working problem is solved to a fraction of the exact
             # KKT tolerance; the outer loop checks the exact conditions
-            sweep_tol = 0.05 * kkt_tol
-            everyone = range(len(pen_cols))
             for _ in range(40):
                 # a full pass settles which columns are active and with
                 # what signs; zeros produced here are exact
-                sweep(everyone)
-                self._polish_active_set(beta, r, w, lam)
+                self._coordinate_pass(A, x, grad, thresholds)
+                self._polish_active_set(A, b, x, grad, thresholds)
                 # verification pass: only score-significant violations
                 # among the inactive columns keep the loop going
-                if sweep(everyone) <= sweep_tol:
+                if self._coordinate_pass(A, x, grad, thresholds) <= 0.05 * kkt_tol:
                     break
+            beta_prev, beta = beta, coding.to_public(x)
 
-            eta_new = self.X @ beta
+            eta_new = X @ beta
             obj_new = self.objective(beta, lam, eta=eta_new)
             halved = False
             if obj_new > objective + 1e-9 * (1.0 + abs(objective)):
                 for _ in range(10):
                     beta = 0.5 * (beta + beta_prev)
-                    eta_new = self.X @ beta
+                    eta_new = X @ beta
                     obj_new = self.objective(beta, lam, eta=eta_new)
                     halved = True
                     if obj_new <= objective + 1e-9 * (1.0 + abs(objective)):
@@ -304,8 +291,7 @@ class _PenalizedSolver:
 
             delta_obj = abs(obj_new - objective)
             eta = eta_new
-            mu_new = _mean_value(self.family, eta)
-            kkt = self.kkt_violation(beta, lam, mu=mu_new)
+            kkt = self.kkt_violation(beta, lam, eta=eta)
             finished = (kkt <= kkt_tol and not halved
                         and delta_obj <= 1e-10 * (1.0 + abs(obj_new)))
             objective = obj_new
@@ -335,14 +321,46 @@ class _PenalizedSolver:
 
     def assemble(self, beta: np.ndarray, info: dict) -> FitResult:
         active = int(np.count_nonzero(beta[self.pen_idx]))
-        df = active + len(self.unpen_idx)
         diagnostics = {k: v for k, v in info.items() if k not in ("converged", "iterations")}
-        diagnostics["active_set_size"] = active
-        diagnostics["df"] = df
-        fit = assemble_fit(self.design, beta, self.y, self.family,
-                           converged=info["converged"], iterations=info["iterations"],
-                           diagnostics=diagnostics)
-        return fit
+        diagnostics.update(active_set_size=active, df=active + len(self.unpen_idx))
+        return assemble_fit(self.design, beta, self.y, self.family,
+                            converged=info["converged"], iterations=info["iterations"],
+                            diagnostics=diagnostics)
+
+
+def _solver(design: DesignMatrix, response, family: str | None, weights) -> _PenalizedSolver:
+    if weights is None:
+        weights = np.where(design.penalized_mask, 1.0, 0.0)
+    return _PenalizedSolver(design, response, family or design.spec.family, weights)
+
+
+def restricted_fit(design: DesignMatrix, response, family: str | None = None, *,
+                   kkt_tol: float = KKT_TOL) -> np.ndarray:
+    """Coefficients of the fit with every penalized column held at zero,
+    where each path starts; its unpenalized score is within ``kkt_tol``
+    of zero when it converges."""
+    return _solver(design, response, family, None).restricted_fit(kkt_tol)[0]
+
+
+def lambda_max(design: DesignMatrix, response, weights, restricted,
+               family: str | None = None) -> float:
+    """Smallest penalty at which every finitely weighted penalized
+    coefficient is zero, from the score at the coefficients
+    ``restricted`` of :func:`restricted_fit`."""
+    return _solver(design, response, family, weights).lambda_max(restricted)
+
+
+def kkt_violation(design: DesignMatrix, response, weights, lam: float, coefficients,
+                  family: str | None = None) -> float:
+    """Largest violation of the exact-likelihood KKT conditions of the
+    penalized problem at ``coefficients``, in score units."""
+    return _solver(design, response, family, weights).kkt_violation(np.asarray(coefficients), lam)
+
+
+def penalized_objective(design: DesignMatrix, response, weights, lam: float, coefficients,
+                        family: str | None = None) -> float:
+    """``-loglik + lam * sum_j w_j |beta_j|`` at ``coefficients``."""
+    return _solver(design, response, family, weights).objective(np.asarray(coefficients), lam)
 
 
 def fit_penalized(design: DesignMatrix, response, family: str | None = None,
@@ -355,10 +373,7 @@ def fit_penalized(design: DesignMatrix, response, family: str | None = None,
     zeros among penalized coefficients are exact. The KKT violation
     reached is recorded in ``diagnostics["kkt_max"]``.
     """
-    family = family or design.spec.family
-    if weights is None:
-        weights = np.where(design.penalized_mask, 1.0, 0.0)
-    solver = _PenalizedSolver(design, response, family, weights)
+    solver = _solver(design, response, family, weights)
     if beta_start is None:
         beta_start, _ = solver.restricted_fit(kkt_tol=kkt_tol)
     beta, info = solver.solve(lam, beta_start, max_outer=max_outer, kkt_tol=kkt_tol)
@@ -378,13 +393,6 @@ class PathResult:
 
     def __len__(self) -> int:
         return len(self.fits)
-
-    @property
-    def dyad_count(self) -> int:
-        return self._solver.design.n_rows if self._solver else 0
-
-    def active_sizes(self) -> np.ndarray:
-        return np.array([fit.diagnostics.get("active_set_size", 0) for fit in self.fits])
 
     def write_csv(self, path) -> None:
         with Path(path).open("w", encoding="utf-8", newline="") as handle:
@@ -421,10 +429,7 @@ def lambda_path(design: DesignMatrix, response, family: str | None = None,
         raise ValueError("grid_size must be at least 1")
     if not 0.0 < grid_ratio < 1.0:
         raise ValueError("grid_ratio must be in (0, 1)")
-    family = family or design.spec.family
-    if weights is None:
-        weights = np.where(design.penalized_mask, 1.0, 0.0)
-    solver = _PenalizedSolver(design, response, family, weights)
+    solver = _solver(design, response, family, weights)
     m = design.n_rows
 
     beta_restricted, restricted = solver.restricted_fit(kkt_tol=kkt_tol)
@@ -470,15 +475,25 @@ def lambda_path(design: DesignMatrix, response, family: str | None = None,
 def select(path: PathResult, rule: str = "bic", fixed_lambda: float | None = None) -> FitResult:
     """Pick a fit from the path.
 
-    ``bic`` returns the BIC minimizer, breaking ties toward the larger
-    (sparser) penalty; ``fixed_lambda`` returns the matching grid point,
+    ``bic`` returns the BIC minimizer among the converged fits, breaking
+    ties toward the larger (sparser) penalty; it warns when it skips
+    unconverged fits and raises :class:`ConvergenceError` when none has
+    converged. ``fixed_lambda`` returns the matching grid point,
     refitting at exactly the requested penalty when it is off-grid.
     """
     if len(path) == 0:
         raise ValueError("empty path")
     if rule == "bic":
-        best = 0
-        for k in range(1, len(path)):
+        candidates = [k for k, fit in enumerate(path.fits) if fit.converged]
+        if not candidates:
+            raise ConvergenceError("no point of the path has converged; "
+                                   "BIC selection has nothing to choose from")
+        skipped = len(path) - len(candidates)
+        if skipped:
+            warnings.warn(f"BIC selection skipped {skipped} unconverged path point(s)",
+                          RuntimeWarning, stacklevel=2)
+        best = candidates[0]
+        for k in candidates[1:]:
             if path.bics[k] < path.bics[best]:
                 best = k
         path.selected_index = best

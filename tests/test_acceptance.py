@@ -16,7 +16,6 @@ import pytest
 import blocklasso as bl
 from blocklasso.cli import main as cli_main
 from blocklasso.design import reconstruct_interactions
-from blocklasso.penalty import _PenalizedSolver
 
 from helpers import bernoulli_instance, poisson_instance
 from oracles import brute_force_positive_pairs, damped_newton
@@ -137,9 +136,8 @@ def test_criterion_04_penalized_correctness():
             zero = bl.fit_penalized(design, table.response, weights=weights, lam=0.0)
             assert np.abs(zero.coefficients - mle.coefficients).max() <= 1e-6
 
-            solver = _PenalizedSolver(design, table.response, family, weights)
-            beta_r, _ = solver.restricted_fit()
-            lam_max = solver.lambda_max(beta_r)
+            beta_r = bl.restricted_fit(design, table.response, family)
+            lam_max = bl.lambda_max(design, table.response, weights, beta_r, family)
             above = bl.fit_penalized(design, table.response, weights=weights,
                                      lam=1.01 * lam_max)
             assert np.count_nonzero(above.coefficients[design.penalized_mask]) == 0

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blocklasso as bl
-from blocklasso.design import (GROUP_BLOCK, GROUP_INTERACTION, GROUP_NODE,
+from blocklasso.design import (GROUP_BLOCK, GROUP_INTERACTION, GROUP_NODE, ReferenceCoding,
                                reconstruct_interactions)
 
 from helpers import bernoulli_instance, poisson_instance
@@ -195,6 +195,37 @@ class TestFitLevelInvariance:
         order = [sorted(relabel.values()).index(relabel[f"B0{k}"]) for k in (1, 2, 3)]
         assert np.abs(fit.block_interactions
                       - fit2.block_interactions[np.ix_(order, order)]).max() < 1e-6
+
+
+class TestReferenceCoding:
+    @pytest.mark.parametrize("maker,kwargs,group", [
+        (bernoulli_instance, dict(n=9, p=3), GROUP_NODE),
+        (poisson_instance, dict(n=9, p=4, n_covariates=2), GROUP_BLOCK),
+    ])
+    def test_same_predictor_round_trip_and_gram(self, maker, kwargs, group):
+        _, _, _, design = maker(3, **kwargs)
+        coding = ReferenceCoding(design, np.flatnonzero(~design.inestimable))
+        assert list(coding.recoded) == [group]
+        # at most two entries per dyad in the recoded effect columns
+        effect = coding.matrix[:, coding.recoded[group][1]]
+        assert np.abs(effect).sum(axis=1).max() <= 2.0
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=len(coding.cols))
+        beta = coding.to_public(x)
+        assert np.abs(design.matrix @ beta - coding.matrix @ x).max() < 1e-12
+        assert np.abs(coding.to_reference(beta) - x).max() < 1e-12
+        w, z = rng.random(design.n_rows) + 0.1, rng.normal(size=design.n_rows)
+        A, b = coding.gram(w, z)
+        dense = coding.matrix.toarray()
+        assert np.abs(A - dense.T @ (dense * w[:, None])).max() < 1e-12
+        assert np.abs(b - dense.T @ (w * z)).max() < 1e-12
+
+    def test_partly_excluded_group_keeps_public_coding(self):
+        _, _, _, design = bernoulli_instance(3, n=9, p=3)
+        cols = np.flatnonzero(~design.inestimable)[np.r_[0:2, 3:design.n_columns]]
+        coding = ReferenceCoding(design, cols)
+        assert not coding.recoded
+        assert (coding.matrix != design.matrix[:, cols]).nnz == 0
 
 
 class TestDump:

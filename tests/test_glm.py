@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import blocklasso as bl
+from blocklasso.glm import SEPARATION_RIDGE
 from helpers import bernoulli_instance, graph_from_weights, one_block_partition, poisson_instance
 from oracles import damped_newton, naive_log_likelihood
 
@@ -150,6 +151,10 @@ class TestFitMle:
         assert fit.diagnostics["cause"] == "separation"
         assert fit.diagnostics["ridge"] > 0
         assert np.all(np.isfinite(fit.coefficients))
+        # the ridge is on the public sum-to-zero coefficients
+        oracle = damped_newton(design.matrix.toarray(), table.response, "bernoulli_logit",
+                               free=~design.inestimable, ridge=SEPARATION_RIDGE)
+        assert np.abs(fit.coefficients - oracle).max() < 1e-4
 
     def test_non_convergence_reported_not_raised(self):
         _, table, _, design = bernoulli_instance(18, n=10, p=2)

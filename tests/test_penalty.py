@@ -3,7 +3,7 @@ import pytest
 
 import blocklasso as bl
 from blocklasso.glm import ConvergenceError
-from blocklasso.penalty import _PenalizedSolver, soft_threshold
+from blocklasso.penalty import soft_threshold
 
 from helpers import bernoulli_instance, poisson_instance
 
@@ -93,9 +93,8 @@ class TestFitPenalized:
         _, table, _, design = bernoulli_instance(32, n=14, p=3)
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        solver = _PenalizedSolver(design, table.response, design.spec.family, weights)
-        beta_r, _ = solver.restricted_fit()
-        lam_max = solver.lambda_max(beta_r)
+        beta_r = bl.restricted_fit(design, table.response)
+        lam_max = bl.lambda_max(design, table.response, weights, beta_r)
         fit = bl.fit_penalized(design, table.response, weights=weights, lam=1.01 * lam_max)
         pen = design.penalized_mask
         assert np.all(fit.coefficients[pen] == 0.0)
@@ -106,9 +105,8 @@ class TestFitPenalized:
             _, table, _, design = bernoulli_instance(seed, n=14, p=3)
             mle = bl.fit_mle(design, table.response)
             weights = bl.adaptive_weights(mle, design.penalized_mask)
-            solver = _PenalizedSolver(design, table.response, design.spec.family, weights)
-            beta_r, _ = solver.restricted_fit()
-            lam_max = solver.lambda_max(beta_r)
+            beta_r = bl.restricted_fit(design, table.response)
+            lam_max = bl.lambda_max(design, table.response, weights, beta_r)
             above = bl.fit_penalized(design, table.response, weights=weights, lam=1.01 * lam_max)
             below = bl.fit_penalized(design, table.response, weights=weights, lam=0.99 * lam_max)
             pen = design.penalized_mask
@@ -119,13 +117,24 @@ class TestFitPenalized:
         _, table, _, design = poisson_instance(36, n=14, p=3, n_covariates=2)
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        solver = _PenalizedSolver(design, table.response, design.spec.family, weights)
-        beta_r, _ = solver.restricted_fit()
-        lam = 0.3 * solver.lambda_max(beta_r)
+        beta_r = bl.restricted_fit(design, table.response)
+        lam = 0.3 * bl.lambda_max(design, table.response, weights, beta_r)
         fit = bl.fit_penalized(design, table.response, weights=weights, lam=lam)
         assert fit.converged
         gap = kkt_violation(design, table.response, design.spec.family, weights, lam, fit)
         assert gap <= 1e-5
+
+    def test_public_kkt_violation_matches_independent_gap(self):
+        _, table, _, design = poisson_instance(36, n=14, p=3, n_covariates=2)
+        mle = bl.fit_mle(design, table.response)
+        weights = bl.adaptive_weights(mle, design.penalized_mask)
+        beta_r = bl.restricted_fit(design, table.response)
+        lam = 0.3 * bl.lambda_max(design, table.response, weights, beta_r)
+        fit = bl.fit_penalized(design, table.response, weights=weights, lam=lam)
+        for other in (fit, mle):
+            fast = bl.kkt_violation(design, table.response, weights, lam, other.coefficients)
+            slow = kkt_violation(design, table.response, design.spec.family, weights, lam, other)
+            assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
 
     def test_negative_lambda_rejected(self):
         _, table, _, design = bernoulli_instance(37, n=8, p=2)
@@ -136,13 +145,16 @@ class TestFitPenalized:
         _, table, _, design = bernoulli_instance(38, n=12, p=3)
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        solver = _PenalizedSolver(design, table.response, design.spec.family, weights)
-        beta_r, _ = solver.restricted_fit()
-        lam_max = solver.lambda_max(beta_r)
+        beta_r = bl.restricted_fit(design, table.response)
+        lam_max = bl.lambda_max(design, table.response, weights, beta_r)
+
+        def objective(coefficients, lam):
+            return bl.penalized_objective(design, table.response, weights, lam, coefficients)
+
         for frac in (0.5, 0.1, 0.01):
             lam = frac * lam_max
             fit = bl.fit_penalized(design, table.response, weights=weights, lam=lam)
-            assert solver.objective(fit.coefficients, lam) <= solver.objective(beta_r, lam) + 1e-9
+            assert objective(fit.coefficients, lam) <= objective(beta_r, lam) + 1e-9
 
 
 class TestLambdaPath:
@@ -217,6 +229,28 @@ class TestSelect:
         path.bics = np.array([5.0, 3.0, 3.0, 4.0, 6.0])
         bl.select(path, "bic")
         assert path.selected_index == 1
+
+    def test_bic_skips_unconverged_points(self):
+        _, table, _, design = bernoulli_instance(48, n=12, p=2)
+        mle = bl.fit_mle(design, table.response)
+        weights = bl.adaptive_weights(mle, design.penalized_mask)
+        path = bl.lambda_path(design, table.response, weights=weights, grid_size=5)
+        path.bics = np.array([5.0, 3.0, 2.0, 4.0, 6.0])
+        path.fits[2].converged = False
+        with pytest.warns(RuntimeWarning, match="skipped 1 unconverged"):
+            fit = bl.select(path, "bic")
+        assert path.selected_index == 1
+        assert fit is path.fits[1]
+
+    def test_bic_without_converged_points_raises(self):
+        _, table, _, design = bernoulli_instance(48, n=12, p=2)
+        mle = bl.fit_mle(design, table.response)
+        weights = bl.adaptive_weights(mle, design.penalized_mask)
+        path = bl.lambda_path(design, table.response, weights=weights, grid_size=3)
+        for fit in path.fits:
+            fit.converged = False
+        with pytest.raises(ConvergenceError, match="no point of the path has converged"):
+            bl.select(path, "bic")
 
     def test_fixed_lambda_on_grid(self):
         _, table, _, design = bernoulli_instance(44, n=10, p=2)
