@@ -23,12 +23,18 @@ by reference instead (:class:`ReferenceCoding`): the fold puts n-2
 entries on every dyad of the last node, reference coding at most two.
 :func:`effect_levels` is the one place that turns either coding into
 the full sum-to-zero level vector.
+
+The solvers also see one row per cell (:attr:`DesignMatrix.cells`), not
+per dyad: dyads with identical design rows form a cell. Without node
+effects a dyad's row depends only on its unordered block pair and its
+covariate values, so a p-block design without covariates has at most
+p(p+1)/2 cells. With node effects every dyad is its own cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +45,7 @@ from .graphs import Partition
 __all__ = [
     "ModelSpec",
     "DesignMatrix",
+    "DyadCells",
     "ReferenceCoding",
     "effect_levels",
     "encode",
@@ -172,16 +179,43 @@ class DesignMatrix:
         idx = self.group_indices(GROUP_INTERACTION)
         return reconstruct_interactions(np.asarray(coefficients)[idx], self.block_count)
 
-    def dump_triplets(self, path) -> None:
-        """Write the matrix as text triplets: one ``row col value`` line
-        per stored entry, sorted by (row, col), with a ``# rows cols``
-        header line."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        with Path(path).open("w", encoding="utf-8") as handle:
-            handle.write(f"# {self.n_rows} {self.n_columns}\n")
-            for k in order:
-                handle.write(f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}\n")
+    @cached_property
+    def cells(self) -> "DyadCells":
+        """The dyads grouped by identical design row (see :class:`DyadCells`).
+
+        Without node effects a row is a function of the unordered block
+        pair and the covariate values, so those are the key. With node
+        effects every dyad is its own cell, and the cells share this
+        design's matrix.
+        """
+        m = self.n_rows
+        if self.spec.node_effects:
+            return DyadCells(np.arange(m), np.ones(m, dtype=np.int64), self.matrix)
+        blocks = np.sort(self.dyad_blocks, axis=1)
+        covariates = self.matrix[:, self.group_indices(GROUP_COVARIATE)].toarray()
+        _, first, inverse, counts = np.unique(
+            np.column_stack([blocks, covariates]), axis=0,
+            return_index=True, return_inverse=True, return_counts=True)
+        # a design whose rows are all distinct keeps its dyad order
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return DyadCells(rank[inverse.reshape(-1)], counts[order], self.matrix[first[order]])
+
+
+@dataclass(frozen=True)
+class DyadCells:
+    """Dyads with identical design rows, grouped into cells.
+
+    ``inverse`` holds the cell of every dyad, ``counts`` the dyads per
+    cell and ``matrix`` the design row of every cell, so that
+    ``matrix[inverse]`` is the design matrix. Cells are numbered in the
+    order of their first dyad.
+    """
+
+    inverse: np.ndarray
+    counts: np.ndarray
+    matrix: sp.csr_array
 
 
 def encode(table: DyadTable, partition: Partition, spec: ModelSpec) -> DesignMatrix:
@@ -367,7 +401,8 @@ def effect_levels(coefficients, groups, group: str, *, reference: bool = False) 
 
 
 class ReferenceCoding:
-    """Columns ``cols`` of a design, as the solvers see them.
+    """Columns ``cols`` of a design's cell rows (:attr:`DesignMatrix.cells`),
+    as the solvers see them.
 
     Node and block effects are coded by reference (last level 0): a dyad
     endpoint puts a 1 in the column of its level unless that level is
@@ -393,7 +428,8 @@ class ReferenceCoding:
         self._matrix_t = self.matrix.T.tocsr()
 
     def _reference_matrix(self) -> sp.csr_array:
-        coo = self.design.matrix.tocoo()
+        public = self.design.cells.matrix
+        coo = public.tocoo()
         rows, cols, vals = [coo.row], [coo.col], [coo.data]
         for idx, _ in self.recoded.values():
             # an endpoint at the folded last level puts -1 in each of the
@@ -402,20 +438,20 @@ class ReferenceCoding:
             g = len(idx)
             inside = np.isin(coo.col, idx)
             totals = np.bincount(coo.row[inside], weights=coo.data[inside],
-                                 minlength=self.design.n_rows)
+                                 minlength=public.shape[0])
             folds = np.rint((2.0 - totals) / (g + 1))
             hit = np.flatnonzero(folds)
             rows.append(np.repeat(hit, g))
             cols.append(np.tile(idx, len(hit)))
             vals.append(np.repeat(folds[hit], g))
         matrix = sp.coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                              shape=self.design.matrix.shape).tocsc()
+                              shape=public.shape).tocsc()
         matrix.eliminate_zeros()
         return matrix[:, self.cols].tocsr()
 
     def gram(self, w: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Dense X'WX and X'Wz of one IRLS step (working weights ``w``,
-        working response ``z``), built once and shared by every solve."""
+        """Dense X'WX and X'Wz of one IRLS step (per-cell working weights
+        ``w``, working response ``z``), built once and shared by every solve."""
         XT = self._matrix_t
         WXT = sp.csr_array((XT.data * w[XT.indices], XT.indices, XT.indptr), shape=XT.shape)
         return (WXT @ self.matrix).toarray(), WXT @ z

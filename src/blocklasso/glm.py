@@ -11,6 +11,15 @@ is mapped back to the sum-to-zero coding in O(q); the line search, the
 separation test and the score test run on the public design. Columns
 flagged inestimable by the encoder are held at zero.
 
+The solver evaluates one row per cell of the design (``DesignMatrix.cells``:
+dyads with identical design rows), with the cell's response total and
+dyad count as a row weight. Without node effects this collapses the m
+dyads to one cell per block pair and covariate pattern; designs with
+node effects are not collapsed. Outputs stay per dyad: the
+log-likelihood, the deviance and the fitted values are those of the
+dyads, with the response-only terms (sum of log y!, the saturated
+Poisson likelihood) computed once per fit.
+
 Quasi-separation is a realistic input for the Bernoulli family with node
 effects (a node adjacent to everything, or to nothing, drives its effect
 to infinity). When a coefficient passes 15 in magnitude while the
@@ -59,41 +68,6 @@ def _check_family(family: str) -> str:
     return family
 
 
-def _mean_value(family: str, eta: np.ndarray) -> np.ndarray:
-    if family == "bernoulli_logit":
-        return expit(eta)
-    with np.errstate(over="ignore"):
-        return np.exp(eta)
-
-
-def _working_weights(family: str, mu: np.ndarray) -> np.ndarray:
-    if family == "bernoulli_logit":
-        return mu * (1.0 - mu)
-    return mu
-
-
-def _log_y_factorial(y: np.ndarray, family: str) -> float:
-    """The response-only term of the log-likelihood: sum of log(y!) for
-    Poisson, 0 for Bernoulli; computed once per fit."""
-    return float(np.sum(gammaln(y + 1.0))) if family == "poisson_log" else 0.0
-
-
-def _log_likelihood_eta(eta: np.ndarray, y: np.ndarray, family: str,
-                        log_y_factorial: float) -> float:
-    if family == "bernoulli_logit":
-        return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-    with np.errstate(over="ignore"):
-        return float(np.sum(y * eta - np.exp(eta))) - log_y_factorial
-
-
-def _deviance(y: np.ndarray, mu: np.ndarray, family: str) -> float:
-    if family == "bernoulli_logit":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = xlogy(y, mu) + xlogy(1.0 - y, 1.0 - mu)
-        return float(-2.0 * np.sum(terms))
-    return float(2.0 * np.sum(xlogy(y, y / mu) - (y - mu)))
-
-
 def _validate_response(response, family: str, m: int) -> np.ndarray:
     y = np.asarray(response, dtype=np.float64)
     if y.shape != (m,):
@@ -109,16 +83,71 @@ def _validate_response(response, family: str, m: int) -> np.ndarray:
     return y
 
 
+class _CellData:
+    """A response summed over the cells of its design (``DesignMatrix.cells``).
+
+    Dyads in one cell share a design row, so every likelihood quantity
+    is a row-weighted sum over cells with cell totals ``y`` and dyad
+    counts ``n``: the kernel ``sum(y*eta - n*A(eta))``, the working
+    weights ``n * max(v(mu), WEIGHT_FLOOR)`` (the floor is per dyad) and
+    the score ``X'(y - n*mu)``. The terms that depend on the response
+    alone, sum(log y!) and the saturated kernel, are dyad-level constants
+    (zero for Bernoulli), computed once.
+    """
+
+    def __init__(self, design: DesignMatrix, response, family: str):
+        self.design = design
+        self.family = _check_family(family)
+        y = _validate_response(response, self.family, design.n_rows)
+        cells = design.cells
+        self.X = cells.matrix
+        self.n = cells.counts.astype(np.float64)
+        self.y = np.bincount(cells.inverse, weights=y, minlength=len(self.n))
+        self.log_y_factorial = self.saturated = 0.0
+        if self.family == "poisson_log":
+            self.log_y_factorial = float(np.sum(gammaln(y + 1.0)))
+            self.saturated = float(np.sum(xlogy(y, y) - y))
+
+    def mean(self, eta: np.ndarray) -> np.ndarray:
+        if self.family == "bernoulli_logit":
+            return expit(eta)
+        with np.errstate(over="ignore"):
+            return np.exp(eta)
+
+    def kernel(self, eta: np.ndarray) -> float:
+        if self.family == "bernoulli_logit":
+            return float(np.sum(self.y * eta - self.n * np.logaddexp(0.0, eta)))
+        with np.errstate(over="ignore"):
+            return float(np.sum(self.y * eta - self.n * np.exp(eta)))
+
+    def log_likelihood(self, eta: np.ndarray) -> float:
+        return self.kernel(eta) - self.log_y_factorial
+
+    def deviance(self, eta: np.ndarray) -> float:
+        return 2.0 * (self.saturated - self.kernel(eta))
+
+    def working(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Working weights and working response of one IRLS step."""
+        mu = self.mean(eta)
+        variance = mu * (1.0 - mu) if self.family == "bernoulli_logit" else mu
+        w = self.n * np.clip(variance, WEIGHT_FLOOR, None)
+        return w, eta + (self.y - self.n * mu) / w
+
+    def score(self, eta: np.ndarray) -> np.ndarray:
+        return self.X.T @ (self.y - self.n * self.mean(eta))
+
+
 def log_likelihood(coefficients, design: DesignMatrix, response, family: str | None = None) -> float:
     """Exact log-likelihood of a coefficient vector.
 
     Bernoulli: sum of ``y*eta - log(1 + exp(eta))``; Poisson: sum of
     ``y*eta - exp(eta) - log(y!)``, with ``eta`` the linear predictor.
     """
-    family = _check_family(family or design.spec.family)
-    y = _validate_response(response, family, design.n_rows)
-    eta = design.linear_predictor(coefficients)
-    return _log_likelihood_eta(eta, y, family, _log_y_factorial(y, family))
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    if coefficients.shape != (design.n_columns,):
+        raise ValueError(f"expected {design.n_columns} coefficients")
+    data = _CellData(design, response, family or design.spec.family)
+    return data.log_likelihood(data.X @ coefficients)
 
 
 @dataclass
@@ -146,13 +175,13 @@ def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(A, rhs, rcond=None)[0]
 
 
-def _initial_beta(family: str, y: np.ndarray, coding: ReferenceCoding) -> np.ndarray:
+def _initial_beta(data: _CellData, coding: ReferenceCoding) -> np.ndarray:
     beta = np.zeros(coding.design.n_columns)
     if not len(coding.cols) or coding.cols[0] != 0:  # no intercept
         return beta
-    m = len(y)
-    mean = float(np.mean(y)) if m else 0.5
-    if family == "bernoulli_logit":
+    m = data.design.n_rows
+    mean = float(np.sum(data.y)) / m if m else 0.5
+    if data.family == "bernoulli_logit":
         mean = min(max(mean, 1.0 / (m + 2.0)), 1.0 - 1.0 / (m + 2.0))
         beta[0] = float(np.log(mean / (1.0 - mean)))
     else:
@@ -160,30 +189,27 @@ def _initial_beta(family: str, y: np.ndarray, coding: ReferenceCoding) -> np.nda
     return beta
 
 
-def _irls(coding: ReferenceCoding, y: np.ndarray, family: str, *, ridge: float = 0.0,
+def _irls(data: _CellData, coding: ReferenceCoding, *, ridge: float = 0.0,
           max_iter: int = MAX_ITERATIONS, ll_tol: float = LL_TOL, score_tol: float = SCORE_TOL,
           detect_separation: bool = True) -> _IrlsResult:
     """IRLS with step halving on the columns of ``coding`` (all treated
     free); returns full-length public coefficients."""
-    X, cols = coding.design.matrix, coding.cols
-    log_y_factorial = _log_y_factorial(y, family)
-    score_bound = score_tol * (1.0 + float(np.abs((X.T @ y)[cols]).max(initial=0.0)))
+    X, cols = data.X, coding.cols
+    score_bound = score_tol * (1.0 + float(np.abs((X.T @ data.y)[cols]).max(initial=0.0)))
     if ridge:
         # the ridge is on the public coefficients M x, M the map from
         # the solver coding over ``cols``
         M = np.column_stack([coding.to_public(e)[cols] for e in np.eye(len(cols))])
         ridge_gram = 2.0 * ridge * (M.T @ M)
-    beta = _initial_beta(family, y, coding)
+    beta = _initial_beta(data, coding)
     eta = X @ beta
-    objective = _log_likelihood_eta(eta, y, family, log_y_factorial) - ridge * float(beta @ beta)
+    objective = data.log_likelihood(eta) - ridge * float(beta @ beta)
     cause: str | None = "max_iterations"
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        mu = _mean_value(family, eta)
-        w = np.clip(_working_weights(family, mu), WEIGHT_FLOOR, None)
-        A, rhs = coding.gram(w, eta + (y - mu) / w)
+        A, rhs = coding.gram(*data.working(eta))
         if ridge:
             A += ridge_gram
         proposal = coding.to_public(_solve_normal_equations(A, rhs))
@@ -192,8 +218,7 @@ def _irls(coding: ReferenceCoding, y: np.ndarray, family: str, *, ridge: float =
         candidate = proposal
         for _ in range(31):
             eta_try = X @ candidate
-            obj_try = (_log_likelihood_eta(eta_try, y, family, log_y_factorial)
-                       - ridge * float(candidate @ candidate))
+            obj_try = data.log_likelihood(eta_try) - ridge * float(candidate @ candidate)
             if obj_try >= objective - 1e-13 * (1.0 + abs(objective)):
                 accepted = (candidate, eta_try, obj_try)
                 break
@@ -204,28 +229,25 @@ def _irls(coding: ReferenceCoding, y: np.ndarray, family: str, *, ridge: float =
         delta = accepted[2] - objective
         beta, eta, objective = accepted
 
-        if (detect_separation and family == "bernoulli_logit" and ridge == 0.0
+        if (detect_separation and data.family == "bernoulli_logit" and ridge == 0.0
                 and float(np.abs(beta).max(initial=0.0)) > SEPARATION_BOUND
                 and delta > 1e-8 * (1.0 + abs(objective))):
             cause = "separation"
             break
 
-        mu = _mean_value(family, eta)
-        score = (X.T @ (y - mu))[cols] - 2.0 * ridge * beta[cols]
+        score = data.score(eta)[cols] - 2.0 * ridge * beta[cols]
         score_max = float(np.abs(score).max(initial=0.0))
         if abs(delta) <= ll_tol * (1.0 + abs(objective)) and score_max <= score_bound:
             converged = True
             cause = None
             break
 
-    mu = _mean_value(family, eta)
-    raw_score = float(np.abs((X.T @ (y - mu))[cols]).max(initial=0.0))
     return _IrlsResult(
         beta=beta,
-        log_likelihood=_log_likelihood_eta(eta, y, family, log_y_factorial),
+        log_likelihood=data.log_likelihood(eta),
         iterations=iterations,
         converged=converged,
-        score_max=raw_score,
+        score_max=float(np.abs(data.score(eta)[cols]).max(initial=0.0)),
         score_bound=score_bound,
         cause=cause,
     )
@@ -344,26 +366,26 @@ def read_fit_json(path) -> FitResult:
     return FitResult.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def assemble_fit(design: DesignMatrix, beta: np.ndarray, response, family: str, *,
-                 converged: bool, iterations: int, diagnostics: dict) -> FitResult:
-    """Build a :class:`FitResult` from a full-length coefficient vector."""
-    y = np.asarray(response, dtype=np.float64)
-    eta = design.linear_predictor(beta)
-    mu = _mean_value(family, eta)
+def assemble_fit(data: _CellData, beta: np.ndarray, *, converged: bool, iterations: int,
+                 diagnostics: dict) -> FitResult:
+    """Build a :class:`FitResult` from a full-length coefficient vector;
+    the fitted values are expanded from the cells back to the dyads."""
+    design = data.design
+    eta = data.X @ beta
     diagnostics = dict(diagnostics)
     diagnostics.setdefault(
         "fixed_zero",
         [design.column_names[k] for k in np.flatnonzero(design.inestimable)],
     )
     return FitResult(
-        family=family,
+        family=data.family,
         column_names=design.column_names,
         coefficients=np.asarray(beta, dtype=np.float64),
-        log_likelihood=_log_likelihood_eta(eta, y, family, _log_y_factorial(y, family)),
-        deviance=_deviance(y, mu, family),
+        log_likelihood=data.log_likelihood(eta),
+        deviance=data.deviance(eta),
         converged=converged,
         iterations=iterations,
-        fitted_values=mu,
+        fitted_values=data.mean(eta)[design.cells.inverse],
         block_interactions=design.interaction_matrix(beta),
         block_labels=design.block_labels,
         node_ids=design.node_ids,
@@ -381,13 +403,12 @@ def fit_mle(design: DesignMatrix, response, family: str | None = None, *,
     reported through ``converged``/``diagnostics``, not an exception.
     ``exclude`` optionally forces extra columns to zero.
     """
-    family = _check_family(family or design.spec.family)
-    y = _validate_response(response, family, design.n_rows)
+    data = _CellData(design, response, family or design.spec.family)
     active = ~design.inestimable
     if exclude is not None:
         active &= ~np.asarray(exclude, dtype=bool)
     coding = ReferenceCoding(design, np.flatnonzero(active))
-    result = _irls(coding, y, family, max_iter=max_iter)
+    result = _irls(data, coding, max_iter=max_iter)
     ridge_used = 0.0
     if result.cause == "separation":
         warnings.warn(
@@ -397,7 +418,7 @@ def fit_mle(design: DesignMatrix, response, family: str | None = None, *,
             RuntimeWarning,
             stacklevel=2,
         )
-        stabilized = _irls(coding, y, family, ridge=SEPARATION_RIDGE, max_iter=max_iter,
+        stabilized = _irls(data, coding, ridge=SEPARATION_RIDGE, max_iter=max_iter,
                            detect_separation=False)
         ridge_used = SEPARATION_RIDGE
         result = replace(stabilized, iterations=result.iterations + stabilized.iterations,
@@ -410,5 +431,5 @@ def fit_mle(design: DesignMatrix, response, family: str | None = None, *,
     }
     if result.cause:
         diagnostics["cause"] = result.cause
-    return assemble_fit(design, result.beta, y, family, converged=result.converged,
+    return assemble_fit(data, result.beta, converged=result.converged,
                         iterations=result.iterations, diagnostics=diagnostics)

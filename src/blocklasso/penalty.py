@@ -8,10 +8,12 @@ from a converged reference fit as ``w_j = |ref_j| ** -gamma_w``; a
 reference coefficient below 1e-10 in magnitude gets an infinite weight,
 freezing that coefficient at zero.
 
-Solver: penalized IRLS with node and block effects coded by reference
-inside it (``ReferenceCoding``; the penalized columns are unchanged).
-Each outer step builds the working Gram matrix A = X'WX and b = X'Wz
-once and solves the working problem in covariance mode (Friedman,
+Solver: penalized IRLS on the cells of the design (dyads with identical
+design rows, weighted by their count; see ``glm``; designs with node
+effects have one cell per dyad), with node and block effects coded by
+reference inside it (``ReferenceCoding``; the penalized columns are
+unchanged). Each outer step builds the working Gram matrix A = X'WX and
+b = X'Wz once and solves the working problem in covariance mode (Friedman,
 Hastie & Tibshirani 2010, J. Stat. Softw. 33(1), section 2.2): cyclic
 coordinate-descent soft-thresholding over the penalized columns (fixed
 column order) keeps the gradient b - A beta current with one row of A
@@ -24,7 +26,8 @@ zero crossing, so they are exact and downstream sign counts need no
 cutoff. Convergence is declared on the exact-likelihood KKT conditions:
 ``score_j = lam * w_j * sign(beta_j)`` for active penalized columns,
 ``|score_j| <= lam * w_j`` for inactive ones, and ``score_j = 0`` for
-unpenalized columns, all within ``kkt_tol``.
+unpenalized columns, all within ``kkt_tol``. Reported log-likelihoods,
+BIC values (with ``log(#dyads)``) and fitted values are per dyad.
 """
 
 from __future__ import annotations
@@ -39,17 +42,11 @@ import numpy as np
 
 from .design import DesignMatrix, ReferenceCoding
 from .glm import (
-    WEIGHT_FLOOR,
     ConvergenceError,
     FitResult,
-    _check_family,
+    _CellData,
     _irls,
-    _log_likelihood_eta,
-    _log_y_factorial,
-    _mean_value,
     _solve_normal_equations,
-    _validate_response,
-    _working_weights,
     assemble_fit,
 )
 
@@ -132,8 +129,7 @@ class _PenalizedSolver:
 
     def __init__(self, design: DesignMatrix, response, family: str, weights):
         self.design = design
-        self.family = _check_family(family)
-        self.y = _validate_response(response, self.family, design.n_rows)
+        self.data = _CellData(design, response, family)
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (design.n_columns,):
             raise ValueError(f"weights must have length {design.n_columns}")
@@ -142,7 +138,6 @@ class _PenalizedSolver:
         if np.any((weights > 0) & ~design.penalized_mask):
             raise ValueError("positive penalty weight on an unpenalized column")
         self.weights = weights
-        self.log_y_factorial = _log_y_factorial(self.y, self.family)
 
         free = ~design.inestimable
         frozen = np.isinf(weights) & design.penalized_mask
@@ -160,28 +155,25 @@ class _PenalizedSolver:
     # -- restricted problem (penalized block forced to zero) ------------
 
     def restricted_fit(self, kkt_tol: float = KKT_TOL):
-        score_scale = 1.0 + float(np.abs((self.design.matrix.T @ self.y)[self.unpen_idx])
-                                  .max(initial=0.0))
-        result = _irls(ReferenceCoding(self.design, self.unpen_idx), self.y, self.family,
+        data = self.data
+        score_scale = 1.0 + float(np.abs((data.X.T @ data.y)[self.unpen_idx]).max(initial=0.0))
+        result = _irls(data, ReferenceCoding(self.design, self.unpen_idx),
                        max_iter=200, score_tol=kkt_tol / score_scale)
         return result.beta, result
 
-    def score(self, eta: np.ndarray) -> np.ndarray:
-        return self.design.matrix.T @ (self.y - _mean_value(self.family, eta))
-
     def lambda_max(self, beta_restricted: np.ndarray) -> float:
-        score = self.score(self.design.matrix @ beta_restricted)[self.pen_idx]
+        score = self.data.score(self.data.X @ beta_restricted)[self.pen_idx]
         return float((np.abs(score) / self.weights[self.pen_idx]).max(initial=0.0))
 
     # -- penalized objective and optimality ------------------------------
 
     def objective(self, beta: np.ndarray, lam: float, eta=None) -> float:
-        eta = self.design.matrix @ beta if eta is None else eta
+        eta = self.data.X @ beta if eta is None else eta
         penalty = float(np.sum(self.weights[self.pen_idx] * np.abs(beta[self.pen_idx])))
-        return -_log_likelihood_eta(eta, self.y, self.family, self.log_y_factorial) + lam * penalty
+        return -self.data.log_likelihood(eta) + lam * penalty
 
     def kkt_violation(self, beta: np.ndarray, lam: float, eta=None) -> float:
-        score = self.score(self.design.matrix @ beta if eta is None else eta)
+        score = self.data.score(self.data.X @ beta if eta is None else eta)
         b, s = beta[self.pen_idx], score[self.pen_idx]
         bound = lam * self.weights[self.pen_idx]
         gaps = np.where(b != 0.0, np.abs(s - bound * np.sign(b)),
@@ -245,7 +237,7 @@ class _PenalizedSolver:
               max_outer: int = MAX_OUTER, kkt_tol: float = KKT_TOL):
         if lam < 0:
             raise ValueError("lambda must be nonnegative")
-        X, coding = self.design.matrix, self.coding
+        X, coding = self.data.X, self.coding
         thresholds = lam * self.weights[self.cols]
         beta = np.array(beta_start, dtype=np.float64)
         beta[self.fixed_idx] = 0.0
@@ -259,9 +251,7 @@ class _PenalizedSolver:
         outer = 0
 
         for outer in range(1, max_outer + 1):
-            mu = _mean_value(self.family, eta)
-            w = np.clip(_working_weights(self.family, mu), WEIGHT_FLOOR, None)
-            A, b = coding.gram(w, eta + (self.y - mu) / w)
+            A, b = coding.gram(*self.data.working(eta))
             x = coding.to_reference(beta)
             grad = b - A @ x
             # the working problem is solved to a fraction of the exact
@@ -323,9 +313,8 @@ class _PenalizedSolver:
         active = int(np.count_nonzero(beta[self.pen_idx]))
         diagnostics = {k: v for k, v in info.items() if k not in ("converged", "iterations")}
         diagnostics.update(active_set_size=active, df=active + len(self.unpen_idx))
-        return assemble_fit(self.design, beta, self.y, self.family,
-                            converged=info["converged"], iterations=info["iterations"],
-                            diagnostics=diagnostics)
+        return assemble_fit(self.data, beta, converged=info["converged"],
+                            iterations=info["iterations"], diagnostics=diagnostics)
 
 
 def _solver(design: DesignMatrix, response, family: str | None, weights) -> _PenalizedSolver:
@@ -395,9 +384,13 @@ class PathResult:
         return len(self.fits)
 
     def write_csv(self, path) -> None:
+        """One row per grid point, with the convergence diagnostics that
+        say how far to trust it: outer iterations, the KKT violation
+        reached, whether it converged and, if not, why."""
         with Path(path).open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["lambda", "df", "log_likelihood", "bic", "active_set_size"])
+            writer.writerow(["lambda", "df", "log_likelihood", "bic", "active_set_size",
+                             "outer_iterations", "kkt_max", "converged", "cause"])
             for lam, df, fit, bic in zip(self.lambdas, self.dfs, self.fits, self.bics):
                 writer.writerow([
                     repr(float(lam)),
@@ -405,6 +398,10 @@ class PathResult:
                     repr(float(fit.log_likelihood)),
                     repr(float(bic)),
                     int(fit.diagnostics.get("active_set_size", 0)),
+                    int(fit.iterations),
+                    repr(float(fit.diagnostics["kkt_max"])),
+                    "true" if fit.converged else "false",
+                    fit.diagnostics.get("cause", ""),
                 ])
 
 
@@ -438,9 +435,13 @@ def lambda_path(design: DesignMatrix, response, family: str | None = None,
     if degenerate:
         warnings.warn("all penalized weights are infinite; the path degenerates to "
                       "the unpenalized fit", RuntimeWarning, stacklevel=2)
+    # the restricted fit is the top point, and reports its own convergence
+    restricted_info = {"kkt_tol": kkt_tol, "iterations": restricted.iterations,
+                       "converged": restricted.converged}
+    if restricted.cause:
+        restricted_info["cause"] = restricted.cause
     if degenerate or lam_max <= 0.0:
-        info = {"lambda": 0.0, "kkt_max": 0.0, "kkt_tol": kkt_tol,
-                "iterations": restricted.iterations, "converged": restricted.converged}
+        info = {"lambda": 0.0, "kkt_max": 0.0, **restricted_info}
         fit = solver.assemble(beta_restricted, info)
         df = len(solver.unpen_idx)
         return PathResult(lambdas=np.array([0.0]), fits=[fit],
@@ -453,13 +454,8 @@ def lambda_path(design: DesignMatrix, response, family: str | None = None,
         lambdas = lam_max * grid_ratio ** (np.arange(grid_size) / (grid_size - 1))
 
     fits: list[FitResult] = []
-    top_info = {
-        "lambda": float(lam_max),
-        "kkt_max": solver.kkt_violation(beta_restricted, lam_max),
-        "kkt_tol": kkt_tol,
-        "iterations": restricted.iterations,
-        "converged": restricted.converged,
-    }
+    top_info = {"lambda": float(lam_max),
+                "kkt_max": solver.kkt_violation(beta_restricted, lam_max), **restricted_info}
     fits.append(solver.assemble(beta_restricted, top_info))
     warm = beta_restricted
     for lam in lambdas[1:]:

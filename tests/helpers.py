@@ -37,7 +37,10 @@ def bernoulli_instance(seed: int, n: int = 12, p: int = 3, *, intercept: float =
 
 def poisson_instance(seed: int, n: int = 12, p: int = 3, *, intercept: float = 0.3,
                      n_covariates: int = 0, fraction_zero: float = 0.3,
-                     magnitude: float = 0.5):
+                     magnitude: float = 0.5, covariate_levels: int = 0):
+    """Graph + dyad table + partition + covariate-adjusted design; the
+    covariates are standard normal, or integers in [0, covariate_levels)
+    when that is positive."""
     interactions = bl.sparse_interactions(p, fraction_zero, magnitude, seed=seed) if p > 1 else None
     rng = np.random.default_rng(seed + 13)
     block_effects = None
@@ -47,7 +50,10 @@ def poisson_instance(seed: int, n: int = 12, p: int = 3, *, intercept: float = 0
     covariates = coefs = None
     if n_covariates:
         m = n * (n - 1) // 2
-        covariates = rng.normal(size=(m, n_covariates))
+        if covariate_levels:
+            covariates = rng.integers(0, covariate_levels, size=(m, n_covariates)).astype(float)
+        else:
+            covariates = rng.normal(size=(m, n_covariates))
         coefs = rng.normal(scale=0.3, size=n_covariates)
     spec = bl.GeneratorSpec(n=n, p=p, family="poisson_log", intercept=intercept,
                             interactions=interactions, block_effects=block_effects,

@@ -228,14 +228,32 @@ class TestReferenceCoding:
         assert (coding.matrix != design.matrix[:, cols]).nnz == 0
 
 
-class TestDump:
-    def test_triplet_dump(self, tmp_path):
-        _, table, partition, design = bernoulli_instance(12, n=5, p=2)
-        path = tmp_path / "design.txt"
-        design.dump_triplets(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == f"# {design.n_rows} {design.n_columns}"
-        row, col, value = lines[1].split()
-        dense = design.matrix.toarray()
-        assert dense[int(row), int(col)] == float(value)
-        assert len(lines) - 1 == design.matrix.nnz
+class TestCells:
+    def test_node_effects_make_every_dyad_a_cell(self):
+        _, _, _, design = bernoulli_instance(12, n=9, p=3)
+        cells = design.cells
+        assert cells.matrix is design.matrix
+        assert np.array_equal(cells.inverse, np.arange(design.n_rows))
+        assert np.array_equal(cells.counts, np.ones(design.n_rows))
+
+    @pytest.mark.parametrize("make", [
+        lambda: poisson_instance(12, n=14, p=3, n_covariates=2, covariate_levels=2)[3],
+        lambda: custom_design(12, n=14, p=3),
+    ], ids=["covariate_adjusted_discrete", "custom_without_effects"])
+    def test_every_dyad_row_is_its_cell_row(self, make):
+        design = make()
+        X, cells = design.matrix, design.cells
+        assert len(cells.counts) < design.n_rows
+        assert (X - cells.matrix[cells.inverse]).nnz == 0
+        assert cells.counts.sum() == design.n_rows
+        assert np.array_equal(np.bincount(cells.inverse), cells.counts)
+
+    def test_blocks_without_effects_give_one_cell_per_block_pair(self):
+        design = custom_design(13, n=16, p=4)
+        assert len(design.cells.counts) == 4 * 5 // 2
+
+
+def custom_design(seed, n, p):
+    """Design of the block interactions and intercept alone."""
+    _, table, partition, _ = bernoulli_instance(seed, n=n, p=p)
+    return bl.encode(table, partition, bl.ModelSpec(family="bernoulli_logit"))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 import blocklasso as bl
 from blocklasso.glm import SEPARATION_RIDGE
@@ -161,6 +162,41 @@ class TestFitMle:
         fit = bl.fit_mle(design, table.response, max_iter=1)
         assert not fit.converged
         assert fit.diagnostics["cause"] == "max_iterations"
+
+
+class TestCellFits:
+    """Fits made on collapsed cells report the dyad-level values."""
+
+    @pytest.mark.parametrize("family", ["bernoulli_logit", "poisson_log"])
+    @pytest.mark.parametrize("lam", [None, 0.5])
+    def test_outputs_match_dyad_level(self, family, lam):
+        if family == "bernoulli_logit":
+            _, table, partition, _ = bernoulli_instance(30, n=16, p=3)
+            design = bl.encode(table, partition, bl.ModelSpec(family=family))
+        else:
+            _, table, _, design = poisson_instance(31, n=16, p=3, n_covariates=1,
+                                                   covariate_levels=3)
+        assert len(design.cells.counts) < design.n_rows
+        if lam is None:
+            fit = bl.fit_mle(design, table.response)
+        else:
+            fit = bl.fit_penalized(design, table.response, lam=lam)
+        assert fit.converged
+        X, y = design.matrix.toarray(), table.response.astype(float)
+        mu = np.exp(design.linear_predictor(fit.coefficients))
+        if family == "bernoulli_logit":
+            mu = mu / (1.0 + mu)
+            deviance = -2.0 * np.sum(xlogy(y, mu) + xlogy(1.0 - y, 1.0 - mu))
+        else:
+            deviance = 2.0 * np.sum(xlogy(y, y / mu) - (y - mu))
+        loglik = naive_log_likelihood(X, y, fit.coefficients, family)
+        assert fit.log_likelihood == pytest.approx(loglik, rel=1e-10, abs=0)
+        assert fit.deviance == pytest.approx(deviance, rel=1e-10, abs=0)
+        assert fit.fitted_values.shape == (design.n_rows,)
+        assert np.allclose(fit.fitted_values, mu, rtol=1e-10, atol=0)
+        if lam is None:
+            oracle = damped_newton(X, y, family, free=~design.inestimable)
+            assert np.abs(fit.coefficients - oracle).max() < 1e-6
 
 
 class TestSerialization:

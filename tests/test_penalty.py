@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -207,8 +209,16 @@ class TestLambdaPath:
         out = tmp_path / "path.csv"
         path.write_csv(out)
         lines = out.read_text().splitlines()
-        assert lines[0] == "lambda,df,log_likelihood,bic,active_set_size"
+        assert lines[0] == ("lambda,df,log_likelihood,bic,active_set_size,"
+                            "outer_iterations,kkt_max,converged,cause")
         assert len(lines) == 6
+        with out.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["converged"] == "true" for row in rows] == [f.converged for f in path.fits]
+        assert [int(row["outer_iterations"]) for row in rows] == [f.iterations for f in path.fits]
+        assert [float(row["kkt_max"]) for row in rows] == [f.diagnostics["kkt_max"]
+                                                          for f in path.fits]
+        assert [row["cause"] == "" for row in rows] == [f.converged for f in path.fits]
 
 
 class TestSelect:
