@@ -29,7 +29,7 @@ from .design import ModelSpec, encode
 from .glm import ConvergenceError, FitResult, fit_mle, read_fit_json
 from .graphs import (AttributeTable, load_attributes, load_edge_list,
                      partition_from_attributes, validate)
-from .penalty import adaptive_weights, lambda_path, select
+from .penalty import PenaltySpec, adaptive_weights, lambda_path, select
 from .reduced import export_reduced_graph, reduce_positive, reduce_threshold
 
 EXIT_OK = 0
@@ -91,7 +91,10 @@ _FIT_DEFAULTS = {
 }
 
 
-def _resolve_fit_config(args) -> dict:
+def _resolve_fit_config(args) -> tuple[dict, PenaltySpec | None]:
+    """The run's config document, and its penalty settings checked as a
+    :class:`PenaltySpec` (``None`` when the penalty is disabled), so that
+    bad settings fail before any work is done."""
     cfg = json.loads(json.dumps(_FIT_DEFAULTS))
     _deep_update(cfg, _load_config(args.config))
     for key in ("edges", "mode", "has_header", "attributes", "nodes", "model", "family", "out"):
@@ -128,10 +131,20 @@ def _resolve_fit_config(args) -> dict:
         raise ValueError("no edge file given (use --edges or the config)")
     if cfg["model"] not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {cfg['model']!r}")
-    lam = cfg["penalty"]["lambda"]
-    if isinstance(lam, str) and lam != "auto":
-        cfg["penalty"]["lambda"] = float(lam)
-    return cfg
+    penalty = cfg["penalty"]
+    if isinstance(penalty["lambda"], str) and penalty["lambda"] != "auto":
+        penalty["lambda"] = float(penalty["lambda"])
+    if not penalty["enabled"]:
+        return cfg, None
+    # a numeric lambda selects that penalty
+    fixed = None if isinstance(penalty["lambda"], str) else float(penalty["lambda"])
+    return cfg, PenaltySpec(
+        gamma_w=float(penalty["gamma_w"]),
+        grid_size=int(penalty["grid_size"]),
+        grid_ratio=float(penalty["grid_ratio"]),
+        selection_rule="fixed_lambda" if fixed is not None else penalty["selection"],
+        fixed_lambda=fixed,
+    )
 
 
 def _config_hash(cfg: dict) -> str:
@@ -217,7 +230,7 @@ def _reduced_outputs(out_dir: Path, stem: str, rg, formats, styling) -> None:
 
 def cmd_fit(args) -> int:
     started = time.perf_counter()
-    cfg = _resolve_fit_config(args)
+    cfg, penalty = _resolve_fit_config(args)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -263,24 +276,17 @@ def cmd_fit(args) -> int:
     }
 
     t_path = time.perf_counter()
-    if cfg["penalty"]["enabled"]:
+    if penalty is not None:
         if not mle.converged:
             raise ConvergenceError(
                 "maximum-likelihood fit did not converge "
                 f"(cause: {mle.diagnostics.get('cause')}); cannot derive penalty weights"
             )
-        weights = adaptive_weights(mle, design.penalized_mask, cfg["penalty"]["gamma_w"])
+        weights = adaptive_weights(mle, design.penalized_mask, penalty.gamma_w)
         path = lambda_path(design, table.response, weights=weights,
-                           grid_size=int(cfg["penalty"]["grid_size"]),
-                           grid_ratio=float(cfg["penalty"]["grid_ratio"]))
+                           grid_size=penalty.grid_size, grid_ratio=penalty.grid_ratio)
         path.write_csv(out_dir / "path_summary.csv")
-        lam_setting = cfg["penalty"]["lambda"]
-        if cfg["penalty"]["selection"] == "fixed_lambda" or not isinstance(lam_setting, str):
-            if isinstance(lam_setting, str):
-                raise ValueError("fixed-lambda selection needs --lambda VALUE")
-            selected = select(path, "fixed_lambda", fixed_lambda=float(lam_setting))
-        else:
-            selected = select(path, "bic")
+        selected = select(path, penalty.selection_rule, fixed_lambda=penalty.fixed_lambda)
         selected.write_json(out_dir / "selected_fit.json")
         selected.write_coefficients_csv(out_dir / "selected_coefficients.csv")
         rg_sel = reduce_positive(selected.block_interactions, partition.block_labels)
@@ -462,7 +468,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _resolve_fit_config(args)
+    cfg, _ = _resolve_fit_config(args)
     graph, _attrs, partition = _load_inputs(cfg)
     report = validate(graph, partition)
     print(report.to_text())

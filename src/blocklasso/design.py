@@ -29,6 +29,14 @@ per dyad: dyads with identical design rows form a cell. Without node
 effects a dyad's row depends only on its unordered block pair and its
 covariate values, so a p-block design without covariates has at most
 p(p+1)/2 cells. With node effects every dyad is its own cell.
+
+The solvers' X'WX is assembled from the structure of the rows, not by a
+sparse matrix product (:meth:`ReferenceCoding.gram`): a row is its two
+endpoints' node columns, plus its covariate values, plus a row that
+depends only on its unordered block pair (:attr:`DesignMatrix.pair_cells`).
+Every block of X'WX is then a sum of the working weights per node pair,
+per node, per block pair or per (block pair, node), combined with the
+few block-pair rows.
 """
 
 from __future__ import annotations
@@ -124,6 +132,7 @@ class DesignMatrix:
     block_labels: tuple[str, ...]
     block_pairs: tuple[tuple[int, int], ...]
     dyad_blocks: np.ndarray = field(repr=False)  # (m, 2) block index of each endpoint
+    dyad_nodes: np.ndarray = field(repr=False)   # (m, 2) node index of each endpoint
 
     @property
     def n_rows(self) -> int:
@@ -191,11 +200,22 @@ class DesignMatrix:
         m = self.n_rows
         if self.spec.node_effects:
             return DyadCells(np.arange(m), np.ones(m, dtype=np.int64), self.matrix)
-        blocks = np.sort(self.dyad_blocks, axis=1)
-        covariates = self.matrix[:, self.group_indices(GROUP_COVARIATE)].toarray()
-        _, first, inverse, counts = np.unique(
-            np.column_stack([blocks, covariates]), axis=0,
-            return_index=True, return_inverse=True, return_counts=True)
+        covariates = self.group_indices(GROUP_COVARIATE)
+        if not len(covariates):
+            return self.pair_cells
+        return self._group_dyads(np.column_stack([self.pair_cells.inverse,
+                                                  self.matrix[:, covariates].toarray()]))
+
+    @cached_property
+    def pair_cells(self) -> "DyadCells":
+        """The dyads grouped by unordered block pair, on which the
+        intercept, block-effect and interaction columns depend alone."""
+        lo, hi = np.sort(self.dyad_blocks, axis=1).T
+        return self._group_dyads(lo * self.block_count + hi)
+
+    def _group_dyads(self, keys: np.ndarray) -> "DyadCells":
+        _, first, inverse, counts = np.unique(keys, axis=0, return_index=True,
+                                              return_inverse=True, return_counts=True)
         # a design whose rows are all distinct keeps its dyad order
         order = np.argsort(first)
         rank = np.empty_like(order)
@@ -205,12 +225,14 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class DyadCells:
-    """Dyads with identical design rows, grouped into cells.
+    """Dyads grouped into cells by a key: their design row
+    (:attr:`DesignMatrix.cells`) or their block pair
+    (:attr:`DesignMatrix.pair_cells`).
 
     ``inverse`` holds the cell of every dyad, ``counts`` the dyads per
-    cell and ``matrix`` the design row of every cell, so that
-    ``matrix[inverse]`` is the design matrix. Cells are numbered in the
-    order of their first dyad.
+    cell and ``matrix`` the design row of every cell's first dyad; for
+    :attr:`DesignMatrix.cells` ``matrix[inverse]`` is the design matrix.
+    Cells are numbered in the order of their first dyad.
     """
 
     inverse: np.ndarray
@@ -352,7 +374,17 @@ def encode(table: DyadTable, partition: Partition, spec: ModelSpec) -> DesignMat
         block_labels=partition.block_labels,
         block_pairs=tuple(pairs),
         dyad_blocks=np.column_stack([r_i, r_j]),
+        dyad_nodes=table.dyads,
     )
+
+
+def _incidence(keys: list[np.ndarray], size: int) -> sp.csr_array:
+    """Sparse ``size``-by-cells matrix that sums a vector over the cells
+    by key: cell c adds to row ``keys[t][c]`` for every t."""
+    cells = len(keys[0])
+    return sp.csr_array((np.ones(cells * len(keys)),
+                         (np.concatenate(keys), np.tile(np.arange(cells), len(keys)))),
+                        shape=(size, cells))
 
 
 def reconstruct_interactions(coefficients, block_count: int) -> np.ndarray:
@@ -401,7 +433,7 @@ def effect_levels(coefficients, groups, group: str, *, reference: bool = False) 
 
 
 class ReferenceCoding:
-    """Columns ``cols`` of a design's cell rows (:attr:`DesignMatrix.cells`),
+    """Columns ``cols`` of a design over its cells (:attr:`DesignMatrix.cells`),
     as the solvers see them.
 
     Node and block effects are coded by reference (last level 0): a dyad
@@ -411,50 +443,106 @@ class ReferenceCoding:
     convert coefficients in O(q). An effect group is recoded only when
     the intercept and all of the group's columns are among ``cols``;
     every other column keeps its public coding.
+
+    The coding is never formed as a matrix. A cell's row is the sum of
+    three factors: its two endpoints' node rows, its covariate values,
+    and the row of its unordered block pair over the intercept, block
+    effect and interaction columns (one of :attr:`DesignMatrix.pair_cells`).
+    :meth:`gram` builds X'WX from those factors.
     """
 
     def __init__(self, design: DesignMatrix, cols):
         self.design = design
         self.cols = np.asarray(cols, dtype=np.int64)
         self.groups = tuple(design.groups[k] for k in self.cols)
+        groups = np.asarray(self.groups)
         has_intercept = len(self.cols) > 0 and self.cols[0] == 0  # column 0 is the intercept
         self.recoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for group in (GROUP_NODE, GROUP_BLOCK):
             idx = design.group_indices(group)
             if has_intercept and len(idx) and np.isin(idx, self.cols).all():
-                self.recoded[group] = (idx, np.flatnonzero(np.asarray(self.groups) == group))
-        self.matrix = self._reference_matrix()
-        # row-compressed too, so that X'WX needs no format conversion
-        self._matrix_t = self.matrix.T.tocsr()
+                self.recoded[group] = (idx, np.flatnonzero(groups == group))
 
-    def _reference_matrix(self) -> sp.csr_array:
-        public = self.design.cells.matrix
-        coo = public.tocoo()
-        rows, cols, vals = [coo.row], [coo.col], [coo.data]
-        for idx, _ in self.recoded.values():
+        # encode orders the columns intercept, covariates, node effects,
+        # block effects, interactions, so each factor is a run of columns
+        if np.any(np.diff(self.cols) <= 0):
+            raise ValueError("solver columns must be increasing")
+        sizes = [int(np.isin(groups, names).sum()) for names in
+                 ((GROUP_INTERCEPT, GROUP_COVARIATE), (GROUP_NODE,))]
+        self._dense = slice(0, sizes[0])
+        self._nodes = slice(sizes[0], sizes[0] + sizes[1])
+        self._pairs = slice(sizes[0] + sizes[1], len(self.cols))
+
+        cells, pairs = design.cells, design.pair_cells
+        self._columns = cells.matrix[:, self.cols[self._dense]].toarray()
+        rows = pairs.matrix[:, self.cols[self._pairs]].toarray()
+        if GROUP_BLOCK in self.recoded:
             # an endpoint at the folded last level puts -1 in each of the
-            # g group columns, so a row's group entries sum to
+            # g block columns, so a row's block entries sum to
             # 2 - folds*(g+1); adding the fold count to each undoes it
-            g = len(idx)
-            inside = np.isin(coo.col, idx)
-            totals = np.bincount(coo.row[inside], weights=coo.data[inside],
-                                 minlength=public.shape[0])
-            folds = np.rint((2.0 - totals) / (g + 1))
-            hit = np.flatnonzero(folds)
-            rows.append(np.repeat(hit, g))
-            cols.append(np.tile(idx, len(hit)))
-            vals.append(np.repeat(folds[hit], g))
-        matrix = sp.coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                              shape=public.shape).tocsc()
-        matrix.eliminate_zeros()
-        return matrix[:, self.cols].tocsr()
+            block = np.flatnonzero(groups[self._pairs] == GROUP_BLOCK)
+            folds = np.rint((2.0 - rows[:, block].sum(axis=1)) / (len(block) + 1))
+            rows[:, block] += folds[:, None]
+        self._pair_rows = rows
+        self._pair_rows_t = sp.csr_array(rows.T)
+
+        # every dyad of a cell has the same block pair
+        P = len(pairs.counts)
+        pair = np.empty(len(cells.counts), dtype=np.int64)
+        pair[cells.inverse] = pairs.inverse
+        self._n = n = design.n_nodes if self._nodes.stop > self._nodes.start else 0
+        # node columns are only solver columns of node-effect designs,
+        # whose cells are the dyads
+        ends = list(design.dyad_nodes.T) if n else []
+        self._sums = _incidence([n + pair, *ends], n + P)  # per node, then per block pair
+        if n:
+            i, j = ends
+            self._levels = self.cols[self._nodes] - design.group_indices(GROUP_NODE)[0]
+            self._node_pair = i * n + j
+            self._node_by_pair = _incidence([pair * n + i, pair * n + j], P * n)
+
+    def _node_rows(self, M: np.ndarray) -> np.ndarray:
+        """Rows of the node columns from rows indexed by node: in reference
+        coding the last node's row is dropped, in the public coding it is
+        subtracted from the others (its endpoint puts -1 in each column)."""
+        M = M[:-1] if GROUP_NODE in self.recoded else M[:-1] - M[-1]
+        return M[self._levels]
+
+    def _xt(self, v: np.ndarray) -> np.ndarray:
+        """X'v over the solver columns, for a vector ``v`` over the cells."""
+        sums = self._sums @ v
+        out = np.empty(len(self.cols))
+        out[self._dense] = self._columns.T @ v
+        if self._n:
+            out[self._nodes] = self._node_rows(sums[:self._n])
+        out[self._pairs] = self._pair_rows_t @ sums[self._n:]
+        return out
 
     def gram(self, w: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Dense X'WX and X'Wz of one IRLS step (per-cell working weights
-        ``w``, working response ``z``), built once and shared by every solve."""
-        XT = self._matrix_t
-        WXT = sp.csr_array((XT.data * w[XT.indices], XT.indices, XT.indptr), shape=XT.shape)
-        return (WXT @ self.matrix).toarray(), WXT @ z
+        ``w``, working response ``z``), built once and shared by every solve.
+
+        Block-pair columns meet through the working weight summed per
+        block pair, node columns through the weight summed per node pair
+        and per (block pair, node); the row of the intercept or of a
+        covariate x is X'(w * x).
+        """
+        n, nodes, pairs = self._n, self._nodes, self._pairs
+        rows, rows_t = self._pair_rows, self._pair_rows_t
+        sums = self._sums @ w
+        A = np.empty((len(self.cols),) * 2)
+        A[pairs, pairs] = rows_t @ (sums[n:, None] * rows)
+        if n:
+            G = np.bincount(self._node_pair, w, n * n).reshape(n, n)
+            G += G.T
+            G[np.diag_indices(n)] = sums[:n]
+            A[nodes, nodes] = self._node_rows(self._node_rows(G).T)
+            S = (self._node_by_pair @ w).reshape(-1, n)
+            A[nodes, pairs] = self._node_rows((rows_t @ S).T)
+            A[pairs, nodes] = A[nodes, pairs].T
+        for t in range(self._dense.stop):
+            A[t] = A[:, t] = self._xt(w * self._columns[:, t])
+        return A, self._xt(w * z)
 
     def to_public(self, x) -> np.ndarray:
         """Full-length public coefficient vector of solver coefficients."""

@@ -5,11 +5,16 @@ step-halving line search on the exact log-likelihood. Inside the solver,
 node and block effects are coded by reference (``ReferenceCoding``), so
 each dyad has at most two effect entries. Each step builds X'WX and X'Wz
 once in that coding (``ReferenceCoding.gram``, shared with the penalized
-solver) and solves the normal equations by a direct (Cholesky)
-factorization, so a fit is deterministic for a fixed input. The proposal
-is mapped back to the sum-to-zero coding in O(q); the line search, the
-separation test and the score test run on the public design. Columns
-flagged inestimable by the encoder are held at zero.
+solver; it sums the working weights per node pair and per block pair
+instead of forming a sparse product) and solves the normal equations by
+a direct (Cholesky) factorization, so a fit is deterministic for a fixed
+input. The proposal is mapped back to the sum-to-zero coding in O(q);
+the line search, the separation test and the score test run on the
+public design. Columns flagged inestimable by the encoder are held at
+zero. A near-singular system gets an escalating diagonal jitter and, as
+a last resort, a least-squares solve; these fallbacks and the line
+search's step halvings are counted in ``FitResult.diagnostics``
+(``jitter_escalations``, ``lstsq_fallbacks``, ``step_halvings``).
 
 The solver evaluates one row per cell of the design (``DesignMatrix.cells``:
 dyads with identical design rows), with the cell's response total and
@@ -101,6 +106,7 @@ class _CellData:
         y = _validate_response(response, self.family, design.n_rows)
         cells = design.cells
         self.X = cells.matrix
+        self.XT = self.X.T  # built once: a transpose per score costs more than the product
         self.n = cells.counts.astype(np.float64)
         self.y = np.bincount(cells.inverse, weights=y, minlength=len(self.n))
         self.log_y_factorial = self.saturated = 0.0
@@ -134,7 +140,7 @@ class _CellData:
         return w, eta + (self.y - self.n * mu) / w
 
     def score(self, eta: np.ndarray) -> np.ndarray:
-        return self.X.T @ (self.y - self.n * self.mean(eta))
+        return self.XT @ (self.y - self.n * self.mean(eta))
 
 
 def log_likelihood(coefficients, design: DesignMatrix, response, family: str | None = None) -> float:
@@ -150,6 +156,12 @@ def log_likelihood(coefficients, design: DesignMatrix, response, family: str | N
     return data.log_likelihood(data.X @ coefficients)
 
 
+def _fallback_counts() -> dict[str, int]:
+    """Zeroed counters of the numerical fallbacks a fit can take; they
+    are reported in ``FitResult.diagnostics``."""
+    return {"jitter_escalations": 0, "lstsq_fallbacks": 0, "step_halvings": 0}
+
+
 @dataclass
 class _IrlsResult:
     beta: np.ndarray
@@ -159,11 +171,18 @@ class _IrlsResult:
     score_max: float
     score_bound: float
     cause: str | None
+    fallbacks: dict[str, int]
 
 
-def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray, fallbacks: dict) -> np.ndarray:
+    """Cholesky solve of a positive semidefinite system. A near-singular
+    system gets an escalating diagonal jitter, up to seven times, then a
+    least-squares solve; each is counted in ``fallbacks``."""
     jitter = 0.0
-    for _ in range(8):
+    for attempt in range(8):
+        if attempt:
+            jitter = max(jitter * 100.0, 1e-10 * max(1.0, float(np.abs(A).max())))
+            fallbacks["jitter_escalations"] += 1
         try:
             system = A if jitter == 0.0 else A + jitter * np.eye(A.shape[0])
             with warnings.catch_warnings():
@@ -171,7 +190,8 @@ def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                 warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
                 return scipy.linalg.solve(system, rhs, assume_a="pos")
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
-            jitter = max(jitter * 100.0, 1e-10 * max(1.0, float(np.abs(A).max())))
+            continue
+    fallbacks["lstsq_fallbacks"] += 1
     return np.linalg.lstsq(A, rhs, rcond=None)[0]
 
 
@@ -195,7 +215,7 @@ def _irls(data: _CellData, coding: ReferenceCoding, *, ridge: float = 0.0,
     """IRLS with step halving on the columns of ``coding`` (all treated
     free); returns full-length public coefficients."""
     X, cols = data.X, coding.cols
-    score_bound = score_tol * (1.0 + float(np.abs((X.T @ data.y)[cols]).max(initial=0.0)))
+    score_bound = score_tol * (1.0 + float(np.abs((data.XT @ data.y)[cols]).max(initial=0.0)))
     if ridge:
         # the ridge is on the public coefficients M x, M the map from
         # the solver coding over ``cols``
@@ -207,12 +227,13 @@ def _irls(data: _CellData, coding: ReferenceCoding, *, ridge: float = 0.0,
     cause: str | None = "max_iterations"
     converged = False
     iterations = 0
+    fallbacks = _fallback_counts()
 
     for iterations in range(1, max_iter + 1):
         A, rhs = coding.gram(*data.working(eta))
         if ridge:
             A += ridge_gram
-        proposal = coding.to_public(_solve_normal_equations(A, rhs))
+        proposal = coding.to_public(_solve_normal_equations(A, rhs, fallbacks))
 
         accepted = None
         candidate = proposal
@@ -223,6 +244,7 @@ def _irls(data: _CellData, coding: ReferenceCoding, *, ridge: float = 0.0,
                 accepted = (candidate, eta_try, obj_try)
                 break
             candidate = 0.5 * (beta + candidate)
+            fallbacks["step_halvings"] += 1
         if accepted is None:
             cause = "no_progress"
             break
@@ -250,6 +272,7 @@ def _irls(data: _CellData, coding: ReferenceCoding, *, ridge: float = 0.0,
         score_max=float(np.abs(data.score(eta)[cols]).max(initial=0.0)),
         score_bound=score_bound,
         cause=cause,
+        fallbacks=fallbacks,
     )
 
 
@@ -259,8 +282,9 @@ class FitResult:
 
     ``block_interactions`` is the full symmetric block-interaction matrix
     with the constrained diagonal filled in (every row sums to zero).
-    ``fitted_values`` holds the per-dyad mean and is dropped by JSON
-    serialization (it is recomputable from the coefficients).
+    ``fitted_values`` holds the per-dyad mean; it is dropped by JSON
+    serialization and not kept by the fits of a penalty path (it is
+    recomputable from the coefficients).
     """
 
     family: str
@@ -367,9 +391,10 @@ def read_fit_json(path) -> FitResult:
 
 
 def assemble_fit(data: _CellData, beta: np.ndarray, *, converged: bool, iterations: int,
-                 diagnostics: dict) -> FitResult:
+                 diagnostics: dict, fitted_values: bool = True) -> FitResult:
     """Build a :class:`FitResult` from a full-length coefficient vector;
-    the fitted values are expanded from the cells back to the dyads."""
+    the fitted values, when kept, are expanded from the cells back to
+    the dyads."""
     design = data.design
     eta = data.X @ beta
     diagnostics = dict(diagnostics)
@@ -385,7 +410,7 @@ def assemble_fit(data: _CellData, beta: np.ndarray, *, converged: bool, iteratio
         deviance=data.deviance(eta),
         converged=converged,
         iterations=iterations,
-        fitted_values=data.mean(eta)[design.cells.inverse],
+        fitted_values=data.mean(eta)[design.cells.inverse] if fitted_values else None,
         block_interactions=design.interaction_matrix(beta),
         block_labels=design.block_labels,
         node_ids=design.node_ids,
@@ -421,13 +446,15 @@ def fit_mle(design: DesignMatrix, response, family: str | None = None, *,
         stabilized = _irls(data, coding, ridge=SEPARATION_RIDGE, max_iter=max_iter,
                            detect_separation=False)
         ridge_used = SEPARATION_RIDGE
+        fallbacks = {k: v + stabilized.fallbacks[k] for k, v in result.fallbacks.items()}
         result = replace(stabilized, iterations=result.iterations + stabilized.iterations,
-                         converged=False, cause="separation")
+                         converged=False, cause="separation", fallbacks=fallbacks)
 
     diagnostics = {
         "score_max": result.score_max,
         "score_bound": result.score_bound,
         "ridge": ridge_used,
+        **result.fallbacks,
     }
     if result.cause:
         diagnostics["cause"] = result.cause

@@ -26,8 +26,10 @@ zero crossing, so they are exact and downstream sign counts need no
 cutoff. Convergence is declared on the exact-likelihood KKT conditions:
 ``score_j = lam * w_j * sign(beta_j)`` for active penalized columns,
 ``|score_j| <= lam * w_j`` for inactive ones, and ``score_j = 0`` for
-unpenalized columns, all within ``kkt_tol``. Reported log-likelihoods,
-BIC values (with ``log(#dyads)``) and fitted values are per dyad.
+unpenalized columns, all within ``kkt_tol``. Reported log-likelihoods
+and BIC values (with ``log(#dyads)``) are per dyad. The fits of a path
+keep no per-dyad fitted values (:func:`fit_penalized` does), and report
+the fallback counts of their solve as ``fit_mle`` does.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .glm import (
     ConvergenceError,
     FitResult,
     _CellData,
+    _fallback_counts,
     _irls,
     _solve_normal_equations,
     assemble_fit,
@@ -80,7 +83,7 @@ class PenaltySpec:
     fixed_lambda: float | None = None
 
     def __post_init__(self):
-        if self.gamma_w <= 0:
+        if not self.gamma_w > 0:
             raise ValueError("gamma_w must be positive")
         if self.grid_size < 1:
             raise ValueError("grid_size must be at least 1")
@@ -90,6 +93,8 @@ class PenaltySpec:
             raise ValueError(f"unknown selection rule {self.selection_rule!r}")
         if self.selection_rule == "fixed_lambda" and self.fixed_lambda is None:
             raise ValueError("fixed_lambda selection needs a lambda value")
+        if self.fixed_lambda is not None and not self.fixed_lambda >= 0:
+            raise ValueError("fixed_lambda must be nonnegative")
 
 
 def soft_threshold(x: float, t: float) -> float:
@@ -156,7 +161,7 @@ class _PenalizedSolver:
 
     def restricted_fit(self, kkt_tol: float = KKT_TOL):
         data = self.data
-        score_scale = 1.0 + float(np.abs((data.X.T @ data.y)[self.unpen_idx]).max(initial=0.0))
+        score_scale = 1.0 + float(np.abs((data.XT @ data.y)[self.unpen_idx]).max(initial=0.0))
         result = _irls(data, ReferenceCoding(self.design, self.unpen_idx),
                        max_iter=200, score_tol=kkt_tol / score_scale)
         return result.beta, result
@@ -199,7 +204,8 @@ class _PenalizedSolver:
                 worst = max(worst, abs(step) * diag)
         return worst
 
-    def _polish_active_set(self, A, b, x, grad, thresholds, max_drops: int = 12) -> None:
+    def _polish_active_set(self, A, b, x, grad, thresholds, fallbacks: dict,
+                           max_drops: int = 12) -> None:
         """Sign-restricted direct solve over the unpenalized block plus
         the active penalized positions, updating ``x`` and ``grad`` in
         place.
@@ -218,7 +224,8 @@ class _PenalizedSolver:
             signs = np.sign(x[sel])
             signs[: len(self.unpen_pos)] = 0.0
             old = x[sel]
-            new = _solve_normal_equations(A[np.ix_(sel, sel)], b[sel] - thresholds[sel] * signs)
+            new = _solve_normal_equations(A[np.ix_(sel, sel)], b[sel] - thresholds[sel] * signs,
+                                          fallbacks)
             flips = (signs != 0.0) & (np.sign(new) != signs)
             if not flips.any():
                 x[sel] = new
@@ -249,6 +256,7 @@ class _PenalizedSolver:
         stale = 0
         kkt = np.inf
         outer = 0
+        fallbacks = _fallback_counts()
 
         for outer in range(1, max_outer + 1):
             A, b = coding.gram(*self.data.working(eta))
@@ -260,7 +268,7 @@ class _PenalizedSolver:
                 # a full pass settles which columns are active and with
                 # what signs; zeros produced here are exact
                 self._coordinate_pass(A, x, grad, thresholds)
-                self._polish_active_set(A, b, x, grad, thresholds)
+                self._polish_active_set(A, b, x, grad, thresholds, fallbacks)
                 # verification pass: only score-significant violations
                 # among the inactive columns keep the loop going
                 if self._coordinate_pass(A, x, grad, thresholds) <= 0.05 * kkt_tol:
@@ -273,6 +281,7 @@ class _PenalizedSolver:
             if obj_new > objective + 1e-9 * (1.0 + abs(objective)):
                 for _ in range(10):
                     beta = 0.5 * (beta + beta_prev)
+                    fallbacks["step_halvings"] += 1
                     eta_new = X @ beta
                     obj_new = self.objective(beta, lam, eta=eta_new)
                     halved = True
@@ -304,17 +313,20 @@ class _PenalizedSolver:
             "kkt_tol": float(kkt_tol),
             "iterations": outer,
             "converged": converged,
+            **fallbacks,
         }
         if cause:
             info["cause"] = cause
         return beta, info
 
-    def assemble(self, beta: np.ndarray, info: dict) -> FitResult:
+    def assemble(self, beta: np.ndarray, info: dict, fitted_values: bool = False) -> FitResult:
+        """The fit of ``solve``; path fits keep no per-dyad fitted values."""
         active = int(np.count_nonzero(beta[self.pen_idx]))
         diagnostics = {k: v for k, v in info.items() if k not in ("converged", "iterations")}
         diagnostics.update(active_set_size=active, df=active + len(self.unpen_idx))
         return assemble_fit(self.data, beta, converged=info["converged"],
-                            iterations=info["iterations"], diagnostics=diagnostics)
+                            iterations=info["iterations"], diagnostics=diagnostics,
+                            fitted_values=fitted_values)
 
 
 def _solver(design: DesignMatrix, response, family: str | None, weights) -> _PenalizedSolver:
@@ -366,7 +378,7 @@ def fit_penalized(design: DesignMatrix, response, family: str | None = None,
     if beta_start is None:
         beta_start, _ = solver.restricted_fit(kkt_tol=kkt_tol)
     beta, info = solver.solve(lam, beta_start, max_outer=max_outer, kkt_tol=kkt_tol)
-    return solver.assemble(beta, info)
+    return solver.assemble(beta, info, fitted_values=True)
 
 
 @dataclass
@@ -437,7 +449,7 @@ def lambda_path(design: DesignMatrix, response, family: str | None = None,
                       "the unpenalized fit", RuntimeWarning, stacklevel=2)
     # the restricted fit is the top point, and reports its own convergence
     restricted_info = {"kkt_tol": kkt_tol, "iterations": restricted.iterations,
-                       "converged": restricted.converged}
+                       "converged": restricted.converged, **restricted.fallbacks}
     if restricted.cause:
         restricted_info["cause"] = restricted.cause
     if degenerate or lam_max <= 0.0:

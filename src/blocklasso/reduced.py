@@ -168,7 +168,9 @@ def reduce_threshold(fit: FitResult, partition: Partition, threshold: float) -> 
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
     if fit.fitted_values is None:
-        raise ValueError("fit has no fitted values (was it loaded from JSON?)")
+        raise ValueError("fit has no fitted values: fits loaded from JSON and the fits "
+                         "of a lambda_path do not keep them; refit with fit_mle or "
+                         "fit_penalized")
     n = len(fit.node_ids)
     iu, ju = np.triu_indices(n, k=1)
     blocks_of = partition.indices_for(fit.node_ids)

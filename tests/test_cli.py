@@ -77,6 +77,19 @@ class TestFit:
         assert len(path_rows) == 13  # header + grid_size rows
         assert not (tmp_path / "cfg_out").exists()
 
+    @pytest.mark.parametrize("extra", [
+        ("--select", "fixed"),
+        ("--grid-ratio", 2),
+        ("--gamma-w", -1),
+        ("--select", "fixed", "--lambda", -1),
+    ], ids=["fixed_without_lambda", "grid_ratio_above_one", "negative_gamma_w",
+            "negative_lambda"])
+    def test_bad_penalty_settings_fail_before_any_work(self, dataset, tmp_path, capsys, extra):
+        out = tmp_path / "bad"
+        assert run(*fit_args(dataset, out, *extra)) == 3
+        assert "error (data)" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_unpenalized_run(self, dataset, tmp_path):
         out = tmp_path / "plain"
         assert run(*fit_args(dataset, out, "--no-penalized")) == 0

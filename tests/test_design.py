@@ -197,6 +197,36 @@ class TestFitLevelInvariance:
                       - fit2.block_interactions[np.ix_(order, order)]).max() < 1e-6
 
 
+def public_map(coding):
+    """M with columns ``coding.to_public(e_k)``: X M is the design in the
+    solver coding, with X the public design matrix."""
+    return np.column_stack([coding.to_public(e) for e in np.eye(len(coding.cols))])
+
+
+def gram_oracle(design, coding, w, z):
+    """M'X'WXM and M'X'Wz from the dense public design matrix."""
+    XM = design.matrix.toarray() @ public_map(coding)
+    return XM.T @ (XM * w[:, None]), XM.T @ (w * z)
+
+
+def singleton_block_design(seed):
+    """Degree-corrected design whose first and last blocks hold one node each."""
+    _, table, _, _ = bernoulli_instance(seed, n=10, p=3)
+    nodes = table.node_ids
+    block_of = {v: 1 + k % 2 for k, v in enumerate(nodes)}
+    block_of[nodes[0]], block_of[nodes[-1]] = 0, 3
+    partition = bl.Partition(("A", "B", "C", "D"), block_of)
+    return bl.encode(table, partition, bl.ModelSpec.degree_corrected())
+
+
+def covariate_degree_corrected_design(seed):
+    """Degree-corrected custom spec with a continuous covariate."""
+    _, table, partition, _ = poisson_instance(seed, n=10, p=3, n_covariates=1)
+    spec = bl.ModelSpec(family="bernoulli_logit", node_effects=True,
+                        covariates=table.covariate_names, penalize_covariates=False)
+    return bl.encode(table, partition, spec)
+
+
 class TestReferenceCoding:
     @pytest.mark.parametrize("maker,kwargs,group", [
         (bernoulli_instance, dict(n=9, p=3), GROUP_NODE),
@@ -206,26 +236,56 @@ class TestReferenceCoding:
         _, _, _, design = maker(3, **kwargs)
         coding = ReferenceCoding(design, np.flatnonzero(~design.inestimable))
         assert list(coding.recoded) == [group]
+        reference = design.matrix.toarray() @ public_map(coding)
         # at most two entries per dyad in the recoded effect columns
-        effect = coding.matrix[:, coding.recoded[group][1]]
+        effect = reference[:, coding.recoded[group][1]]
         assert np.abs(effect).sum(axis=1).max() <= 2.0
         rng = np.random.default_rng(5)
         x = rng.normal(size=len(coding.cols))
         beta = coding.to_public(x)
-        assert np.abs(design.matrix @ beta - coding.matrix @ x).max() < 1e-12
+        assert np.abs(design.matrix @ beta - reference @ x).max() < 1e-12
         assert np.abs(coding.to_reference(beta) - x).max() < 1e-12
         w, z = rng.random(design.n_rows) + 0.1, rng.normal(size=design.n_rows)
         A, b = coding.gram(w, z)
-        dense = coding.matrix.toarray()
-        assert np.abs(A - dense.T @ (dense * w[:, None])).max() < 1e-12
-        assert np.abs(b - dense.T @ (w * z)).max() < 1e-12
+        assert np.abs(A - reference.T @ (reference * w[:, None])).max() < 1e-12
+        assert np.abs(b - reference.T @ (w * z)).max() < 1e-12
 
     def test_partly_excluded_group_keeps_public_coding(self):
         _, _, _, design = bernoulli_instance(3, n=9, p=3)
         cols = np.flatnonzero(~design.inestimable)[np.r_[0:2, 3:design.n_columns]]
         coding = ReferenceCoding(design, cols)
         assert not coding.recoded
-        assert (coding.matrix != design.matrix[:, cols]).nnz == 0
+        reference = design.matrix.toarray() @ public_map(coding)
+        assert np.array_equal(reference, design.matrix[:, cols].toarray())
+        rng = np.random.default_rng(6)
+        w, z = rng.random(design.n_rows) + 0.1, rng.normal(size=design.n_rows)
+        A, b = coding.gram(w, z)
+        A_oracle, b_oracle = gram_oracle(design, coding, w, z)
+        assert np.abs(A - A_oracle).max() < 1e-12
+        assert np.abs(b - b_oracle).max() < 1e-12
+
+    @pytest.mark.parametrize("make,drop", [
+        (covariate_degree_corrected_design, 0),
+        (lambda seed: bernoulli_instance(seed, n=10, p=4)[3], 3),
+        (singleton_block_design, 0),
+        (singleton_block_design, 2),
+    ], ids=["covariate", "interactions_dropped", "singleton_block",
+            "singleton_block_interactions_dropped"])
+    def test_factored_gram_matches_dense_oracle(self, make, drop):
+        design = make(8)
+        cols = np.flatnonzero(~design.inestimable)
+        # drop interaction columns, as the path freezes infinitely weighted ones
+        dropped = design.group_indices(GROUP_INTERACTION)[1::2][:drop]
+        coding = ReferenceCoding(design, np.setdiff1d(cols, dropped))
+        assert list(coding.recoded) == [GROUP_NODE]
+        assert len(design.cells.counts) == design.n_rows
+        rng = np.random.default_rng(9)
+        w, z = rng.random(design.n_rows) + 0.1, rng.normal(size=design.n_rows)
+        A, b = coding.gram(w, z)
+        A_oracle, b_oracle = gram_oracle(design, coding, w, z)
+        assert np.array_equal(A, A.T)
+        assert np.abs(A - A_oracle).max() < 1e-12
+        assert np.abs(b - b_oracle).max() < 1e-12
 
 
 class TestCells:

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import xlogy
 
 import blocklasso as bl
-from blocklasso.glm import SEPARATION_RIDGE
+from blocklasso.glm import SEPARATION_RIDGE, _fallback_counts, _solve_normal_equations
 from helpers import bernoulli_instance, graph_from_weights, one_block_partition, poisson_instance
 from oracles import damped_newton, naive_log_likelihood
 
@@ -162,6 +162,30 @@ class TestFitMle:
         fit = bl.fit_mle(design, table.response, max_iter=1)
         assert not fit.converged
         assert fit.diagnostics["cause"] == "max_iterations"
+
+
+class TestFallbackCounts:
+    def test_rank_deficient_system_reports_jitter(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(12, 3))
+        X = np.column_stack([X, X[:, 0] + X[:, 1]])  # rank 3 of 4
+        A, rhs = X.T @ X, X.T @ rng.normal(size=12)
+        counts = _fallback_counts()
+        x = _solve_normal_equations(A, rhs, counts)
+        assert counts["jitter_escalations"] >= 1
+        assert counts["lstsq_fallbacks"] == 0
+        # the jittered solution still solves the consistent system
+        assert np.abs(A @ x - rhs).max() < 1e-6 * (1.0 + np.abs(rhs).max())
+
+    def test_ordinary_fits_report_zero_fallbacks(self):
+        _, table, _, design = bernoulli_instance(40, n=14, p=3)
+        mle = bl.fit_mle(design, table.response)
+        weights = bl.adaptive_weights(mle, design.penalized_mask)
+        path = bl.lambda_path(design, table.response, weights=weights, grid_size=10)
+        for fit in [mle, *path.fits]:
+            counts = {k: fit.diagnostics[k] for k in _fallback_counts()}
+            assert counts == _fallback_counts()
+            assert all(type(v) is int for v in counts.values())
 
 
 class TestCellFits:

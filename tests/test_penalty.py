@@ -196,6 +196,20 @@ class TestLambdaPath:
             small = np.abs(values) < 1e-9
             assert np.all(values[small] == 0.0)
 
+    def test_path_fits_keep_no_fitted_values(self):
+        design, table, mle, weights, path = self.build(grid_size=10)
+        assert all(fit.fitted_values is None for fit in path.fits)
+        off_grid = float(np.sqrt(path.lambdas[3] * path.lambdas[4]))
+        selected = [bl.select(path, "bic"), bl.select(path, "fixed_lambda", fixed_lambda=off_grid)]
+        assert all(fit.fitted_values is None for fit in selected)
+        partition = bernoulli_instance(40, n=14, p=3)[2]
+        with pytest.raises(ValueError, match="lambda_path"):
+            bl.reduce_threshold(selected[0], partition, 0.5)
+        # single fits keep theirs
+        single = bl.fit_penalized(design, table.response, weights=weights,
+                                  lam=float(path.lambdas[4]))
+        assert mle.fitted_values.shape == single.fitted_values.shape == (design.n_rows,)
+
     def test_all_infinite_weights_degenerate(self):
         _, table, _, design = bernoulli_instance(41, n=10, p=2)
         weights = np.where(design.penalized_mask, np.inf, 0.0)
