@@ -203,8 +203,15 @@ class DesignMatrix:
         covariates = self.group_indices(GROUP_COVARIATE)
         if not len(covariates):
             return self.pair_cells
-        return self._group_dyads(np.column_stack([self.pair_cells.inverse,
-                                                  self.matrix[:, covariates].toarray()]))
+        # one integer key: each covariate's values are numbered and folded
+        # into the pair id a column at a time, renumbered after each fold
+        # so that the key stays below m**2 (no overflow, even when every
+        # value of a continuous covariate is distinct)
+        key = self.pair_cells.inverse
+        for column in self.matrix[:, covariates].toarray().T:
+            _, code = np.unique(column, return_inverse=True)
+            key = np.unique(key * (int(code.max()) + 1) + code, return_inverse=True)[1]
+        return self._group_dyads(key)
 
     @cached_property
     def pair_cells(self) -> "DyadCells":
@@ -214,13 +221,14 @@ class DesignMatrix:
         return self._group_dyads(lo * self.block_count + hi)
 
     def _group_dyads(self, keys: np.ndarray) -> "DyadCells":
-        _, first, inverse, counts = np.unique(keys, axis=0, return_index=True,
+        """Cells of a 1-D integer key, numbered by their first dyad."""
+        _, first, inverse, counts = np.unique(keys, return_index=True,
                                               return_inverse=True, return_counts=True)
         # a design whose rows are all distinct keeps its dyad order
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        return DyadCells(rank[inverse.reshape(-1)], counts[order], self.matrix[first[order]])
+        return DyadCells(rank[inverse], counts[order], self.matrix[first[order]])
 
 
 @dataclass(frozen=True)

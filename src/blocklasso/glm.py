@@ -7,14 +7,21 @@ each dyad has at most two effect entries. Each step builds X'WX and X'Wz
 once in that coding (``ReferenceCoding.gram``, shared with the penalized
 solver; it sums the working weights per node pair and per block pair
 instead of forming a sparse product) and solves the normal equations by
-a direct (Cholesky) factorization, so a fit is deterministic for a fixed
-input. The proposal is mapped back to the sum-to-zero coding in O(q);
-the line search, the separation test and the score test run on the
-public design. Columns flagged inestimable by the encoder are held at
-zero. A near-singular system gets an escalating diagonal jitter and, as
-a last resort, a least-squares solve; these fallbacks and the line
-search's step halvings are counted in ``FitResult.diagnostics``
-(``jitter_escalations``, ``lstsq_fallbacks``, ``step_halvings``).
+a direct Cholesky factorization, so a fit is deterministic for a fixed
+input. The factorization is called from LAPACK directly (``potrf`` and
+``potrs`` on the upper triangle), with the reciprocal condition number
+in the 1-norm estimated by ``pocon``. The proposal is mapped back to
+the sum-to-zero coding in O(q); the line search, the separation test
+and the score test run on the public design. Columns flagged
+inestimable by the encoder are held at zero. A system that is not
+positive definite, or whose condition estimate is below machine epsilon
+(where ``scipy.linalg.solve(assume_a="pos")`` would raise or warn), gets
+an escalating diagonal jitter and, as a last resort, a least-squares
+solve; these fallbacks and the line search's step halvings are counted
+in ``FitResult.diagnostics`` (``jitter_escalations``,
+``lstsq_fallbacks``, ``step_halvings``). The Bernoulli mean and
+log-partition function are both evaluated from ``exp(-|eta|)``, which
+cannot overflow.
 
 The solver evaluates one row per cell of the design (``DesignMatrix.cells``:
 dyads with identical design rows), with the cell's response total and
@@ -42,8 +49,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-from scipy.special import expit, gammaln, xlogy
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+from scipy.special import gammaln, xlogy
 
 from .design import FAMILIES, GROUP_BLOCK, GROUP_NODE, DesignMatrix, ReferenceCoding, effect_levels
 
@@ -61,6 +68,7 @@ SCORE_TOL = 1e-6
 SEPARATION_BOUND = 15.0
 SEPARATION_RIDGE = 1e-8
 WEIGHT_FLOOR = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class ConvergenceError(RuntimeError):
@@ -116,21 +124,22 @@ class _CellData:
 
     def mean(self, eta: np.ndarray) -> np.ndarray:
         if self.family == "bernoulli_logit":
-            return expit(eta)
+            # the logistic function from exp(-|eta|), which cannot overflow
+            e = np.exp(-np.abs(eta))
+            return np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
         with np.errstate(over="ignore"):
             return np.exp(eta)
 
     def kernel(self, eta: np.ndarray) -> float:
         if self.family == "bernoulli_logit":
-            return float(np.sum(self.y * eta - self.n * np.logaddexp(0.0, eta)))
+            # stable softplus log(1 + e^eta), the formula of np.logaddexp(0, eta)
+            softplus = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0)
+            return float(np.sum(self.y * eta - self.n * softplus))
         with np.errstate(over="ignore"):
             return float(np.sum(self.y * eta - self.n * np.exp(eta)))
 
     def log_likelihood(self, eta: np.ndarray) -> float:
         return self.kernel(eta) - self.log_y_factorial
-
-    def deviance(self, eta: np.ndarray) -> float:
-        return 2.0 * (self.saturated - self.kernel(eta))
 
     def working(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Working weights and working response of one IRLS step."""
@@ -175,22 +184,25 @@ class _IrlsResult:
 
 
 def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray, fallbacks: dict) -> np.ndarray:
-    """Cholesky solve of a positive semidefinite system. A near-singular
-    system gets an escalating diagonal jitter, up to seven times, then a
-    least-squares solve; each is counted in ``fallbacks``."""
+    """Cholesky solve of a positive semidefinite system (LAPACK potrf and
+    potrs on the upper triangle). A system that is not positive definite,
+    or whose 1-norm reciprocal condition estimate (pocon) is below the
+    machine epsilon, gets an escalating diagonal jitter, up to seven
+    times, then a least-squares solve; each is counted in ``fallbacks``."""
+    if not len(rhs):
+        return np.zeros(0)
     jitter = 0.0
     for attempt in range(8):
         if attempt:
             jitter = max(jitter * 100.0, 1e-10 * max(1.0, float(np.abs(A).max())))
             fallbacks["jitter_escalations"] += 1
-        try:
-            system = A if jitter == 0.0 else A + jitter * np.eye(A.shape[0])
-            with warnings.catch_warnings():
-                # a near-singular system is handled by escalating jitter
-                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-                return scipy.linalg.solve(system, rhs, assume_a="pos")
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
-            continue
+        system = A if jitter == 0.0 else A + jitter * np.eye(A.shape[0])
+        factor, info = dpotrf(system, clean=0)
+        if info == 0:
+            rcond, _ = dpocon(factor, float(np.abs(system).sum(axis=0).max()))
+            # written so that a NaN estimate also escalates
+            if rcond >= _EPS:
+                return dpotrs(factor, rhs)[0]
     fallbacks["lstsq_fallbacks"] += 1
     return np.linalg.lstsq(A, rhs, rcond=None)[0]
 
@@ -397,6 +409,7 @@ def assemble_fit(data: _CellData, beta: np.ndarray, *, converged: bool, iteratio
     the dyads."""
     design = data.design
     eta = data.X @ beta
+    kernel = data.kernel(eta)
     diagnostics = dict(diagnostics)
     diagnostics.setdefault(
         "fixed_zero",
@@ -406,8 +419,8 @@ def assemble_fit(data: _CellData, beta: np.ndarray, *, converged: bool, iteratio
         family=data.family,
         column_names=design.column_names,
         coefficients=np.asarray(beta, dtype=np.float64),
-        log_likelihood=data.log_likelihood(eta),
-        deviance=data.deviance(eta),
+        log_likelihood=kernel - data.log_y_factorial,
+        deviance=2.0 * (data.saturated - kernel),
         converged=converged,
         iterations=iterations,
         fitted_values=data.mean(eta)[design.cells.inverse] if fitted_values else None,

@@ -27,9 +27,19 @@ cutoff. Convergence is declared on the exact-likelihood KKT conditions:
 ``score_j = lam * w_j * sign(beta_j)`` for active penalized columns,
 ``|score_j| <= lam * w_j`` for inactive ones, and ``score_j = 0`` for
 unpenalized columns, all within ``kkt_tol``. Reported log-likelihoods
-and BIC values (with ``log(#dyads)``) are per dyad. The fits of a path
-keep no per-dyad fitted values (:func:`fit_penalized` does), and report
-the fallback counts of their solve as ``fit_mle`` does.
+and BIC values (with ``log(#dyads)``) are per dyad.
+
+The fits of a path keep no per-dyad fitted values (:func:`fit_penalized`
+does), and report the fallback counts of their solve as ``fit_mle`` does.
+
+Path following: from the third grid point on, each point starts from a
+first-order predictor (Park & Hastie 2007, JRSS-B 69(4)), the linear
+extrapolation in lambda through the fits at the two previous points. A
+penalized coefficient that is zero at the previous point, or whose sign
+the extrapolation would change, starts at zero; unpenalized coefficients
+are extrapolated freely. The start only sets where the outer loop
+begins: convergence is still declared on the exact KKT conditions
+above.
 """
 
 from __future__ import annotations
@@ -224,7 +234,7 @@ class _PenalizedSolver:
             signs = np.sign(x[sel])
             signs[: len(self.unpen_pos)] = 0.0
             old = x[sel]
-            new = _solve_normal_equations(A[np.ix_(sel, sel)], b[sel] - thresholds[sel] * signs,
+            new = _solve_normal_equations(A[sel][:, sel], b[sel] - thresholds[sel] * signs,
                                           fallbacks)
             flips = (signs != 0.0) & (np.sign(new) != signs)
             if not flips.any():
@@ -421,6 +431,18 @@ def _bic(fit: FitResult, df: int, m: int) -> float:
     return -2.0 * fit.log_likelihood + df * float(np.log(m))
 
 
+def _predicted_start(beta: np.ndarray, beta_prev: np.ndarray, step: float,
+                     penalized: np.ndarray) -> np.ndarray:
+    """First-order predictor of the next grid point's coefficients: the
+    line through the last two points, ``beta + step * (beta - beta_prev)``
+    with ``step`` the ratio of the two penalty decrements. A penalized
+    coefficient that is zero in ``beta``, or whose sign would change,
+    starts at zero; the active set is left to the solver."""
+    start = beta + step * (beta - beta_prev)
+    start[penalized & (np.sign(start) != np.sign(beta))] = 0.0
+    return start
+
+
 def lambda_path(design: DesignMatrix, response, family: str | None = None,
                 weights=None, grid_size: int = 100, grid_ratio: float = 1e-4, *,
                 kkt_tol: float = KKT_TOL) -> PathResult:
@@ -429,9 +451,13 @@ def lambda_path(design: DesignMatrix, response, family: str | None = None,
     The grid runs from ``lambda_max`` (the smallest penalty at which
     every finitely-weighted penalized coefficient is zero, computed from
     the score of the unpenalized-columns-only fit) down to
-    ``lambda_max * grid_ratio``, warm-starting each fit from the previous
-    one. The top-of-grid point reuses the restricted fit directly, which
-    keeps its penalized coefficients exactly zero. A BIC value
+    ``lambda_max * grid_ratio``. The top-of-grid point reuses the
+    restricted fit directly, which keeps its penalized coefficients
+    exactly zero. The next point starts from the restricted fit, and
+    every later one from the predictor
+    ``beta_k + (lam_{k+1} - lam_k) / (lam_k - lam_{k-1}) * (beta_k - beta_{k-1})``
+    (linear in lambda), with penalized coefficients that are zero in
+    ``beta_k`` or would change sign started at zero. A BIC value
     ``-2*loglik + df*log(#dyads)`` is recorded per grid point.
     """
     if grid_size < 1:
@@ -469,11 +495,13 @@ def lambda_path(design: DesignMatrix, response, family: str | None = None,
     top_info = {"lambda": float(lam_max),
                 "kkt_max": solver.kkt_violation(beta_restricted, lam_max), **restricted_info}
     fits.append(solver.assemble(beta_restricted, top_info))
-    warm = beta_restricted
-    for lam in lambdas[1:]:
-        beta, info = solver.solve(float(lam), warm, kkt_tol=kkt_tol)
+    for k in range(1, len(lambdas)):
+        start = fits[-1].coefficients
+        if k >= 2:
+            step = (lambdas[k] - lambdas[k - 1]) / (lambdas[k - 1] - lambdas[k - 2])
+            start = _predicted_start(start, fits[-2].coefficients, step, design.penalized_mask)
+        beta, info = solver.solve(float(lambdas[k]), start, kkt_tol=kkt_tol)
         fits.append(solver.assemble(beta, info))
-        warm = beta
 
     dfs = np.array([fit.diagnostics["df"] for fit in fits])
     bics = np.array([_bic(fit, int(df), m) for fit, df in zip(fits, dfs)])

@@ -312,8 +312,37 @@ class TestCells:
         design = custom_design(13, n=16, p=4)
         assert len(design.cells.counts) == 4 * 5 // 2
 
+    @pytest.mark.parametrize("distinct", [False, True], ids=["repeated_values", "all_distinct"])
+    def test_mixed_covariates_group_as_unique_rows(self, distinct):
+        design = mixed_covariate_design(14, distinct=distinct)
+        X = design.matrix.toarray()
+        _, first, inverse, counts = np.unique(X, axis=0, return_index=True,
+                                              return_inverse=True, return_counts=True)
+        order = np.argsort(first)  # cells numbered by their first dyad
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        cells = design.cells
+        assert np.array_equal(cells.inverse, rank[inverse.reshape(-1)])
+        assert np.array_equal(cells.counts, counts[order])
+        assert np.array_equal(cells.matrix.toarray(), X[first[order]])
+
 
 def custom_design(seed, n, p):
     """Design of the block interactions and intercept alone."""
     _, table, partition, _ = bernoulli_instance(seed, n=n, p=p)
     return bl.encode(table, partition, bl.ModelSpec(family="bernoulli_logit"))
+
+
+def mixed_covariate_design(seed, distinct):
+    """Covariate-adjusted design with a continuous covariate (a few
+    repeated real values, or every value distinct) and a discrete one."""
+    n = 24
+    m = n * (n - 1) // 2
+    rng = np.random.default_rng(seed)
+    continuous = rng.normal(size=m) if distinct else rng.normal(size=6)[rng.integers(0, 6, m)]
+    values = np.column_stack([continuous, rng.integers(0, 3, size=m)])
+    spec = bl.GeneratorSpec(n=n, p=3, family="poisson_log", intercept=0.3,
+                            covariate_values=values, covariate_coefs=np.array([0.2, -0.1]),
+                            seed=seed)
+    _, table, partition = bl.sample_graph(spec)
+    return bl.encode(table, partition, bl.ModelSpec.covariate_adjusted(table.covariate_names))

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy.special import xlogy
+import scipy.linalg
+from scipy.special import expit, xlogy
 
 import blocklasso as bl
-from blocklasso.glm import SEPARATION_RIDGE, _fallback_counts, _solve_normal_equations
+from blocklasso.glm import SEPARATION_RIDGE, _CellData, _fallback_counts, _solve_normal_equations
 from helpers import bernoulli_instance, graph_from_weights, one_block_partition, poisson_instance
 from oracles import damped_newton, naive_log_likelihood
 
@@ -186,6 +189,51 @@ class TestFallbackCounts:
             counts = {k: fit.diagnostics[k] for k in _fallback_counts()}
             assert counts == _fallback_counts()
             assert all(type(v) is int for v in counts.values())
+
+
+class TestLeanKernels:
+    """The direct LAPACK solve and the Bernoulli kernels against scipy."""
+
+    def test_jitter_exactly_where_scipy_fails_or_warns(self):
+        rng = np.random.default_rng(11)
+        refused = []
+        for cond in np.logspace(14, 17, 31):
+            for _ in range(2):
+                q = 30
+                Q, _ = np.linalg.qr(rng.normal(size=(q, q)))
+                A = (Q * np.logspace(0.0, -np.log10(cond), q)) @ Q.T
+                A = 0.5 * (A + A.T)
+                rhs = rng.normal(size=q)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+                    try:
+                        expected = scipy.linalg.solve(A, rhs, assume_a="pos")
+                    except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
+                        expected = None
+                counts = _fallback_counts()
+                x = _solve_normal_equations(A, rhs, counts)
+                assert (counts["jitter_escalations"] > 0) == (expected is None)
+                if expected is not None:
+                    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+                refused.append(expected is None)
+        # the sweep crosses scipy's threshold
+        assert any(refused) and not all(refused)
+
+    def test_bernoulli_mean_and_kernel_match_scipy(self):
+        _, table, _, design = bernoulli_instance(1, n=8, p=2)
+        data = _CellData(design, table.response, "bernoulli_logit")
+        # one cell with no edges: the kernel is -softplus(eta)
+        data.y, data.n = np.zeros(1), np.ones(1)
+        eta = np.concatenate([np.linspace(-750.0, 750.0, 3001), [-0.0, 0.0, -1e-300, 1e-300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mean = data.mean(eta)
+            softplus = np.array([-data.kernel(np.array([v])) for v in eta])
+        # expit flushes to zero below eta = -709 (its exp(-eta) overflows);
+        # there 1 + e^eta rounds to 1 and the logistic is exp(eta) exactly
+        logistic = np.where(eta < -709.0, np.exp(np.minimum(eta, 0.0)), expit(eta))
+        for got, want in [(mean, logistic), (softplus, np.logaddexp(0.0, eta))]:
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
 
 
 class TestCellFits:

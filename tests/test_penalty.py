@@ -210,6 +210,35 @@ class TestLambdaPath:
                                   lam=float(path.lambdas[4]))
         assert mle.fitted_values.shape == single.fitted_values.shape == (design.n_rows,)
 
+    @pytest.mark.parametrize("degree_corrected", [True, False],
+                             ids=["degree_corrected", "replicate_shaped"])
+    def test_predictor_start_keeps_answers_with_fewer_outer_steps(self, degree_corrected):
+        if degree_corrected:
+            _, table, _, design = bernoulli_instance(43, n=30, p=3, node_scale=0.5)
+        else:  # the support-recovery study's model: no node or block effects
+            _, table, partition, _ = bernoulli_instance(44, n=200, p=4, intercept=-1.4,
+                                                        fraction_zero=0.5)
+            design = bl.encode(table, partition, bl.ModelSpec(family="bernoulli_logit"))
+        response = table.response
+        mle = bl.fit_mle(design, response)
+        weights = bl.adaptive_weights(mle, design.penalized_mask)
+        path = bl.lambda_path(design, response, weights=weights)
+        assert all(fit.converged for fit in path.fits)
+        pen = design.penalized_mask
+        for k in range(10, len(path), 10):
+            single = bl.fit_penalized(design, response, weights=weights,
+                                      lam=float(path.lambdas[k]))
+            fit = path.fits[k]
+            assert np.array_equal(np.sign(fit.coefficients[pen]), np.sign(single.coefficients[pen]))
+            assert np.abs(fit.coefficients - single.coefficients).max() < 1e-6
+        # the plain warm start: each point from the previous point's fit
+        chained, previous = 0, path.fits[0].coefficients
+        for lam in path.lambdas[1:]:
+            fit = bl.fit_penalized(design, response, weights=weights, lam=float(lam),
+                                   beta_start=previous)
+            chained, previous = chained + fit.iterations, fit.coefficients
+        assert sum(fit.iterations for fit in path.fits[1:]) <= chained
+
     def test_all_infinite_weights_degenerate(self):
         _, table, _, design = bernoulli_instance(41, n=10, p=2)
         weights = np.where(design.penalized_mask, np.inf, 0.0)
