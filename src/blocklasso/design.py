@@ -433,7 +433,11 @@ def effect_levels(coefficients, groups, group: str, *, reference: bool = False) 
     idx = np.flatnonzero(np.asarray(groups) == group)
     if not len(idx):
         return np.zeros(0)
-    free = np.asarray(coefficients, dtype=np.float64)[idx]
+    return _levels(np.asarray(coefficients, dtype=np.float64)[idx], reference)
+
+
+def _levels(free: np.ndarray, reference: bool) -> np.ndarray:
+    """:func:`effect_levels` of a group's coefficients ``free``."""
     if reference:
         levels = np.append(free, 0.0)
         return levels - levels.mean()
@@ -462,8 +466,7 @@ class ReferenceCoding:
     def __init__(self, design: DesignMatrix, cols):
         self.design = design
         self.cols = np.asarray(cols, dtype=np.int64)
-        self.groups = tuple(design.groups[k] for k in self.cols)
-        groups = np.asarray(self.groups)
+        groups = np.asarray(design.groups)[self.cols]
         has_intercept = len(self.cols) > 0 and self.cols[0] == 0  # column 0 is the intercept
         self.recoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for group in (GROUP_NODE, GROUP_BLOCK):
@@ -556,17 +559,32 @@ class ReferenceCoding:
         """Full-length public coefficient vector of solver coefficients."""
         beta = np.zeros(self.design.n_columns)
         beta[self.cols] = x
-        for group, (idx, _) in self.recoded.items():
-            levels = effect_levels(x, self.groups, group, reference=True)
+        for idx, pos in self.recoded.values():
+            levels = _levels(x[pos], reference=True)
             beta[idx] = levels[:-1]
             beta[0] -= 2.0 * levels[-1]
         return beta
 
     def to_reference(self, beta) -> np.ndarray:
         """Solver coefficients of a full-length public coefficient vector."""
-        x = np.asarray(beta, dtype=np.float64)[self.cols]
-        for group, (_, pos) in self.recoded.items():
-            levels = effect_levels(beta, self.design.groups, group)
+        beta = np.asarray(beta, dtype=np.float64)
+        x = beta[self.cols]
+        for idx, pos in self.recoded.values():
+            levels = _levels(beta[idx], reference=False)
             x[pos] = levels[:-1] - levels[-1]
             x[0] += 2.0 * levels[-1]
         return x
+
+    def score_to_reference(self, score) -> np.ndarray:
+        """The score over the solver columns, from the full-length score
+        over the public columns, in O(q).
+
+        A public effect column is its level's endpoint sum minus the last
+        level's; the level sums of a group add up to twice the intercept
+        score (two endpoints per dyad), which gives the last level's sum.
+        """
+        score = np.asarray(score, dtype=np.float64)
+        out = score[self.cols]
+        for idx, pos in self.recoded.values():
+            out[pos] += (2.0 * score[0] - score[idx].sum()) / (len(idx) + 1)
+        return out

@@ -19,7 +19,14 @@ positive definite, or whose condition estimate is below machine epsilon
 an escalating diagonal jitter and, as a last resort, a least-squares
 solve; these fallbacks and the line search's step halvings are counted
 in ``FitResult.diagnostics`` (``jitter_escalations``,
-``lstsq_fallbacks``, ``step_halvings``). The Bernoulli mean and
+``lstsq_fallbacks``, ``step_halvings``), next to the work done
+(``gram_builds``, ``factorizations``). The solve hands back the
+Cholesky factor it certified, unless it needed a jitter or the
+least-squares fallback, so that the penalized solver can reuse it for
+the chord steps of one penalty level (see ``penalty``). The mean and
+the log-likelihood kernel at a linear predictor come from one
+evaluation (``_CellData.evaluate``), which the line search, the score
+test and the next working weights share; the Bernoulli mean and
 log-partition function are both evaluated from ``exp(-|eta|)``, which
 cannot overflow.
 
@@ -122,34 +129,32 @@ class _CellData:
             self.log_y_factorial = float(np.sum(gammaln(y + 1.0)))
             self.saturated = float(np.sum(xlogy(y, y) - y))
 
-    def mean(self, eta: np.ndarray) -> np.ndarray:
+    def evaluate(self, eta: np.ndarray) -> tuple[np.ndarray, float]:
+        """The cell means and the log-likelihood kernel at ``eta``, from one
+        evaluation; callers pass the mean on to :meth:`working` and
+        :meth:`score` instead of recomputing it."""
         if self.family == "bernoulli_logit":
-            # the logistic function from exp(-|eta|), which cannot overflow
+            # the logistic function and the stable softplus log(1 + e^eta)
+            # (the formula of np.logaddexp(0, eta)) from exp(-|eta|), which
+            # cannot overflow
             e = np.exp(-np.abs(eta))
-            return np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+            mu = np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+            softplus = np.log1p(e) + np.maximum(eta, 0.0)
+            return mu, float(np.sum(self.y * eta - self.n * softplus))
         with np.errstate(over="ignore"):
-            return np.exp(eta)
+            mu = np.exp(eta)
+        return mu, float(np.sum(self.y * eta - self.n * mu))
 
-    def kernel(self, eta: np.ndarray) -> float:
-        if self.family == "bernoulli_logit":
-            # stable softplus log(1 + e^eta), the formula of np.logaddexp(0, eta)
-            softplus = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0)
-            return float(np.sum(self.y * eta - self.n * softplus))
-        with np.errstate(over="ignore"):
-            return float(np.sum(self.y * eta - self.n * np.exp(eta)))
-
-    def log_likelihood(self, eta: np.ndarray) -> float:
-        return self.kernel(eta) - self.log_y_factorial
-
-    def working(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Working weights and working response of one IRLS step."""
-        mu = self.mean(eta)
+    def working(self, eta: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Working weights and working response of one IRLS step at
+        ``eta``, whose cell means are ``mu``."""
         variance = mu * (1.0 - mu) if self.family == "bernoulli_logit" else mu
         w = self.n * np.clip(variance, WEIGHT_FLOOR, None)
         return w, eta + (self.y - self.n * mu) / w
 
-    def score(self, eta: np.ndarray) -> np.ndarray:
-        return self.XT @ (self.y - self.n * self.mean(eta))
+    def score(self, mu: np.ndarray) -> np.ndarray:
+        """The score X'(y - n*mu) over the public columns, for cell means ``mu``."""
+        return self.XT @ (self.y - self.n * mu)
 
 
 def log_likelihood(coefficients, design: DesignMatrix, response, family: str | None = None) -> float:
@@ -162,13 +167,20 @@ def log_likelihood(coefficients, design: DesignMatrix, response, family: str | N
     if coefficients.shape != (design.n_columns,):
         raise ValueError(f"expected {design.n_columns} coefficients")
     data = _CellData(design, response, family or design.spec.family)
-    return data.log_likelihood(data.X @ coefficients)
+    return data.evaluate(data.X @ coefficients)[1] - data.log_y_factorial
 
 
 def _fallback_counts() -> dict[str, int]:
     """Zeroed counters of the numerical fallbacks a fit can take; they
     are reported in ``FitResult.diagnostics``."""
     return {"jitter_escalations": 0, "lstsq_fallbacks": 0, "step_halvings": 0}
+
+
+def _step_counts() -> dict[str, int]:
+    """Zeroed counters of the work of a fit, Gram builds and Cholesky
+    factorizations (a jittered solve counts once), next to its fallback
+    counters; all are reported in ``FitResult.diagnostics``."""
+    return {"gram_builds": 0, "factorizations": 0, **_fallback_counts()}
 
 
 @dataclass
@@ -183,14 +195,20 @@ class _IrlsResult:
     fallbacks: dict[str, int]
 
 
-def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray, fallbacks: dict) -> np.ndarray:
+def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray,
+                            fallbacks: dict) -> tuple[np.ndarray, np.ndarray | None]:
     """Cholesky solve of a positive semidefinite system (LAPACK potrf and
     potrs on the upper triangle). A system that is not positive definite,
     or whose 1-norm reciprocal condition estimate (pocon) is below the
     machine epsilon, gets an escalating diagonal jitter, up to seven
-    times, then a least-squares solve; each is counted in ``fallbacks``."""
+    times, then a least-squares solve; each is counted in ``fallbacks``.
+
+    Returns the solution and the Cholesky factor of ``A`` itself, which
+    passed the condition test and can solve further right-hand sides with
+    ``potrs``; the factor is None when the solve needed a jitter or the
+    least-squares fallback."""
     if not len(rhs):
-        return np.zeros(0)
+        return np.zeros(0), None
     jitter = 0.0
     for attempt in range(8):
         if attempt:
@@ -202,9 +220,9 @@ def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray, fallbacks: dict) -> 
             rcond, _ = dpocon(factor, float(np.abs(system).sum(axis=0).max()))
             # written so that a NaN estimate also escalates
             if rcond >= _EPS:
-                return dpotrs(factor, rhs)[0]
+                return dpotrs(factor, rhs)[0], (factor if jitter == 0.0 else None)
     fallbacks["lstsq_fallbacks"] += 1
-    return np.linalg.lstsq(A, rhs, rcond=None)[0]
+    return np.linalg.lstsq(A, rhs, rcond=None)[0], None
 
 
 def _initial_beta(data: _CellData, coding: ReferenceCoding) -> np.ndarray:
@@ -235,33 +253,37 @@ def _irls(data: _CellData, coding: ReferenceCoding, *, ridge: float = 0.0,
         ridge_gram = 2.0 * ridge * (M.T @ M)
     beta = _initial_beta(data, coding)
     eta = X @ beta
-    objective = data.log_likelihood(eta) - ridge * float(beta @ beta)
+    mu, kernel = data.evaluate(eta)
+    objective = kernel - data.log_y_factorial - ridge * float(beta @ beta)
     cause: str | None = "max_iterations"
     converged = False
     iterations = 0
-    fallbacks = _fallback_counts()
+    fallbacks = _step_counts()
 
     for iterations in range(1, max_iter + 1):
-        A, rhs = coding.gram(*data.working(eta))
+        A, rhs = coding.gram(*data.working(eta, mu))
+        fallbacks["gram_builds"] += 1
         if ridge:
             A += ridge_gram
-        proposal = coding.to_public(_solve_normal_equations(A, rhs, fallbacks))
+        fallbacks["factorizations"] += 1
+        proposal = coding.to_public(_solve_normal_equations(A, rhs, fallbacks)[0])
 
         accepted = None
         candidate = proposal
         for _ in range(31):
             eta_try = X @ candidate
-            obj_try = data.log_likelihood(eta_try) - ridge * float(candidate @ candidate)
+            mu_try, kernel_try = data.evaluate(eta_try)
+            obj_try = kernel_try - data.log_y_factorial - ridge * float(candidate @ candidate)
             if obj_try >= objective - 1e-13 * (1.0 + abs(objective)):
-                accepted = (candidate, eta_try, obj_try)
+                accepted = (candidate, eta_try, mu_try, kernel_try, obj_try)
                 break
             candidate = 0.5 * (beta + candidate)
             fallbacks["step_halvings"] += 1
         if accepted is None:
             cause = "no_progress"
             break
-        delta = accepted[2] - objective
-        beta, eta, objective = accepted
+        delta = accepted[-1] - objective
+        beta, eta, mu, kernel, objective = accepted
 
         if (detect_separation and data.family == "bernoulli_logit" and ridge == 0.0
                 and float(np.abs(beta).max(initial=0.0)) > SEPARATION_BOUND
@@ -269,7 +291,7 @@ def _irls(data: _CellData, coding: ReferenceCoding, *, ridge: float = 0.0,
             cause = "separation"
             break
 
-        score = data.score(eta)[cols] - 2.0 * ridge * beta[cols]
+        score = data.score(mu)[cols] - 2.0 * ridge * beta[cols]
         score_max = float(np.abs(score).max(initial=0.0))
         if abs(delta) <= ll_tol * (1.0 + abs(objective)) and score_max <= score_bound:
             converged = True
@@ -278,10 +300,10 @@ def _irls(data: _CellData, coding: ReferenceCoding, *, ridge: float = 0.0,
 
     return _IrlsResult(
         beta=beta,
-        log_likelihood=data.log_likelihood(eta),
+        log_likelihood=kernel - data.log_y_factorial,
         iterations=iterations,
         converged=converged,
-        score_max=float(np.abs(data.score(eta)[cols]).max(initial=0.0)),
+        score_max=float(np.abs(data.score(mu)[cols]).max(initial=0.0)),
         score_bound=score_bound,
         cause=cause,
         fallbacks=fallbacks,
@@ -403,13 +425,14 @@ def read_fit_json(path) -> FitResult:
 
 
 def assemble_fit(data: _CellData, beta: np.ndarray, *, converged: bool, iterations: int,
-                 diagnostics: dict, fitted_values: bool = True) -> FitResult:
+                 diagnostics: dict, fitted_values: bool = True,
+                 evaluation: tuple[np.ndarray, float] | None = None) -> FitResult:
     """Build a :class:`FitResult` from a full-length coefficient vector;
     the fitted values, when kept, are expanded from the cells back to
-    the dyads."""
+    the dyads. ``evaluation``, when given, is ``data.evaluate`` at the
+    linear predictor of ``beta``, which a solver has already made."""
     design = data.design
-    eta = data.X @ beta
-    kernel = data.kernel(eta)
+    mu, kernel = data.evaluate(data.X @ beta) if evaluation is None else evaluation
     diagnostics = dict(diagnostics)
     diagnostics.setdefault(
         "fixed_zero",
@@ -423,7 +446,7 @@ def assemble_fit(data: _CellData, beta: np.ndarray, *, converged: bool, iteratio
         deviance=2.0 * (data.saturated - kernel),
         converged=converged,
         iterations=iterations,
-        fitted_values=data.mean(eta)[design.cells.inverse] if fitted_values else None,
+        fitted_values=mu[design.cells.inverse] if fitted_values else None,
         block_interactions=design.interaction_matrix(beta),
         block_labels=design.block_labels,
         node_ids=design.node_ids,

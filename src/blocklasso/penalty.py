@@ -12,14 +12,17 @@ Solver: penalized IRLS on the cells of the design (dyads with identical
 design rows, weighted by their count; see ``glm``; designs with node
 effects have one cell per dyad), with node and block effects coded by
 reference inside it (``ReferenceCoding``; the penalized columns are
-unchanged). Each outer step builds the working Gram matrix A = X'WX and
-b = X'Wz once and solves the working problem in covariance mode (Friedman,
-Hastie & Tibshirani 2010, J. Stat. Softw. 33(1), section 2.2): cyclic
-coordinate-descent soft-thresholding over the penalized columns (fixed
-column order) keeps the gradient b - A beta current with one row of A
-per move, and a sign-restricted direct solve on A over the unpenalized
-block plus the current active set polishes the smooth part to machine
-precision in between passes. The result is mapped back to the public
+unchanged). Each outer step solves a working problem on a Gram matrix
+A = X'WX and b in covariance mode (Friedman, Hastie & Tibshirani 2010,
+J. Stat. Softw. 33(1), section 2.2): cyclic coordinate-descent
+soft-thresholding over the penalized columns (fixed column order) keeps
+the gradient b - A beta current with one row of A per move, and a
+sign-restricted direct solve on A over the unpenalized block plus the
+current active set polishes the smooth part to machine precision. A
+step's first pass visits only the inactive columns whose gradient
+exceeds their threshold, the only ones that can enter; after each
+polish a vectorized soft threshold over all penalized columns decides
+whether a full pass is needed. The result is mapped back to the public
 sum-to-zero coding for the line search and the convergence test. Zeros
 are produced only by the soft threshold or by explicit clipping at a
 zero crossing, so they are exact and downstream sign counts need no
@@ -29,8 +32,26 @@ cutoff. Convergence is declared on the exact-likelihood KKT conditions:
 unpenalized columns, all within ``kkt_tol``. Reported log-likelihoods
 and BIC values (with ``log(#dyads)``) are per dyad.
 
+Chord steps: the outer steps of one solve are simplified-Newton steps
+(proximal Newton with an inexact Hessian; Lee, Sun & Saunders 2014,
+SIAM J. Optim. 24(3)). The first step builds A and b = X'Wz at the
+start; later steps keep A and take the exact score at the current
+coefficients as their gradient, in solver coding (b = A x + score; the
+score is the one the KKT test computed, recoded in O(q)). The Cholesky
+factor of the polish system is kept with its selection and reused while
+A and the active set stay; the solver keeps one factor, and only one
+that passed the condition test without jitter. The refresh rule is
+fixed: a new Gram after a step that halved, and after a chord step that
+cut the KKT violation less than tenfold. Each fit reports its Gram
+builds and factorizations in ``diagnostics`` (``gram_builds``,
+``factorizations``), and its outer steps, chord steps included, as
+``iterations``. The mean and log-likelihood at each linear predictor
+are evaluated once and shared by the line search, the KKT test, the
+next working weights and the chord gradient.
+
 The fits of a path keep no per-dyad fitted values (:func:`fit_penalized`
-does), and report the fallback counts of their solve as ``fit_mle`` does.
+does), are assembled from the solver's last evaluation, and report the
+fallback counts of their solve as ``fit_mle`` does.
 
 Path following: from the third grid point on, each point starts from a
 first-order predictor (Park & Hastie 2007, JRSS-B 69(4)), the linear
@@ -51,15 +72,16 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs
 
 from .design import DesignMatrix, ReferenceCoding
 from .glm import (
     ConvergenceError,
     FitResult,
     _CellData,
-    _fallback_counts,
     _irls,
     _solve_normal_equations,
+    _step_counts,
     assemble_fit,
 )
 
@@ -162,6 +184,9 @@ class _PenalizedSolver:
         self.pen_pos = np.flatnonzero(design.penalized_mask[self.cols])
         self.unpen_pos = np.flatnonzero(~design.penalized_mask[self.cols])
         self.pen_idx, self.unpen_idx = self.cols[self.pen_pos], self.cols[self.unpen_pos]
+        # the one Cholesky factor kept, (selection key, factor), made from
+        # the current Gram of ``solve`` without jitter
+        self._factor: tuple[bytes, np.ndarray] | None = None
 
     @cached_property
     def coding(self) -> ReferenceCoding:
@@ -177,18 +202,40 @@ class _PenalizedSolver:
         return result.beta, result
 
     def lambda_max(self, beta_restricted: np.ndarray) -> float:
-        score = self.data.score(self.data.X @ beta_restricted)[self.pen_idx]
+        score = self._score(beta_restricted)[self.pen_idx]
         return float((np.abs(score) / self.weights[self.pen_idx]).max(initial=0.0))
+
+    def restricted_point(self, beta: np.ndarray, restricted, lam: float, kkt_tol: float,
+                         fitted_values: bool = False) -> FitResult:
+        """The restricted fit as the fit at ``lam >= lambda_max``, where
+        its zeros satisfy the KKT conditions exactly; it reports its own
+        convergence and counts."""
+        evaluation = self.data.evaluate(self.data.X @ beta)
+        info = {"lambda": float(lam),
+                "kkt_max": self.kkt_violation(beta, lam, self.data.score(evaluation[0])),
+                "kkt_tol": kkt_tol, "iterations": restricted.iterations,
+                "converged": restricted.converged, **restricted.fallbacks}
+        if restricted.cause:
+            info["cause"] = restricted.cause
+        return self.assemble(beta, info, evaluation, fitted_values)
 
     # -- penalized objective and optimality ------------------------------
 
-    def objective(self, beta: np.ndarray, lam: float, eta=None) -> float:
-        eta = self.data.X @ beta if eta is None else eta
-        penalty = float(np.sum(self.weights[self.pen_idx] * np.abs(beta[self.pen_idx])))
-        return -self.data.log_likelihood(eta) + lam * penalty
+    def _score(self, beta: np.ndarray) -> np.ndarray:
+        return self.data.score(self.data.evaluate(self.data.X @ beta)[0])
 
-    def kkt_violation(self, beta: np.ndarray, lam: float, eta=None) -> float:
-        score = self.data.score(self.data.X @ beta if eta is None else eta)
+    def objective(self, beta: np.ndarray, lam: float, kernel: float | None = None) -> float:
+        """The penalized objective; ``kernel`` is the log-likelihood kernel
+        at ``beta`` when the caller has it."""
+        if kernel is None:
+            kernel = self.data.evaluate(self.data.X @ beta)[1]
+        penalty = float(np.sum(self.weights[self.pen_idx] * np.abs(beta[self.pen_idx])))
+        return -(kernel - self.data.log_y_factorial) + lam * penalty
+
+    def kkt_violation(self, beta: np.ndarray, lam: float, score=None) -> float:
+        """Largest KKT violation at ``beta``; ``score`` is the public score
+        there when the caller has it."""
+        score = self._score(beta) if score is None else score
         b, s = beta[self.pen_idx], score[self.pen_idx]
         bound = lam * self.weights[self.pen_idx]
         gaps = np.where(b != 0.0, np.abs(s - bound * np.sign(b)),
@@ -198,23 +245,42 @@ class _PenalizedSolver:
 
     # -- working problem in covariance mode --------------------------------
 
-    def _coordinate_pass(self, A, x, grad, thresholds) -> float:
-        """One cyclic soft-thresholding pass over the penalized positions
-        of ``x``, keeping the gradient ``grad = b - Ax`` current with one
-        row of A per move (both in place); returns the largest
-        score-unit change."""
-        worst = 0.0
-        for k in self.pen_pos:
+    def _coordinate_pass(self, A, x, grad, thresholds, positions) -> None:
+        """One cyclic soft-thresholding pass over ``positions`` of ``x``,
+        keeping the gradient ``grad = b - Ax`` current with one row of A
+        per move (both in place)."""
+        for k in positions:
             old, diag = x[k], A[k, k]
             target = soft_threshold(grad[k] + diag * old, thresholds[k]) / diag
             if target != old:
-                step = target - old
-                grad -= A[k] * step
+                grad -= A[k] * (target - old)
                 x[k] = target
-                worst = max(worst, abs(step) * diag)
-        return worst
 
-    def _polish_active_set(self, A, b, x, grad, thresholds, fallbacks: dict,
+    def _largest_move(self, A, x, grad, thresholds) -> float:
+        """Largest score-unit move that a coordinate pass would start with
+        at ``x``, from a vectorized soft threshold of every penalized
+        position; nothing is moved."""
+        pen = self.pen_pos
+        diag = A[pen, pen]
+        u = grad[pen] + diag * x[pen]
+        target = np.sign(u) * np.maximum(np.abs(u) - thresholds[pen], 0.0) / diag
+        return float((np.abs(target - x[pen]) * diag).max(initial=0.0))
+
+    def _factored_solve(self, A, rhs, sel, counts: dict) -> np.ndarray:
+        """Solve ``A[sel, sel] y = rhs``, reusing the kept Cholesky factor
+        when it was made for the same ``sel`` of the same Gram. A new
+        factor replaces it only when it passed the condition test without
+        jitter, so a reused factor is always a certified one."""
+        key = sel.tobytes()
+        if self._factor is not None and self._factor[0] == key:
+            return dpotrs(self._factor[1], rhs)[0]
+        counts["factorizations"] += 1
+        y, factor = _solve_normal_equations(A[sel][:, sel], rhs, counts)
+        if factor is not None:
+            self._factor = (key, factor)
+        return y
+
+    def _polish_active_set(self, A, b, x, grad, thresholds, counts: dict,
                            max_drops: int = 12) -> None:
         """Sign-restricted direct solve over the unpenalized block plus
         the active penalized positions, updating ``x`` and ``grad`` in
@@ -234,8 +300,7 @@ class _PenalizedSolver:
             signs = np.sign(x[sel])
             signs[: len(self.unpen_pos)] = 0.0
             old = x[sel]
-            new = _solve_normal_equations(A[sel][:, sel], b[sel] - thresholds[sel] * signs,
-                                          fallbacks)
+            new = self._factored_solve(A, b[sel] - thresholds[sel] * signs, sel, counts)
             flips = (signs != 0.0) & (np.sign(new) != signs)
             if not flips.any():
                 x[sel] = new
@@ -248,59 +313,85 @@ class _PenalizedSolver:
             x[sel] = stepped
         grad[:] = b - A @ x
 
+    def _solve_working(self, A, b, x, grad, thresholds, counts: dict, kkt_tol: float) -> None:
+        """Solve the working problem on (A, b) from ``x`` (in place) to a
+        fraction of the exact KKT tolerance; the outer loop checks the
+        exact conditions.
+
+        The first coordinate pass visits only the inactive penalized
+        columns whose gradient passes their threshold, the only ones that
+        can enter; the polish then solves the active set. Full passes run
+        only while a vectorized soft threshold finds a score-significant
+        move left. Zeros produced here are exact.
+        """
+        pen = self.pen_pos
+        entering = pen[(x[pen] == 0.0) & (np.abs(grad[pen]) > thresholds[pen])]
+        self._coordinate_pass(A, x, grad, thresholds, entering)
+        for _ in range(40):
+            self._polish_active_set(A, b, x, grad, thresholds, counts)
+            if self._largest_move(A, x, grad, thresholds) <= 0.05 * kkt_tol:
+                break
+            self._coordinate_pass(A, x, grad, thresholds, pen)
+
     # -- main solve -------------------------------------------------------
 
     def solve(self, lam: float, beta_start: np.ndarray, *,
               max_outer: int = MAX_OUTER, kkt_tol: float = KKT_TOL):
+        """Penalized IRLS from ``beta_start`` with chord steps (see the
+        module docstring). Returns the coefficients, the convergence
+        diagnostics and ``data.evaluate`` at the coefficients."""
         if lam < 0:
             raise ValueError("lambda must be nonnegative")
-        X, coding = self.data.X, self.coding
+        data, coding = self.data, self.coding
         thresholds = lam * self.weights[self.cols]
         beta = np.array(beta_start, dtype=np.float64)
         beta[self.fixed_idx] = 0.0
-        eta = X @ beta
-        objective = self.objective(beta, lam, eta=eta)
+        eta = data.X @ beta
+        mu, kernel = data.evaluate(eta)
+        objective = self.objective(beta, lam, kernel)
         converged = False
         cause = "max_iterations"
         best_kkt = np.inf
         stale = 0
         kkt = np.inf
         outer = 0
-        fallbacks = _fallback_counts()
+        counts = _step_counts()
+        fresh = True  # build a new Gram for the next step
+        score = None
 
         for outer in range(1, max_outer + 1):
-            A, b = coding.gram(*self.data.working(eta))
             x = coding.to_reference(beta)
-            grad = b - A @ x
-            # the working problem is solved to a fraction of the exact
-            # KKT tolerance; the outer loop checks the exact conditions
-            for _ in range(40):
-                # a full pass settles which columns are active and with
-                # what signs; zeros produced here are exact
-                self._coordinate_pass(A, x, grad, thresholds)
-                self._polish_active_set(A, b, x, grad, thresholds, fallbacks)
-                # verification pass: only score-significant violations
-                # among the inactive columns keep the loop going
-                if self._coordinate_pass(A, x, grad, thresholds) <= 0.05 * kkt_tol:
-                    break
+            if fresh:
+                A, b = coding.gram(*data.working(eta, mu))
+                counts["gram_builds"] += 1
+                self._factor = None
+                grad = b - A @ x
+            else:
+                # a chord step: the kept Gram with the exact score here
+                grad = coding.score_to_reference(score)
+                b = A @ x + grad
+            self._solve_working(A, b, x, grad, thresholds, counts, kkt_tol)
             beta_prev, beta = beta, coding.to_public(x)
 
-            eta_new = X @ beta
-            obj_new = self.objective(beta, lam, eta=eta_new)
+            eta_new = data.X @ beta
+            mu_new, kernel_new = data.evaluate(eta_new)
+            obj_new = self.objective(beta, lam, kernel_new)
             halved = False
             if obj_new > objective + 1e-9 * (1.0 + abs(objective)):
                 for _ in range(10):
                     beta = 0.5 * (beta + beta_prev)
-                    fallbacks["step_halvings"] += 1
-                    eta_new = X @ beta
-                    obj_new = self.objective(beta, lam, eta=eta_new)
+                    counts["step_halvings"] += 1
+                    eta_new = data.X @ beta
+                    mu_new, kernel_new = data.evaluate(eta_new)
+                    obj_new = self.objective(beta, lam, kernel_new)
                     halved = True
                     if obj_new <= objective + 1e-9 * (1.0 + abs(objective)):
                         break
 
             delta_obj = abs(obj_new - objective)
-            eta = eta_new
-            kkt = self.kkt_violation(beta, lam, eta=eta)
+            eta, mu, kernel = eta_new, mu_new, kernel_new
+            score = data.score(mu)
+            kkt_prev, kkt = kkt, self.kkt_violation(beta, lam, score)
             finished = (kkt <= kkt_tol and not halved
                         and delta_obj <= 1e-10 * (1.0 + abs(obj_new)))
             objective = obj_new
@@ -316,6 +407,9 @@ class _PenalizedSolver:
                 if stale >= 15:
                     cause = "stalled"
                     break
+            # refresh rule: a new Gram after a halved step, or after a chord
+            # step that cut the KKT violation less than tenfold
+            fresh = halved or (not fresh and kkt > 0.1 * kkt_prev)
 
         info = {
             "lambda": float(lam),
@@ -323,20 +417,21 @@ class _PenalizedSolver:
             "kkt_tol": float(kkt_tol),
             "iterations": outer,
             "converged": converged,
-            **fallbacks,
+            **counts,
         }
         if cause:
             info["cause"] = cause
-        return beta, info
+        return beta, info, (mu, kernel)
 
-    def assemble(self, beta: np.ndarray, info: dict, fitted_values: bool = False) -> FitResult:
+    def assemble(self, beta: np.ndarray, info: dict, evaluation=None,
+                 fitted_values: bool = False) -> FitResult:
         """The fit of ``solve``; path fits keep no per-dyad fitted values."""
         active = int(np.count_nonzero(beta[self.pen_idx]))
         diagnostics = {k: v for k, v in info.items() if k not in ("converged", "iterations")}
         diagnostics.update(active_set_size=active, df=active + len(self.unpen_idx))
         return assemble_fit(self.data, beta, converged=info["converged"],
                             iterations=info["iterations"], diagnostics=diagnostics,
-                            fitted_values=fitted_values)
+                            fitted_values=fitted_values, evaluation=evaluation)
 
 
 def _solver(design: DesignMatrix, response, family: str | None, weights) -> _PenalizedSolver:
@@ -381,14 +476,20 @@ def fit_penalized(design: DesignMatrix, response, family: str | None = None,
 
     ``weights`` is the full-length vector from :func:`adaptive_weights`.
     At ``lam=0`` the solution matches the maximum-likelihood fit; reported
-    zeros among penalized coefficients are exact. The KKT violation
-    reached is recorded in ``diagnostics["kkt_max"]``.
+    zeros among penalized coefficients are exact. Without ``beta_start``
+    the solve starts from the restricted fit, which is returned as it is
+    at ``lam >= lambda_max`` (as at the top of :func:`lambda_path`). The
+    KKT violation reached is recorded in ``diagnostics["kkt_max"]``.
     """
     solver = _solver(design, response, family, weights)
     if beta_start is None:
-        beta_start, _ = solver.restricted_fit(kkt_tol=kkt_tol)
-    beta, info = solver.solve(lam, beta_start, max_outer=max_outer, kkt_tol=kkt_tol)
-    return solver.assemble(beta, info, fitted_values=True)
+        beta_start, restricted = solver.restricted_fit(kkt_tol=kkt_tol)
+        if lam >= solver.lambda_max(beta_start):
+            return solver.restricted_point(beta_start, restricted, lam, kkt_tol,
+                                           fitted_values=True)
+    beta, info, evaluation = solver.solve(lam, beta_start, max_outer=max_outer,
+                                          kkt_tol=kkt_tol)
+    return solver.assemble(beta, info, evaluation, fitted_values=True)
 
 
 @dataclass
@@ -473,14 +574,9 @@ def lambda_path(design: DesignMatrix, response, family: str | None = None,
     if degenerate:
         warnings.warn("all penalized weights are infinite; the path degenerates to "
                       "the unpenalized fit", RuntimeWarning, stacklevel=2)
-    # the restricted fit is the top point, and reports its own convergence
-    restricted_info = {"kkt_tol": kkt_tol, "iterations": restricted.iterations,
-                       "converged": restricted.converged, **restricted.fallbacks}
-    if restricted.cause:
-        restricted_info["cause"] = restricted.cause
+    # the restricted fit is the top point
     if degenerate or lam_max <= 0.0:
-        info = {"lambda": 0.0, "kkt_max": 0.0, **restricted_info}
-        fit = solver.assemble(beta_restricted, info)
+        fit = solver.restricted_point(beta_restricted, restricted, 0.0, kkt_tol)
         df = len(solver.unpen_idx)
         return PathResult(lambdas=np.array([0.0]), fits=[fit],
                           dfs=np.array([df]), bics=np.array([_bic(fit, df, m)]),
@@ -491,17 +587,14 @@ def lambda_path(design: DesignMatrix, response, family: str | None = None,
     else:
         lambdas = lam_max * grid_ratio ** (np.arange(grid_size) / (grid_size - 1))
 
-    fits: list[FitResult] = []
-    top_info = {"lambda": float(lam_max),
-                "kkt_max": solver.kkt_violation(beta_restricted, lam_max), **restricted_info}
-    fits.append(solver.assemble(beta_restricted, top_info))
+    fits = [solver.restricted_point(beta_restricted, restricted, lam_max, kkt_tol)]
     for k in range(1, len(lambdas)):
         start = fits[-1].coefficients
         if k >= 2:
             step = (lambdas[k] - lambdas[k - 1]) / (lambdas[k - 1] - lambdas[k - 2])
             start = _predicted_start(start, fits[-2].coefficients, step, design.penalized_mask)
-        beta, info = solver.solve(float(lambdas[k]), start, kkt_tol=kkt_tol)
-        fits.append(solver.assemble(beta, info))
+        beta, info, evaluation = solver.solve(float(lambdas[k]), start, kkt_tol=kkt_tol)
+        fits.append(solver.assemble(beta, info, evaluation))
 
     dfs = np.array([fit.diagnostics["df"] for fit in fits])
     bics = np.array([_bic(fit, int(df), m) for fit, df in zip(fits, dfs)])
@@ -547,6 +640,6 @@ def select(path: PathResult, rule: str = "bic", fixed_lambda: float | None = Non
         raise ValueError("path cannot refit off-grid penalties")
     nearest = int(np.argmin(np.abs(path.lambdas - lam)))
     solver = path._solver
-    beta, info = solver.solve(lam, path.fits[nearest].coefficients.copy())
+    beta, info, evaluation = solver.solve(lam, path.fits[nearest].coefficients.copy())
     path.selected_index = None
-    return solver.assemble(beta, info)
+    return solver.assemble(beta, info, evaluation)

@@ -249,6 +249,9 @@ class TestReferenceCoding:
         A, b = coding.gram(w, z)
         assert np.abs(A - reference.T @ (reference * w[:, None])).max() < 1e-12
         assert np.abs(b - reference.T @ (w * z)).max() < 1e-12
+        # the solver-coded score from the public one
+        assert np.abs(coding.score_to_reference(design.matrix.T @ z)
+                      - reference.T @ z).max() < 1e-12
 
     def test_partly_excluded_group_keeps_public_coding(self):
         _, _, _, design = bernoulli_instance(3, n=9, p=3)
@@ -286,6 +289,8 @@ class TestReferenceCoding:
         assert np.array_equal(A, A.T)
         assert np.abs(A - A_oracle).max() < 1e-12
         assert np.abs(b - b_oracle).max() < 1e-12
+        score = coding.score_to_reference(design.matrix.T @ z)
+        assert np.abs(score - public_map(coding).T @ (design.matrix.T @ z)).max() < 1e-12
 
 
 class TestCells:

@@ -174,8 +174,9 @@ class TestFallbackCounts:
         X = np.column_stack([X, X[:, 0] + X[:, 1]])  # rank 3 of 4
         A, rhs = X.T @ X, X.T @ rng.normal(size=12)
         counts = _fallback_counts()
-        x = _solve_normal_equations(A, rhs, counts)
+        x, factor = _solve_normal_equations(A, rhs, counts)
         assert counts["jitter_escalations"] >= 1
+        assert factor is None  # a jittered factor is not the system's own
         assert counts["lstsq_fallbacks"] == 0
         # the jittered solution still solves the consistent system
         assert np.abs(A @ x - rhs).max() < 1e-6 * (1.0 + np.abs(rhs).max())
@@ -211,8 +212,9 @@ class TestLeanKernels:
                     except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
                         expected = None
                 counts = _fallback_counts()
-                x = _solve_normal_equations(A, rhs, counts)
+                x, factor = _solve_normal_equations(A, rhs, counts)
                 assert (counts["jitter_escalations"] > 0) == (expected is None)
+                assert (factor is None) == (expected is None)
                 if expected is not None:
                     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
                 refused.append(expected is None)
@@ -227,8 +229,8 @@ class TestLeanKernels:
         eta = np.concatenate([np.linspace(-750.0, 750.0, 3001), [-0.0, 0.0, -1e-300, 1e-300]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            mean = data.mean(eta)
-            softplus = np.array([-data.kernel(np.array([v])) for v in eta])
+            mean = data.evaluate(eta)[0]
+            softplus = np.array([-data.evaluate(np.array([v]))[1] for v in eta])
         # expit flushes to zero below eta = -709 (its exp(-eta) overflows);
         # there 1 + e^eta rounds to 1 and the logistic is exp(eta) exactly
         logistic = np.where(eta < -709.0, np.exp(np.minimum(eta, 0.0)), expit(eta))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import blocklasso as bl
-from blocklasso.glm import ConvergenceError
-from blocklasso.penalty import soft_threshold
+from blocklasso.glm import ConvergenceError, _step_counts
+from blocklasso.penalty import _PenalizedSolver, soft_threshold
 
 from helpers import bernoulli_instance, poisson_instance
 
@@ -102,6 +102,20 @@ class TestFitPenalized:
         assert np.all(fit.coefficients[pen] == 0.0)
         assert np.abs(fit.coefficients - beta_r).max() < 1e-6
 
+    def test_lambda_max_returns_the_restricted_fit_exactly(self):
+        # at the activation boundary the score equals the threshold up to
+        # rounding, where a solve can leave a coefficient of order 1e-14
+        _, table, _, design = bernoulli_instance(43, n=30, p=3, node_scale=0.5)
+        mle = bl.fit_mle(design, table.response)
+        weights = bl.adaptive_weights(mle, design.penalized_mask)
+        beta_r = bl.restricted_fit(design, table.response)
+        lam_max = bl.lambda_max(design, table.response, weights, beta_r)
+        fit = bl.fit_penalized(design, table.response, weights=weights, lam=lam_max)
+        assert np.array_equal(fit.coefficients, beta_r)
+        assert np.all(fit.coefficients[design.penalized_mask] == 0.0)
+        assert fit.converged and fit.diagnostics["active_set_size"] == 0
+        assert fit.fitted_values.shape == (design.n_rows,)
+
     def test_lambda_max_is_the_activation_boundary(self):
         for seed in (33, 34, 35):
             _, table, _, design = bernoulli_instance(seed, n=14, p=3)
@@ -125,6 +139,11 @@ class TestFitPenalized:
         assert fit.converged
         gap = kkt_violation(design, table.response, design.spec.family, weights, lam, fit)
         assert gap <= 1e-5
+        # from this poor start the refresh rule builds new Grams (after a
+        # halved step, or a chord step that cut the KKT violation too
+        # little), and chord steps reuse them
+        assert fit.diagnostics["step_halvings"] >= 1
+        assert 1 < fit.diagnostics["gram_builds"] < fit.iterations
 
     def test_public_kkt_violation_matches_independent_gap(self):
         _, table, _, design = poisson_instance(36, n=14, p=3, n_covariates=2)
@@ -225,7 +244,7 @@ class TestLambdaPath:
         path = bl.lambda_path(design, response, weights=weights)
         assert all(fit.converged for fit in path.fits)
         pen = design.penalized_mask
-        for k in range(10, len(path), 10):
+        for k in range(0, len(path), 10):
             single = bl.fit_penalized(design, response, weights=weights,
                                       lam=float(path.lambdas[k]))
             fit = path.fits[k]
@@ -238,6 +257,34 @@ class TestLambdaPath:
                                    beta_start=previous)
             chained, previous = chained + fit.iterations, fit.coefficients
         assert sum(fit.iterations for fit in path.fits[1:]) <= chained
+
+    @pytest.mark.parametrize("instance", [
+        lambda: bernoulli_instance(43, n=30, p=3, node_scale=0.5),
+        lambda: poisson_instance(36, n=14, p=3, n_covariates=2),
+    ], ids=["degree_corrected", "poisson_covariates"])
+    def test_every_point_meets_the_independent_kkt_gap(self, instance):
+        _, table, _, design = instance()
+        family = design.spec.family
+        mle = bl.fit_mle(design, table.response)
+        weights = bl.adaptive_weights(mle, design.penalized_mask)
+        path = bl.lambda_path(design, table.response, weights=weights, grid_size=40)
+        for lam, fit in zip(path.lambdas, path.fits):
+            assert fit.converged
+            assert kkt_violation(design, table.response, family, weights, lam, fit) <= 1e-6
+
+    def test_chord_steps_build_fewer_grams_than_outer_steps(self):
+        _, table, _, design = bernoulli_instance(43, n=30, p=3, node_scale=0.5)
+        mle = bl.fit_mle(design, table.response)
+        weights = bl.adaptive_weights(mle, design.penalized_mask)
+        path = bl.lambda_path(design, table.response, weights=weights)
+        grams = [fit.diagnostics["gram_builds"] for fit in path.fits[1:]]
+        factorizations = [fit.diagnostics["factorizations"] for fit in path.fits[1:]]
+        outer = [fit.iterations for fit in path.fits[1:]]
+        # every solve builds a Gram on its first step and factors it
+        assert all(1 <= g <= k for g, k in zip(grams, outer))
+        assert all(f >= 1 for f in factorizations)
+        assert sum(grams) < sum(outer)
+        assert sum(factorizations) < sum(outer)
 
     def test_all_infinite_weights_degenerate(self):
         _, table, _, design = bernoulli_instance(41, n=10, p=2)
@@ -262,6 +309,94 @@ class TestLambdaPath:
         assert [float(row["kkt_max"]) for row in rows] == [f.diagnostics["kkt_max"]
                                                           for f in path.fits]
         assert [row["cause"] == "" for row in rows] == [f.converged for f in path.fits]
+
+
+class TestChordSteps:
+    def test_a_halved_step_is_followed_by_a_new_gram(self):
+        _, table, _, design = poisson_instance(31, n=14, p=3, n_covariates=2)
+        mle = bl.fit_mle(design, table.response)
+        weights = bl.adaptive_weights(mle, design.penalized_mask)
+        solver = _PenalizedSolver(design, table.response, design.spec.family, weights)
+        lam = 0.3 * solver.lambda_max(solver.restricted_fit()[0])
+        # (Gram builds, step halvings) so far, as each outer step starts its working solve
+        steps = []
+        solve_working = solver._solve_working
+
+        def spy(A, b, x, grad, thresholds, counts, kkt_tol):
+            steps.append((counts["gram_builds"], counts["step_halvings"]))
+            solve_working(A, b, x, grad, thresholds, counts, kkt_tol)
+
+        solver._solve_working = spy
+        _, info, _ = solver.solve(lam, np.zeros(design.n_columns))  # a poor start
+        assert info["converged"] and info["step_halvings"] >= 1
+        assert steps[0][0] == 1 and len(steps) == info["iterations"]
+        for (grams, halvings), (next_grams, next_halvings) in zip(steps, steps[1:]):
+            if next_halvings > halvings:  # this step halved
+                assert next_grams == grams + 1
+        assert info["gram_builds"] < info["iterations"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_working_solve_leaves_no_coordinate_move(self, seed):
+        _, table, _, design = bernoulli_instance(43, n=40, p=5, node_scale=0.5)
+        mle = bl.fit_mle(design, table.response)
+        weights = bl.adaptive_weights(mle, design.penalized_mask)
+        solver = _PenalizedSolver(design, table.response, design.spec.family, weights)
+        beta = solver.restricted_fit()[0]
+        mu = solver.data.evaluate(solver.data.X @ beta)[0]
+        A, b = solver.coding.gram(*solver.data.working(solver.data.X @ beta, mu))
+        thresholds = 0.05 * solver.lambda_max(beta) * weights[solver.cols]
+        # a poor active set: random penalized coefficients, half of them zero
+        rng = np.random.default_rng(seed)
+        x, pen = solver.coding.to_reference(beta), solver.pen_pos
+        x[pen] = rng.normal(size=len(pen)) * (rng.random(len(pen)) < 0.5)
+        grad = b - A @ x
+        solver._solve_working(A, b, x, grad, thresholds, _step_counts(), 1e-6)
+        assert np.abs(grad - (b - A @ x)).max() < 1e-9
+        # the first move of a cyclic pass, with the scalar soft threshold
+        moves = [abs(soft_threshold(grad[k] + A[k, k] * x[k], thresholds[k]) / A[k, k] - x[k])
+                 * A[k, k] for k in pen]
+        assert max(moves) <= 0.05 * 1e-6
+        assert solver._largest_move(A, x, grad, thresholds) == pytest.approx(max(moves),
+                                                                              abs=1e-12)
+        assert np.abs(grad[solver.unpen_pos]).max() < 1e-9
+
+
+class TestFactorReuse:
+    def solver(self):
+        _, table, _, design = bernoulli_instance(37, n=8, p=2)
+        return _PenalizedSolver(design, table.response, design.spec.family,
+                                np.where(design.penalized_mask, 1.0, 0.0))
+
+    def test_jittered_or_least_squares_solves_are_never_kept(self):
+        solver = self.solver()
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(12, 3))
+        X = np.column_stack([X, X[:, 0] + X[:, 1]])
+        # rank 3 of 4: certified only with a jitter; minus a 150 x 150
+        # all-ones matrix: not even the largest jitter makes it definite
+        for A, fallback in [(X.T @ X, "jitter_escalations"),
+                            (-np.ones((150, 150)), "lstsq_fallbacks")]:
+            sel, rhs = np.arange(len(A)), rng.normal(size=len(A))
+            counts = _step_counts()
+            for use in (1, 2, 3):
+                solver._factored_solve(A, rhs, sel, counts)
+                assert counts["factorizations"] == use
+                assert counts[fallback] >= use
+            assert solver._factor is None
+
+    def test_one_certified_factor_is_reused_for_its_selection(self):
+        solver = self.solver()
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(20, 5))
+        A, rhs = X.T @ X, rng.normal(size=5)
+        counts = _step_counts()
+        for sel, misses in [([0, 1, 2, 3, 4], 1), ([0, 1, 2, 3, 4], 1), ([0, 2, 4], 2),
+                            ([0, 2, 4], 2), ([0, 1, 2, 3, 4], 3)]:
+            sel = np.array(sel)
+            y = solver._factored_solve(A, rhs[sel], sel, counts)
+            assert counts["factorizations"] == misses
+            assert np.abs(A[np.ix_(sel, sel)] @ y - rhs[sel]).max() < 1e-10
+        assert counts["jitter_escalations"] == counts["lstsq_fallbacks"] == 0
 
 
 class TestSelect:
