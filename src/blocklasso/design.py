@@ -175,14 +175,6 @@ class DesignMatrix:
             raise ValueError(f"expected {self.n_columns} coefficients")
         return self.matrix @ coefficients
 
-    def expand_node_effects(self, coefficients) -> np.ndarray:
-        """Full length-n node-effect vector; the folded last entry is
-        minus the sum of the free ones, so the vector sums to zero."""
-        return effect_levels(coefficients, self.groups, GROUP_NODE)
-
-    def expand_block_effects(self, coefficients) -> np.ndarray:
-        return effect_levels(coefficients, self.groups, GROUP_BLOCK)
-
     def interaction_matrix(self, coefficients) -> np.ndarray:
         """Symmetric p-by-p block-interaction matrix implied by a fit."""
         idx = self.group_indices(GROUP_INTERACTION)

@@ -1,34 +1,42 @@
-"""Maximum-likelihood fitting of the blockmodel GLMs.
+"""Maximum-likelihood fitting of the blockmodel GLMs, and the outer loop
+that every fit runs.
 
-Both families are fit by iteratively reweighted least squares with a
-step-halving line search on the exact log-likelihood. Inside the solver,
-node and block effects are coded by reference (``ReferenceCoding``), so
-each dyad has at most two effect entries. Each step builds X'WX and X'Wz
-once in that coding (``ReferenceCoding.gram``, shared with the penalized
-solver; it sums the working weights per node pair and per block pair
-instead of forming a sparse product) and solves the normal equations by
-a direct Cholesky factorization, so a fit is deterministic for a fixed
-input. The factorization is called from LAPACK directly (``potrf`` and
-``potrs`` on the upper triangle), with the reciprocal condition number
-in the 1-norm estimated by ``pocon``. The proposal is mapped back to
-the sum-to-zero coding in O(q); the line search, the separation test
-and the score test run on the public design. Columns flagged
-inestimable by the encoder are held at zero. A system that is not
-positive definite, or whose condition estimate is below machine epsilon
-(where ``scipy.linalg.solve(assume_a="pos")`` would raise or warn), gets
-an escalating diagonal jitter and, as a last resort, a least-squares
-solve; these fallbacks and the line search's step halvings are counted
-in ``FitResult.diagnostics`` (``jitter_escalations``,
-``lstsq_fallbacks``, ``step_halvings``), next to the work done
-(``gram_builds``, ``factorizations``). The solve hands back the
-Cholesky factor it certified, unless it needed a jitter or the
+Every fit, here and in ``penalty``, is one Newton-type iteration,
+``_outer_loop``: it owns the start evaluation, the Gram builds, the
+step-halving line search on the exact objective, the counters and the
+result, and its callers pass in what differs. IRLS (``_irls``, for
+``fit_mle`` and the restricted fit of a path) passes a Cholesky solve of
+the normal equations, no penalty (or the separation ridge), a test on
+``LL_TOL`` with the score bound and the separation test, a new Gram at
+every step, and a search that accepts a step at most 1e-13 (relative)
+worse and gives up after 30 halvings (cause ``"no_progress"``).
+
+Inside the solver, node and block effects are coded by reference
+(``ReferenceCoding``), so each dyad has at most two effect entries. Each
+step builds X'WX and X'Wz once in that coding (``ReferenceCoding.gram``,
+shared with the penalized solver; it sums the working weights per node
+pair and per block pair instead of forming a sparse product) and solves
+the normal equations by a direct Cholesky factorization, so a fit is
+deterministic for a fixed input. The factorization is called from LAPACK
+directly (``potrf`` and ``potrs`` on the upper triangle), with the
+reciprocal condition number in the 1-norm estimated by ``pocon``. The
+proposal is mapped back to the sum-to-zero coding in O(q); the line
+search, the separation test and the score test run on the public design.
+Columns flagged inestimable by the encoder are held at zero. A system
+that is not positive definite, or whose condition estimate is below
+machine epsilon (where ``scipy.linalg.solve(assume_a="pos")`` would
+raise or warn), gets an escalating diagonal jitter and, as a last
+resort, a least-squares solve; these fallbacks and the line search's
+step halvings are counted in ``FitResult.diagnostics``
+(``jitter_escalations``, ``lstsq_fallbacks``, ``step_halvings``), next
+to the work done (``gram_builds``, ``factorizations``). The solve hands
+back the Cholesky factor it certified, unless it needed a jitter or the
 least-squares fallback, so that the penalized solver can reuse it for
-the chord steps of one penalty level (see ``penalty``). The mean and
-the log-likelihood kernel at a linear predictor come from one
-evaluation (``_CellData.evaluate``), which the line search, the score
-test and the next working weights share; the Bernoulli mean and
-log-partition function are both evaluated from ``exp(-|eta|)``, which
-cannot overflow.
+the chord steps of one penalty level (see ``penalty``). The mean and the
+log-likelihood kernel at a linear predictor come from one evaluation
+(``_CellData.evaluate``), which the line search, the score test and the
+next working weights share; the Bernoulli mean and log-partition
+function are both evaluated from ``exp(-|eta|)``, which cannot overflow.
 
 The solver evaluates one row per cell of the design (``DesignMatrix.cells``:
 dyads with identical design rows), with the cell's response total and
@@ -183,18 +191,6 @@ def _step_counts() -> dict[str, int]:
     return {"gram_builds": 0, "factorizations": 0, **_fallback_counts()}
 
 
-@dataclass
-class _IrlsResult:
-    beta: np.ndarray
-    log_likelihood: float
-    iterations: int
-    converged: bool
-    score_max: float
-    score_bound: float
-    cause: str | None
-    fallbacks: dict[str, int]
-
-
 def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray,
                             fallbacks: dict) -> tuple[np.ndarray, np.ndarray | None]:
     """Cholesky solve of a positive semidefinite system (LAPACK potrf and
@@ -239,75 +235,140 @@ def _initial_beta(data: _CellData, coding: ReferenceCoding) -> np.ndarray:
     return beta
 
 
-def _irls(data: _CellData, coding: ReferenceCoding, *, ridge: float = 0.0,
-          max_iter: int = MAX_ITERATIONS, ll_tol: float = LL_TOL, score_tol: float = SCORE_TOL,
-          detect_separation: bool = True) -> _IrlsResult:
-    """IRLS with step halving on the columns of ``coding`` (all treated
-    free); returns full-length public coefficients."""
-    X, cols = data.X, coding.cols
-    score_bound = score_tol * (1.0 + float(np.abs((data.XT @ data.y)[cols]).max(initial=0.0)))
+@dataclass(frozen=True)
+class _LineSearch:
+    """Step halving on the objective of an outer loop. A point is accepted
+    when its objective is at most ``slack * (1 + |objective|)`` above the
+    current one. After ``halvings`` halvings a search that found no such
+    point either gives up, which stops the fit with cause
+    ``"no_progress"``, or keeps its last point."""
+
+    slack: float
+    halvings: int
+    give_up: bool
+
+
+_IRLS_SEARCH = _LineSearch(slack=1e-13, halvings=30, give_up=True)
+
+
+@dataclass
+class _Solve:
+    """The end of an outer loop: the coefficients with their cell means,
+    log-likelihood kernel and public score, and how the loop got there."""
+
+    beta: np.ndarray
+    mu: np.ndarray
+    kernel: float
+    score: np.ndarray
+    iterations: int
+    converged: bool
+    cause: str | None
+    counts: dict[str, int]
+
+
+def _outer_loop(data: _CellData, coding: ReferenceCoding, beta: np.ndarray, *, penalty,
+                working_solve, stop, search: _LineSearch, max_iter: int) -> _Solve:
+    """The Newton-type outer iteration of every fit: the MLE, the restricted
+    fit and each penalized fit differ only in what they pass in.
+
+    Each step builds the Gram ``A, b`` of the working problem at the
+    current coefficients, unless the last call of ``stop`` asked to keep
+    it: a chord step keeps ``A`` and takes the exact score here as its
+    gradient, ``b = A x + grad`` in solver coding.
+    ``working_solve(A, b, x, grad, counts)`` returns the new solver
+    coefficients from the current ones ``x``; ``grad`` is None on a new
+    Gram. The step is then halved under ``search`` on the objective
+    ``penalty(beta) - loglik(beta)``. ``stop(beta, score, objective,
+    change, halved, fresh)`` sees the accepted point with its public
+    score, the objective and its change, whether the step was halved and
+    whether it used a new Gram; it returns ``(stopped, cause, refresh)``,
+    a stop with cause None being convergence. A loop that reaches
+    ``max_iter`` steps stops with cause ``"max_iterations"``.
+    """
+    X, lyf = data.X, data.log_y_factorial
+    eta = X @ beta
+    mu, kernel = data.evaluate(eta)
+    objective = penalty(beta) - (kernel - lyf)
+    counts = _step_counts()
+    score = None
+    converged, fresh = False, True
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
+        x = coding.to_reference(beta)
+        if fresh:
+            A, b = coding.gram(*data.working(eta, mu))
+            counts["gram_builds"] += 1
+            grad = None
+        else:
+            # a chord step: the kept Gram with the exact score here
+            grad = coding.score_to_reference(score)
+            b = A @ x + grad
+        candidate = coding.to_public(working_solve(A, b, x, grad, counts))
+
+        for halvings in range(search.halvings + 1):
+            if halvings:
+                candidate = 0.5 * (beta + candidate)
+                counts["step_halvings"] += 1
+            eta_try = X @ candidate
+            mu_try, kernel_try = data.evaluate(eta_try)
+            obj_try = penalty(candidate) - (kernel_try - lyf)
+            accepted = obj_try <= objective + search.slack * (1.0 + abs(objective))
+            if accepted:
+                break
+        if not accepted and search.give_up:
+            cause = "no_progress"
+            break
+
+        change = obj_try - objective
+        beta, eta, mu, kernel, objective = candidate, eta_try, mu_try, kernel_try, obj_try
+        score = data.score(mu)
+        stopped, cause, fresh = stop(beta, score, objective, change, halvings > 0, fresh)
+        if stopped:
+            converged = cause is None
+            break
+    else:
+        cause = "max_iterations"
+
+    return _Solve(beta=beta, mu=mu, kernel=kernel,
+                  score=data.score(mu) if score is None else score, iterations=iteration,
+                  converged=converged, cause=cause, counts=counts)
+
+
+def _irls(data: _CellData, coding: ReferenceCoding, score_bound: float, *,
+          ridge: float = 0.0, max_iter: int = MAX_ITERATIONS) -> _Solve:
+    """IRLS on the columns of ``coding`` (all treated free) from the
+    intercept-only start, through :func:`_outer_loop` (see the module
+    docstring). It converges when the log-likelihood changes by at most
+    ``LL_TOL`` (relative) and the score over the columns is within
+    ``score_bound``."""
+    cols = coding.cols
     if ridge:
         # the ridge is on the public coefficients M x, M the map from
         # the solver coding over ``cols``
         M = np.column_stack([coding.to_public(e)[cols] for e in np.eye(len(cols))])
         ridge_gram = 2.0 * ridge * (M.T @ M)
-    beta = _initial_beta(data, coding)
-    eta = X @ beta
-    mu, kernel = data.evaluate(eta)
-    objective = kernel - data.log_y_factorial - ridge * float(beta @ beta)
-    cause: str | None = "max_iterations"
-    converged = False
-    iterations = 0
-    fallbacks = _step_counts()
+    separable = ridge == 0.0 and data.family == "bernoulli_logit"
 
-    for iterations in range(1, max_iter + 1):
-        A, rhs = coding.gram(*data.working(eta, mu))
-        fallbacks["gram_builds"] += 1
+    def working_solve(A, b, x, grad, counts):
         if ridge:
             A += ridge_gram
-        fallbacks["factorizations"] += 1
-        proposal = coding.to_public(_solve_normal_equations(A, rhs, fallbacks)[0])
+        counts["factorizations"] += 1
+        return _solve_normal_equations(A, b, counts)[0]
 
-        accepted = None
-        candidate = proposal
-        for _ in range(31):
-            eta_try = X @ candidate
-            mu_try, kernel_try = data.evaluate(eta_try)
-            obj_try = kernel_try - data.log_y_factorial - ridge * float(candidate @ candidate)
-            if obj_try >= objective - 1e-13 * (1.0 + abs(objective)):
-                accepted = (candidate, eta_try, mu_try, kernel_try, obj_try)
-                break
-            candidate = 0.5 * (beta + candidate)
-            fallbacks["step_halvings"] += 1
-        if accepted is None:
-            cause = "no_progress"
-            break
-        delta = accepted[-1] - objective
-        beta, eta, mu, kernel, objective = accepted
+    def stop(beta, score, objective, change, halved, fresh):
+        # ``change`` is that of -loglik (plus the ridge), so a climbing
+        # likelihood has change < 0
+        if (separable and float(np.abs(beta).max(initial=0.0)) > SEPARATION_BOUND
+                and -change > 1e-8 * (1.0 + abs(objective))):
+            return True, "separation", True
+        score_max = float(np.abs(score[cols] - 2.0 * ridge * beta[cols]).max(initial=0.0))
+        converged = abs(change) <= LL_TOL * (1.0 + abs(objective)) and score_max <= score_bound
+        return converged, None, True
 
-        if (detect_separation and data.family == "bernoulli_logit" and ridge == 0.0
-                and float(np.abs(beta).max(initial=0.0)) > SEPARATION_BOUND
-                and delta > 1e-8 * (1.0 + abs(objective))):
-            cause = "separation"
-            break
-
-        score = data.score(mu)[cols] - 2.0 * ridge * beta[cols]
-        score_max = float(np.abs(score).max(initial=0.0))
-        if abs(delta) <= ll_tol * (1.0 + abs(objective)) and score_max <= score_bound:
-            converged = True
-            cause = None
-            break
-
-    return _IrlsResult(
-        beta=beta,
-        log_likelihood=kernel - data.log_y_factorial,
-        iterations=iterations,
-        converged=converged,
-        score_max=float(np.abs(data.score(mu)[cols]).max(initial=0.0)),
-        score_bound=score_bound,
-        cause=cause,
-        fallbacks=fallbacks,
-    )
+    return _outer_loop(data, coding, _initial_beta(data, coding),
+                       penalty=lambda beta: ridge * float(beta @ beta),
+                       working_solve=working_solve, stop=stop, search=_IRLS_SEARCH,
+                       max_iter=max_iter)
 
 
 @dataclass
@@ -424,16 +485,15 @@ def read_fit_json(path) -> FitResult:
     return FitResult.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def assemble_fit(data: _CellData, beta: np.ndarray, *, converged: bool, iterations: int,
-                 diagnostics: dict, fitted_values: bool = True,
-                 evaluation: tuple[np.ndarray, float] | None = None) -> FitResult:
-    """Build a :class:`FitResult` from a full-length coefficient vector;
-    the fitted values, when kept, are expanded from the cells back to
-    the dyads. ``evaluation``, when given, is ``data.evaluate`` at the
-    linear predictor of ``beta``, which a solver has already made."""
+def assemble_fit(data: _CellData, solve: _Solve, diagnostics: dict,
+                 fitted_values: bool = True) -> FitResult:
+    """Build a :class:`FitResult` from the end of an outer loop; the
+    diagnostics gain the loop's counters and its cause. The fitted
+    values, when kept, are expanded from the cells back to the dyads."""
     design = data.design
-    mu, kernel = data.evaluate(data.X @ beta) if evaluation is None else evaluation
-    diagnostics = dict(diagnostics)
+    diagnostics = {**diagnostics, **solve.counts}
+    if solve.cause:
+        diagnostics["cause"] = solve.cause
     diagnostics.setdefault(
         "fixed_zero",
         [design.column_names[k] for k in np.flatnonzero(design.inestimable)],
@@ -441,13 +501,13 @@ def assemble_fit(data: _CellData, beta: np.ndarray, *, converged: bool, iteratio
     return FitResult(
         family=data.family,
         column_names=design.column_names,
-        coefficients=np.asarray(beta, dtype=np.float64),
-        log_likelihood=kernel - data.log_y_factorial,
-        deviance=2.0 * (data.saturated - kernel),
-        converged=converged,
-        iterations=iterations,
-        fitted_values=mu[design.cells.inverse] if fitted_values else None,
-        block_interactions=design.interaction_matrix(beta),
+        coefficients=np.asarray(solve.beta, dtype=np.float64),
+        log_likelihood=solve.kernel - data.log_y_factorial,
+        deviance=2.0 * (data.saturated - solve.kernel),
+        converged=solve.converged,
+        iterations=solve.iterations,
+        fitted_values=solve.mu[design.cells.inverse] if fitted_values else None,
+        block_interactions=design.interaction_matrix(solve.beta),
         block_labels=design.block_labels,
         node_ids=design.node_ids,
         groups=design.groups,
@@ -456,20 +516,18 @@ def assemble_fit(data: _CellData, beta: np.ndarray, *, converged: bool, iteratio
 
 
 def fit_mle(design: DesignMatrix, response, family: str | None = None, *,
-            max_iter: int = MAX_ITERATIONS, exclude: np.ndarray | None = None) -> FitResult:
+            max_iter: int = MAX_ITERATIONS) -> FitResult:
     """Maximum-likelihood fit by IRLS with step halving.
 
     A converged result satisfies the score condition
     ``max|X'(y - fitted)| <= 1e-6 * (1 + max|X'y|)``. Non-convergence is
     reported through ``converged``/``diagnostics``, not an exception.
-    ``exclude`` optionally forces extra columns to zero.
     """
     data = _CellData(design, response, family or design.spec.family)
-    active = ~design.inestimable
-    if exclude is not None:
-        active &= ~np.asarray(exclude, dtype=bool)
-    coding = ReferenceCoding(design, np.flatnonzero(active))
-    result = _irls(data, coding, max_iter=max_iter)
+    coding = ReferenceCoding(design, np.flatnonzero(~design.inestimable))
+    cols = coding.cols
+    score_bound = SCORE_TOL * (1.0 + float(np.abs((data.XT @ data.y)[cols]).max(initial=0.0)))
+    result = _irls(data, coding, score_bound, max_iter=max_iter)
     ridge_used = 0.0
     if result.cause == "separation":
         warnings.warn(
@@ -479,20 +537,15 @@ def fit_mle(design: DesignMatrix, response, family: str | None = None, *,
             RuntimeWarning,
             stacklevel=2,
         )
-        stabilized = _irls(data, coding, ridge=SEPARATION_RIDGE, max_iter=max_iter,
-                           detect_separation=False)
+        stabilized = _irls(data, coding, score_bound, ridge=SEPARATION_RIDGE, max_iter=max_iter)
         ridge_used = SEPARATION_RIDGE
-        fallbacks = {k: v + stabilized.fallbacks[k] for k, v in result.fallbacks.items()}
+        counts = {k: v + stabilized.counts[k] for k, v in result.counts.items()}
         result = replace(stabilized, iterations=result.iterations + stabilized.iterations,
-                         converged=False, cause="separation", fallbacks=fallbacks)
+                         converged=False, cause="separation", counts=counts)
 
     diagnostics = {
-        "score_max": result.score_max,
-        "score_bound": result.score_bound,
+        "score_max": float(np.abs(result.score[cols]).max(initial=0.0)),
+        "score_bound": score_bound,
         "ridge": ridge_used,
-        **result.fallbacks,
     }
-    if result.cause:
-        diagnostics["cause"] = result.cause
-    return assemble_fit(data, result.beta, converged=result.converged,
-                        iterations=result.iterations, diagnostics=diagnostics)
+    return assemble_fit(data, result, diagnostics)

@@ -9,7 +9,6 @@ invariant to the row order of the input files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -397,9 +396,6 @@ class ValidationReport:
             lines.append(f"PROBLEM: {problem}")
         lines.append("status: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def validate(graph: Graph, partition: Partition) -> ValidationReport:

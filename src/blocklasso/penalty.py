@@ -6,16 +6,23 @@ model spec asks for it); the intercept and node/block effects are never
 shrunk and are refit without penalty at every grid point. Weights come
 from a converged reference fit as ``w_j = |ref_j| ** -gamma_w``; a
 reference coefficient below 1e-10 in magnitude gets an infinite weight,
-freezing that coefficient at zero.
+freezing that coefficient at zero. A weight of zero on a penalized
+column is refused before any fit.
 
 Solver: penalized IRLS on the cells of the design (dyads with identical
 design rows, weighted by their count; see ``glm``; designs with node
 effects have one cell per dyad), with node and block effects coded by
 reference inside it (``ReferenceCoding``; the penalized columns are
-unchanged). Each outer step solves a working problem on a Gram matrix
-A = X'WX and b in covariance mode (Friedman, Hastie & Tibshirani 2010,
-J. Stat. Softw. 33(1), section 2.2): cyclic coordinate-descent
-soft-thresholding over the penalized columns (fixed column order) keeps
+unchanged). It runs the outer loop of ``glm`` (``_outer_loop``), as the
+restricted fit does through ``glm._irls``, and passes in the working
+solve below, the penalty term, the KKT stopping test with its refresh
+rule, and a line search that accepts a step at most 1e-9 (relative)
+worse and keeps its last point after 10 halvings; a solve stops after
+``MAX_OUTER`` (200) steps. Each outer step solves a working problem on
+a Gram matrix A = X'WX and b in covariance mode (Friedman, Hastie &
+Tibshirani 2010, J. Stat. Softw. 33(1), section 2.2): cyclic
+coordinate-descent soft-thresholding over the penalized columns (fixed
+column order) keeps
 the gradient b - A beta current with one row of A per move, and a
 sign-restricted direct solve on A over the unpenalized block plus the
 current active set polishes the smooth part to machine precision. A
@@ -29,8 +36,10 @@ zero crossing, so they are exact and downstream sign counts need no
 cutoff. Convergence is declared on the exact-likelihood KKT conditions:
 ``score_j = lam * w_j * sign(beta_j)`` for active penalized columns,
 ``|score_j| <= lam * w_j`` for inactive ones, and ``score_j = 0`` for
-unpenalized columns, all within ``kkt_tol``. Reported log-likelihoods
-and BIC values (with ``log(#dyads)``) are per dyad.
+unpenalized columns, all within ``KKT_TOL`` (1e-6); a solve whose KKT
+violation fails to fall by 1% over 15 steps stops with cause
+``"stalled"``. Reported log-likelihoods and BIC values (with
+``log(#dyads)``) are per dyad.
 
 Chord steps: the outer steps of one solve are simplified-Newton steps
 (proximal Newton with an inexact Hessian; Lee, Sun & Saunders 2014,
@@ -80,8 +89,10 @@ from .glm import (
     FitResult,
     _CellData,
     _irls,
+    _LineSearch,
+    _outer_loop,
+    _Solve,
     _solve_normal_equations,
-    _step_counts,
     assemble_fit,
 )
 
@@ -102,6 +113,9 @@ __all__ = [
 ZERO_REFERENCE = 1e-10
 KKT_TOL = 1e-6
 MAX_OUTER = 200
+# a step that raises the objective is halved up to ten times, and the
+# last point is kept; the KKT test then decides
+_PATH_SEARCH = _LineSearch(slack=1e-9, halvings=10, give_up=False)
 
 
 @dataclass
@@ -174,6 +188,11 @@ class _PenalizedSolver:
             raise ValueError("penalty weights must be nonnegative")
         if np.any((weights > 0) & ~design.penalized_mask):
             raise ValueError("positive penalty weight on an unpenalized column")
+        unweighted = np.flatnonzero((weights == 0) & design.penalized_mask)
+        if len(unweighted):
+            names = ", ".join(design.column_names[k] for k in unweighted)
+            raise ValueError(f"zero penalty weight on penalized column(s) {names}; "
+                             "a penalized weight must be positive, or inf to hold it at zero")
         self.weights = weights
 
         free = ~design.inestimable
@@ -194,43 +213,26 @@ class _PenalizedSolver:
 
     # -- restricted problem (penalized block forced to zero) ------------
 
-    def restricted_fit(self, kkt_tol: float = KKT_TOL):
-        data = self.data
-        score_scale = 1.0 + float(np.abs((data.XT @ data.y)[self.unpen_idx]).max(initial=0.0))
-        result = _irls(data, ReferenceCoding(self.design, self.unpen_idx),
-                       max_iter=200, score_tol=kkt_tol / score_scale)
-        return result.beta, result
+    def restricted_fit(self) -> _Solve:
+        return _irls(self.data, ReferenceCoding(self.design, self.unpen_idx), KKT_TOL,
+                     max_iter=MAX_OUTER)
 
     def lambda_max(self, beta_restricted: np.ndarray) -> float:
         score = self._score(beta_restricted)[self.pen_idx]
         return float((np.abs(score) / self.weights[self.pen_idx]).max(initial=0.0))
-
-    def restricted_point(self, beta: np.ndarray, restricted, lam: float, kkt_tol: float,
-                         fitted_values: bool = False) -> FitResult:
-        """The restricted fit as the fit at ``lam >= lambda_max``, where
-        its zeros satisfy the KKT conditions exactly; it reports its own
-        convergence and counts."""
-        evaluation = self.data.evaluate(self.data.X @ beta)
-        info = {"lambda": float(lam),
-                "kkt_max": self.kkt_violation(beta, lam, self.data.score(evaluation[0])),
-                "kkt_tol": kkt_tol, "iterations": restricted.iterations,
-                "converged": restricted.converged, **restricted.fallbacks}
-        if restricted.cause:
-            info["cause"] = restricted.cause
-        return self.assemble(beta, info, evaluation, fitted_values)
 
     # -- penalized objective and optimality ------------------------------
 
     def _score(self, beta: np.ndarray) -> np.ndarray:
         return self.data.score(self.data.evaluate(self.data.X @ beta)[0])
 
-    def objective(self, beta: np.ndarray, lam: float, kernel: float | None = None) -> float:
-        """The penalized objective; ``kernel`` is the log-likelihood kernel
-        at ``beta`` when the caller has it."""
-        if kernel is None:
-            kernel = self.data.evaluate(self.data.X @ beta)[1]
-        penalty = float(np.sum(self.weights[self.pen_idx] * np.abs(beta[self.pen_idx])))
-        return -(kernel - self.data.log_y_factorial) + lam * penalty
+    def penalty(self, beta: np.ndarray, lam: float) -> float:
+        return lam * float(np.sum(self.weights[self.pen_idx] * np.abs(beta[self.pen_idx])))
+
+    def objective(self, beta: np.ndarray, lam: float) -> float:
+        """The penalized objective ``-loglik + penalty``."""
+        kernel = self.data.evaluate(self.data.X @ beta)[1]
+        return self.penalty(beta, lam) - (kernel - self.data.log_y_factorial)
 
     def kkt_violation(self, beta: np.ndarray, lam: float, score=None) -> float:
         """Largest KKT violation at ``beta``; ``score`` is the public score
@@ -313,7 +315,7 @@ class _PenalizedSolver:
             x[sel] = stepped
         grad[:] = b - A @ x
 
-    def _solve_working(self, A, b, x, grad, thresholds, counts: dict, kkt_tol: float) -> None:
+    def _solve_working(self, A, b, x, grad, thresholds, counts: dict) -> None:
         """Solve the working problem on (A, b) from ``x`` (in place) to a
         fraction of the exact KKT tolerance; the outer loop checks the
         exact conditions.
@@ -329,109 +331,65 @@ class _PenalizedSolver:
         self._coordinate_pass(A, x, grad, thresholds, entering)
         for _ in range(40):
             self._polish_active_set(A, b, x, grad, thresholds, counts)
-            if self._largest_move(A, x, grad, thresholds) <= 0.05 * kkt_tol:
+            if self._largest_move(A, x, grad, thresholds) <= 0.05 * KKT_TOL:
                 break
             self._coordinate_pass(A, x, grad, thresholds, pen)
 
     # -- main solve -------------------------------------------------------
 
-    def solve(self, lam: float, beta_start: np.ndarray, *,
-              max_outer: int = MAX_OUTER, kkt_tol: float = KKT_TOL):
-        """Penalized IRLS from ``beta_start`` with chord steps (see the
-        module docstring). Returns the coefficients, the convergence
-        diagnostics and ``data.evaluate`` at the coefficients."""
+    def solve(self, lam: float, beta_start: np.ndarray, fitted_values: bool = False) -> FitResult:
+        """The fit at ``lam`` by penalized IRLS with chord steps from
+        ``beta_start``, through ``glm._outer_loop`` (see the module
+        docstring)."""
         if lam < 0:
             raise ValueError("lambda must be nonnegative")
-        data, coding = self.data, self.coding
         thresholds = lam * self.weights[self.cols]
         beta = np.array(beta_start, dtype=np.float64)
         beta[self.fixed_idx] = 0.0
-        eta = data.X @ beta
-        mu, kernel = data.evaluate(eta)
-        objective = self.objective(beta, lam, kernel)
-        converged = False
-        cause = "max_iterations"
-        best_kkt = np.inf
+        kkt = best_kkt = np.inf
         stale = 0
-        kkt = np.inf
-        outer = 0
-        counts = _step_counts()
-        fresh = True  # build a new Gram for the next step
-        score = None
 
-        for outer in range(1, max_outer + 1):
-            x = coding.to_reference(beta)
-            if fresh:
-                A, b = coding.gram(*data.working(eta, mu))
-                counts["gram_builds"] += 1
+        def working_solve(A, b, x, grad, counts):
+            if grad is None:  # a new Gram: the kept factor is stale
                 self._factor = None
                 grad = b - A @ x
-            else:
-                # a chord step: the kept Gram with the exact score here
-                grad = coding.score_to_reference(score)
-                b = A @ x + grad
-            self._solve_working(A, b, x, grad, thresholds, counts, kkt_tol)
-            beta_prev, beta = beta, coding.to_public(x)
+            self._solve_working(A, b, x, grad, thresholds, counts)
+            return x
 
-            eta_new = data.X @ beta
-            mu_new, kernel_new = data.evaluate(eta_new)
-            obj_new = self.objective(beta, lam, kernel_new)
-            halved = False
-            if obj_new > objective + 1e-9 * (1.0 + abs(objective)):
-                for _ in range(10):
-                    beta = 0.5 * (beta + beta_prev)
-                    counts["step_halvings"] += 1
-                    eta_new = data.X @ beta
-                    mu_new, kernel_new = data.evaluate(eta_new)
-                    obj_new = self.objective(beta, lam, kernel_new)
-                    halved = True
-                    if obj_new <= objective + 1e-9 * (1.0 + abs(objective)):
-                        break
-
-            delta_obj = abs(obj_new - objective)
-            eta, mu, kernel = eta_new, mu_new, kernel_new
-            score = data.score(mu)
+        def stop(beta, score, objective, change, halved, fresh):
+            nonlocal kkt, best_kkt, stale
             kkt_prev, kkt = kkt, self.kkt_violation(beta, lam, score)
-            finished = (kkt <= kkt_tol and not halved
-                        and delta_obj <= 1e-10 * (1.0 + abs(obj_new)))
-            objective = obj_new
-            if finished:
-                converged = True
-                cause = None
-                break
+            if kkt <= KKT_TOL and not halved and abs(change) <= 1e-10 * (1.0 + abs(objective)):
+                return True, None, True
             if kkt < 0.99 * best_kkt:
                 best_kkt = kkt
                 stale = 0
             else:
                 stale += 1
                 if stale >= 15:
-                    cause = "stalled"
-                    break
+                    return True, "stalled", True
             # refresh rule: a new Gram after a halved step, or after a chord
             # step that cut the KKT violation less than tenfold
-            fresh = halved or (not fresh and kkt > 0.1 * kkt_prev)
+            return False, None, halved or (not fresh and kkt > 0.1 * kkt_prev)
 
-        info = {
-            "lambda": float(lam),
-            "kkt_max": float(kkt),
-            "kkt_tol": float(kkt_tol),
-            "iterations": outer,
-            "converged": converged,
-            **counts,
-        }
-        if cause:
-            info["cause"] = cause
-        return beta, info, (mu, kernel)
+        solve = _outer_loop(self.data, self.coding, beta,
+                            penalty=lambda beta: self.penalty(beta, lam),
+                            working_solve=working_solve, stop=stop, search=_PATH_SEARCH,
+                            max_iter=MAX_OUTER)
+        # every step ends in ``stop``, so ``kkt`` is that of the last point
+        return self.assemble(solve, lam, fitted_values, kkt)
 
-    def assemble(self, beta: np.ndarray, info: dict, evaluation=None,
-                 fitted_values: bool = False) -> FitResult:
-        """The fit of ``solve``; path fits keep no per-dyad fitted values."""
-        active = int(np.count_nonzero(beta[self.pen_idx]))
-        diagnostics = {k: v for k, v in info.items() if k not in ("converged", "iterations")}
-        diagnostics.update(active_set_size=active, df=active + len(self.unpen_idx))
-        return assemble_fit(self.data, beta, converged=info["converged"],
-                            iterations=info["iterations"], diagnostics=diagnostics,
-                            fitted_values=fitted_values, evaluation=evaluation)
+    def assemble(self, solve: _Solve, lam: float, fitted_values: bool = False,
+                 kkt: float | None = None) -> FitResult:
+        """The fit at ``lam`` that ``solve`` (or the restricted fit, at
+        ``lam >= lambda_max``) ended in, with ``kkt`` its KKT violation
+        when the caller has it; path fits keep no per-dyad fitted values."""
+        if kkt is None:
+            kkt = self.kkt_violation(solve.beta, lam, solve.score)
+        active = int(np.count_nonzero(solve.beta[self.pen_idx]))
+        diagnostics = {"lambda": float(lam), "kkt_max": float(kkt), "kkt_tol": KKT_TOL,
+                       "active_set_size": active, "df": active + len(self.unpen_idx)}
+        return assemble_fit(self.data, solve, diagnostics, fitted_values)
 
 
 def _solver(design: DesignMatrix, response, family: str | None, weights) -> _PenalizedSolver:
@@ -440,12 +398,11 @@ def _solver(design: DesignMatrix, response, family: str | None, weights) -> _Pen
     return _PenalizedSolver(design, response, family or design.spec.family, weights)
 
 
-def restricted_fit(design: DesignMatrix, response, family: str | None = None, *,
-                   kkt_tol: float = KKT_TOL) -> np.ndarray:
+def restricted_fit(design: DesignMatrix, response, family: str | None = None) -> np.ndarray:
     """Coefficients of the fit with every penalized column held at zero,
-    where each path starts; its unpenalized score is within ``kkt_tol``
+    where each path starts; its unpenalized score is within ``KKT_TOL``
     of zero when it converges."""
-    return _solver(design, response, family, None).restricted_fit(kkt_tol)[0]
+    return _solver(design, response, family, None).restricted_fit().beta
 
 
 def lambda_max(design: DesignMatrix, response, weights, restricted,
@@ -470,8 +427,8 @@ def penalized_objective(design: DesignMatrix, response, weights, lam: float, coe
 
 
 def fit_penalized(design: DesignMatrix, response, family: str | None = None,
-                  weights=None, lam: float = 0.0, *, beta_start: np.ndarray | None = None,
-                  max_outer: int = MAX_OUTER, kkt_tol: float = KKT_TOL) -> FitResult:
+                  weights=None, lam: float = 0.0, *,
+                  beta_start: np.ndarray | None = None) -> FitResult:
     """Penalized fit at a single penalty level.
 
     ``weights`` is the full-length vector from :func:`adaptive_weights`.
@@ -483,13 +440,11 @@ def fit_penalized(design: DesignMatrix, response, family: str | None = None,
     """
     solver = _solver(design, response, family, weights)
     if beta_start is None:
-        beta_start, restricted = solver.restricted_fit(kkt_tol=kkt_tol)
-        if lam >= solver.lambda_max(beta_start):
-            return solver.restricted_point(beta_start, restricted, lam, kkt_tol,
-                                           fitted_values=True)
-    beta, info, evaluation = solver.solve(lam, beta_start, max_outer=max_outer,
-                                          kkt_tol=kkt_tol)
-    return solver.assemble(beta, info, evaluation, fitted_values=True)
+        restricted = solver.restricted_fit()
+        if lam >= solver.lambda_max(restricted.beta):
+            return solver.assemble(restricted, lam, fitted_values=True)
+        beta_start = restricted.beta
+    return solver.solve(lam, beta_start, fitted_values=True)
 
 
 @dataclass
@@ -545,8 +500,7 @@ def _predicted_start(beta: np.ndarray, beta_prev: np.ndarray, step: float,
 
 
 def lambda_path(design: DesignMatrix, response, family: str | None = None,
-                weights=None, grid_size: int = 100, grid_ratio: float = 1e-4, *,
-                kkt_tol: float = KKT_TOL) -> PathResult:
+                weights=None, grid_size: int = 100, grid_ratio: float = 1e-4) -> PathResult:
     """Fit the penalized model along a log-spaced penalty grid.
 
     The grid runs from ``lambda_max`` (the smallest penalty at which
@@ -568,15 +522,15 @@ def lambda_path(design: DesignMatrix, response, family: str | None = None,
     solver = _solver(design, response, family, weights)
     m = design.n_rows
 
-    beta_restricted, restricted = solver.restricted_fit(kkt_tol=kkt_tol)
+    restricted = solver.restricted_fit()
     degenerate = len(solver.pen_idx) == 0
-    lam_max = 0.0 if degenerate else solver.lambda_max(beta_restricted)
+    lam_max = 0.0 if degenerate else solver.lambda_max(restricted.beta)
     if degenerate:
         warnings.warn("all penalized weights are infinite; the path degenerates to "
                       "the unpenalized fit", RuntimeWarning, stacklevel=2)
     # the restricted fit is the top point
     if degenerate or lam_max <= 0.0:
-        fit = solver.restricted_point(beta_restricted, restricted, 0.0, kkt_tol)
+        fit = solver.assemble(restricted, 0.0)
         df = len(solver.unpen_idx)
         return PathResult(lambdas=np.array([0.0]), fits=[fit],
                           dfs=np.array([df]), bics=np.array([_bic(fit, df, m)]),
@@ -587,14 +541,13 @@ def lambda_path(design: DesignMatrix, response, family: str | None = None,
     else:
         lambdas = lam_max * grid_ratio ** (np.arange(grid_size) / (grid_size - 1))
 
-    fits = [solver.restricted_point(beta_restricted, restricted, lam_max, kkt_tol)]
+    fits = [solver.assemble(restricted, lam_max)]
     for k in range(1, len(lambdas)):
         start = fits[-1].coefficients
         if k >= 2:
             step = (lambdas[k] - lambdas[k - 1]) / (lambdas[k - 1] - lambdas[k - 2])
             start = _predicted_start(start, fits[-2].coefficients, step, design.penalized_mask)
-        beta, info, evaluation = solver.solve(float(lambdas[k]), start, kkt_tol=kkt_tol)
-        fits.append(solver.assemble(beta, info, evaluation))
+        fits.append(solver.solve(float(lambdas[k]), start))
 
     dfs = np.array([fit.diagnostics["df"] for fit in fits])
     bics = np.array([_bic(fit, int(df), m) for fit, df in zip(fits, dfs)])
@@ -640,6 +593,5 @@ def select(path: PathResult, rule: str = "bic", fixed_lambda: float | None = Non
         raise ValueError("path cannot refit off-grid penalties")
     nearest = int(np.argmin(np.abs(path.lambdas - lam)))
     solver = path._solver
-    beta, info, evaluation = solver.solve(lam, path.fits[nearest].coefficients.copy())
     path.selected_index = None
-    return solver.assemble(beta, info, evaluation)
+    return solver.solve(lam, path.fits[nearest].coefficients)

@@ -77,9 +77,6 @@ class ReducedGraph:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def edge_labels(self) -> list[tuple[str, str]]:
-        return [(self.blocks[r], self.blocks[s]) for r, s in self.edges]
-
     def to_json_dict(self) -> dict:
         return {
             "format": "reduced-graph",

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import blocklasso as bl
 from blocklasso.design import (GROUP_BLOCK, GROUP_INTERACTION, GROUP_NODE, ReferenceCoding,
-                               reconstruct_interactions)
+                               effect_levels, reconstruct_interactions)
 
 from helpers import bernoulli_instance, poisson_instance
 
@@ -15,8 +15,8 @@ def direct_predictor(design, partition, coefficients):
     explicitly constrained parameter vectors."""
     node_idx = {v: k for k, v in enumerate(design.node_ids)}
     blocks = partition.indices_for(design.node_ids)
-    alpha = design.expand_node_effects(coefficients)
-    gamma = design.expand_block_effects(coefficients)
+    alpha = effect_levels(coefficients, design.groups, GROUP_NODE)
+    gamma = effect_levels(coefficients, design.groups, GROUP_BLOCK)
     phi = design.interaction_matrix(coefficients)
     intercept = coefficients[design.column_names.index("intercept")]
     cov_idx = [k for k, g in enumerate(design.groups) if g == "covariate"]

@@ -6,6 +6,7 @@ import scipy.linalg
 from scipy.special import expit, xlogy
 
 import blocklasso as bl
+from blocklasso import glm
 from blocklasso.glm import SEPARATION_RIDGE, _CellData, _fallback_counts, _solve_normal_equations
 from helpers import bernoulli_instance, graph_from_weights, one_block_partition, poisson_instance
 from oracles import damped_newton, naive_log_likelihood
@@ -163,8 +164,25 @@ class TestFitMle:
     def test_non_convergence_reported_not_raised(self):
         _, table, _, design = bernoulli_instance(18, n=10, p=2)
         fit = bl.fit_mle(design, table.response, max_iter=1)
-        assert not fit.converged
+        assert fit.converged is False
         assert fit.diagnostics["cause"] == "max_iterations"
+        assert fit.iterations == 1
+
+    def test_no_progress_reported_not_raised(self, monkeypatch):
+        _, table, _, design = bernoulli_instance(18, n=10, p=2)
+        # every working solve proposes a point far worse than the start,
+        # so that even the thirtieth halving of the step is rejected
+        monkeypatch.setattr(glm, "_solve_normal_equations",
+                            lambda A, rhs, counts: (np.full(len(rhs), 1e12), None))
+        fit = bl.fit_mle(design, table.response)
+        assert fit.converged is False
+        assert fit.diagnostics["cause"] == "no_progress"
+        assert fit.iterations == 1
+        assert fit.diagnostics["step_halvings"] == 30
+        # the fit stays at its intercept-only start
+        assert fit.coefficients[0] != 0.0
+        assert np.all(fit.coefficients[1:] == 0.0)
+        assert fit.diagnostics["score_max"] > fit.diagnostics["score_bound"]
 
 
 class TestFallbackCounts:

@@ -1,9 +1,11 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 
 import blocklasso as bl
+from blocklasso import penalty
 from blocklasso.glm import ConvergenceError, _step_counts
 from blocklasso.penalty import _PenalizedSolver, soft_threshold
 
@@ -156,6 +158,20 @@ class TestFitPenalized:
             fast = bl.kkt_violation(design, table.response, weights, lam, other.coefficients)
             slow = kkt_violation(design, table.response, design.spec.family, weights, lam, other)
             assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
+
+    def test_zero_weight_on_a_penalized_column_rejected(self):
+        # a zero weight would make lambda_max infinite and the path fail
+        # inside LAPACK; it is refused before any fit, naming the column
+        _, table, _, design = bernoulli_instance(3, n=20, p=3)
+        weights = np.where(design.penalized_mask, 1.0, 0.0)
+        j = design.group_indices("interaction")[1]
+        weights[j] = 0.0
+        response, beta_r = table.response, bl.restricted_fit(design, table.response)
+        for call in (lambda: bl.lambda_path(design, response, weights=weights, grid_size=5),
+                     lambda: bl.fit_penalized(design, response, weights=weights, lam=0.1),
+                     lambda: bl.lambda_max(design, response, weights, beta_r)):
+            with pytest.raises(ValueError, match=re.escape(design.column_names[j])):
+                call()
 
     def test_negative_lambda_rejected(self):
         _, table, _, design = bernoulli_instance(37, n=8, p=2)
@@ -317,23 +333,23 @@ class TestChordSteps:
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
         solver = _PenalizedSolver(design, table.response, design.spec.family, weights)
-        lam = 0.3 * solver.lambda_max(solver.restricted_fit()[0])
+        lam = 0.3 * solver.lambda_max(solver.restricted_fit().beta)
         # (Gram builds, step halvings) so far, as each outer step starts its working solve
         steps = []
         solve_working = solver._solve_working
 
-        def spy(A, b, x, grad, thresholds, counts, kkt_tol):
+        def spy(A, b, x, grad, thresholds, counts):
             steps.append((counts["gram_builds"], counts["step_halvings"]))
-            solve_working(A, b, x, grad, thresholds, counts, kkt_tol)
+            solve_working(A, b, x, grad, thresholds, counts)
 
         solver._solve_working = spy
-        _, info, _ = solver.solve(lam, np.zeros(design.n_columns))  # a poor start
-        assert info["converged"] and info["step_halvings"] >= 1
-        assert steps[0][0] == 1 and len(steps) == info["iterations"]
+        fit = solver.solve(lam, np.zeros(design.n_columns))  # a poor start
+        assert fit.converged and fit.diagnostics["step_halvings"] >= 1
+        assert steps[0][0] == 1 and len(steps) == fit.iterations
         for (grams, halvings), (next_grams, next_halvings) in zip(steps, steps[1:]):
             if next_halvings > halvings:  # this step halved
                 assert next_grams == grams + 1
-        assert info["gram_builds"] < info["iterations"]
+        assert fit.diagnostics["gram_builds"] < fit.iterations
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_working_solve_leaves_no_coordinate_move(self, seed):
@@ -341,7 +357,7 @@ class TestChordSteps:
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
         solver = _PenalizedSolver(design, table.response, design.spec.family, weights)
-        beta = solver.restricted_fit()[0]
+        beta = solver.restricted_fit().beta
         mu = solver.data.evaluate(solver.data.X @ beta)[0]
         A, b = solver.coding.gram(*solver.data.working(solver.data.X @ beta, mu))
         thresholds = 0.05 * solver.lambda_max(beta) * weights[solver.cols]
@@ -350,7 +366,7 @@ class TestChordSteps:
         x, pen = solver.coding.to_reference(beta), solver.pen_pos
         x[pen] = rng.normal(size=len(pen)) * (rng.random(len(pen)) < 0.5)
         grad = b - A @ x
-        solver._solve_working(A, b, x, grad, thresholds, _step_counts(), 1e-6)
+        solver._solve_working(A, b, x, grad, thresholds, _step_counts())
         assert np.abs(grad - (b - A @ x)).max() < 1e-9
         # the first move of a cyclic pass, with the scalar soft threshold
         moves = [abs(soft_threshold(grad[k] + A[k, k] * x[k], thresholds[k]) / A[k, k] - x[k])
@@ -359,6 +375,39 @@ class TestChordSteps:
         assert solver._largest_move(A, x, grad, thresholds) == pytest.approx(max(moves),
                                                                               abs=1e-12)
         assert np.abs(grad[solver.unpen_pos]).max() < 1e-9
+
+
+class TestStopCauses:
+    """Each way a penalized solve stops short of convergence, forced
+    through the public entry point."""
+
+    def problem(self):
+        _, table, _, design = bernoulli_instance(38, n=12, p=3)
+        weights = np.where(design.penalized_mask, 1.0, 0.0)
+        beta_r = bl.restricted_fit(design, table.response)
+        lam = 0.3 * bl.lambda_max(design, table.response, weights, beta_r)
+        return design, table.response, weights, lam
+
+    def test_max_iterations(self, monkeypatch):
+        design, response, weights, lam = self.problem()
+        monkeypatch.setattr(penalty, "MAX_OUTER", 2)
+        fit = bl.fit_penalized(design, response, weights=weights, lam=lam,
+                               beta_start=np.zeros(design.n_columns))
+        assert fit.converged is False
+        assert fit.diagnostics["cause"] == "max_iterations"
+        assert fit.iterations == 2
+        assert fit.diagnostics["kkt_max"] > penalty.KKT_TOL
+
+    def test_stalled(self, monkeypatch):
+        design, response, weights, lam = self.problem()
+        # a working solve that never moves: the KKT violation stays put,
+        # so the first step sets the best value and fifteen more stall
+        monkeypatch.setattr(_PenalizedSolver, "_solve_working", lambda self, *args: None)
+        fit = bl.fit_penalized(design, response, weights=weights, lam=lam)
+        assert fit.converged is False
+        assert fit.diagnostics["cause"] == "stalled"
+        assert fit.iterations == 16
+        assert fit.diagnostics["kkt_max"] > penalty.KKT_TOL
 
 
 class TestFactorReuse:
