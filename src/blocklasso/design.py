@@ -18,11 +18,8 @@ in block r puts -1 in every column {r, t}. Sum-to-zero node and block
 effects are coded the usual way, folding the last (sorted) level into
 the remaining columns with -1 entries.
 
-The solvers work on the same columns with node and block effects coded
-by reference instead (:class:`ReferenceCoding`): the fold puts n-2
-entries on every dyad of the last node, reference coding at most two.
-:func:`effect_levels` is the one place that turns either coding into
-the full sum-to-zero level vector.
+:func:`effect_levels` is the one place that expands a sum-to-zero group
+into its full level vector; the solvers work on the same columns.
 
 The solvers also see one row per cell (:attr:`DesignMatrix.cells`), not
 per dyad: dyads with identical design rows form a cell. Without node
@@ -31,7 +28,7 @@ covariate values, so a p-block design without covariates has at most
 p(p+1)/2 cells. With node effects every dyad is its own cell.
 
 The solvers' X'WX is assembled from the structure of the rows, not by a
-sparse matrix product (:meth:`ReferenceCoding.gram`): a row is its two
+sparse matrix product (:meth:`FactoredGram.gram`): a row is its two
 endpoints' node columns, plus its covariate values, plus a row that
 depends only on its unordered block pair (:attr:`DesignMatrix.pair_cells`).
 Every block of X'WX is then a sum of the working weights per node pair,
@@ -54,7 +51,7 @@ __all__ = [
     "ModelSpec",
     "DesignMatrix",
     "DyadCells",
-    "ReferenceCoding",
+    "FactoredGram",
     "effect_levels",
     "encode",
     "reconstruct_interactions",
@@ -412,64 +409,42 @@ def reconstruct_interactions(coefficients, block_count: int) -> np.ndarray:
     return out
 
 
-def effect_levels(coefficients, groups, group: str, *, reference: bool = False) -> np.ndarray:
+def effect_levels(coefficients, groups, group: str) -> np.ndarray:
     """Full level vector of the sum-to-zero effect ``group`` (node or
     block effects); empty when ``groups`` has no such group.
 
-    In the public coding the group's coefficients are the first levels
-    and the folded last level is minus their sum. With ``reference`` they
-    code the levels against a last level of 0; the levels are then
-    centered, and twice the mean removed (minus twice the returned last
-    level) belongs to the intercept, once per dyad endpoint.
+    The group's coefficients are the first levels and the folded last
+    level is minus their sum.
     """
     idx = np.flatnonzero(np.asarray(groups) == group)
     if not len(idx):
         return np.zeros(0)
-    return _levels(np.asarray(coefficients, dtype=np.float64)[idx], reference)
-
-
-def _levels(free: np.ndarray, reference: bool) -> np.ndarray:
-    """:func:`effect_levels` of a group's coefficients ``free``."""
-    if reference:
-        levels = np.append(free, 0.0)
-        return levels - levels.mean()
+    free = np.asarray(coefficients, dtype=np.float64)[idx]
     return np.append(free, -free.sum())
 
 
-class ReferenceCoding:
-    """Columns ``cols`` of a design over its cells (:attr:`DesignMatrix.cells`),
-    as the solvers see them.
+class FactoredGram:
+    """X'WX over the columns ``cols`` of a design's cells
+    (:attr:`DesignMatrix.cells`), assembled from the factors of the rows.
 
-    Node and block effects are coded by reference (last level 0): a dyad
-    endpoint puts a 1 in the column of its level unless that level is
-    the last one. Both codings span the same column space, so a fit is
-    the same in either; :meth:`to_public` and :meth:`to_reference`
-    convert coefficients in O(q). An effect group is recoded only when
-    the intercept and all of the group's columns are among ``cols``;
-    every other column keeps its public coding.
-
-    The coding is never formed as a matrix. A cell's row is the sum of
+    The matrix over ``cols`` is never formed. A cell's row is the sum of
     three factors: its two endpoints' node rows, its covariate values,
     and the row of its unordered block pair over the intercept, block
     effect and interaction columns (one of :attr:`DesignMatrix.pair_cells`).
-    :meth:`gram` builds X'WX from those factors.
+    :meth:`gram` builds X'WX from those factors. Every node-effect column
+    must be among ``cols``: the node rows fold the last node into all of
+    them.
     """
 
     def __init__(self, design: DesignMatrix, cols):
-        self.design = design
         self.cols = np.asarray(cols, dtype=np.int64)
         groups = np.asarray(design.groups)[self.cols]
-        has_intercept = len(self.cols) > 0 and self.cols[0] == 0  # column 0 is the intercept
-        self.recoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for group in (GROUP_NODE, GROUP_BLOCK):
-            idx = design.group_indices(group)
-            if has_intercept and len(idx) and np.isin(idx, self.cols).all():
-                self.recoded[group] = (idx, np.flatnonzero(groups == group))
-
         # encode orders the columns intercept, covariates, node effects,
         # block effects, interactions, so each factor is a run of columns
         if np.any(np.diff(self.cols) <= 0):
             raise ValueError("solver columns must be increasing")
+        if not np.isin(design.group_indices(GROUP_NODE), self.cols).all():
+            raise ValueError("solver columns must include every node-effect column")
         sizes = [int(np.isin(groups, names).sum()) for names in
                  ((GROUP_INTERCEPT, GROUP_COVARIATE), (GROUP_NODE,))]
         self._dense = slice(0, sizes[0])
@@ -478,38 +453,29 @@ class ReferenceCoding:
 
         cells, pairs = design.cells, design.pair_cells
         self._columns = cells.matrix[:, self.cols[self._dense]].toarray()
-        rows = pairs.matrix[:, self.cols[self._pairs]].toarray()
-        if GROUP_BLOCK in self.recoded:
-            # an endpoint at the folded last level puts -1 in each of the
-            # g block columns, so a row's block entries sum to
-            # 2 - folds*(g+1); adding the fold count to each undoes it
-            block = np.flatnonzero(groups[self._pairs] == GROUP_BLOCK)
-            folds = np.rint((2.0 - rows[:, block].sum(axis=1)) / (len(block) + 1))
-            rows[:, block] += folds[:, None]
-        self._pair_rows = rows
-        self._pair_rows_t = sp.csr_array(rows.T)
+        self._pair_rows = pairs.matrix[:, self.cols[self._pairs]].toarray()
+        self._pair_rows_t = sp.csr_array(self._pair_rows.T)
 
         # every dyad of a cell has the same block pair
         P = len(pairs.counts)
         pair = np.empty(len(cells.counts), dtype=np.int64)
         pair[cells.inverse] = pairs.inverse
-        self._n = n = design.n_nodes if self._nodes.stop > self._nodes.start else 0
+        self._n = n = design.n_nodes if sizes[1] else 0
         # node columns are only solver columns of node-effect designs,
         # whose cells are the dyads
         ends = list(design.dyad_nodes.T) if n else []
         self._sums = _incidence([n + pair, *ends], n + P)  # per node, then per block pair
         if n:
             i, j = ends
-            self._levels = self.cols[self._nodes] - design.group_indices(GROUP_NODE)[0]
             self._node_pair = i * n + j
             self._node_by_pair = _incidence([pair * n + i, pair * n + j], P * n)
 
-    def _node_rows(self, M: np.ndarray) -> np.ndarray:
-        """Rows of the node columns from rows indexed by node: in reference
-        coding the last node's row is dropped, in the public coding it is
-        subtracted from the others (its endpoint puts -1 in each column)."""
-        M = M[:-1] if GROUP_NODE in self.recoded else M[:-1] - M[-1]
-        return M[self._levels]
+    @staticmethod
+    def _node_rows(M: np.ndarray) -> np.ndarray:
+        """Rows of the node columns from rows indexed by node: the last
+        node's row is subtracted from the others (its endpoint puts -1 in
+        each node column)."""
+        return M[:-1] - M[-1]
 
     def _xt(self, v: np.ndarray) -> np.ndarray:
         """X'v over the solver columns, for a vector ``v`` over the cells."""
@@ -539,44 +505,13 @@ class ReferenceCoding:
             G = np.bincount(self._node_pair, w, n * n).reshape(n, n)
             G += G.T
             G[np.diag_indices(n)] = sums[:n]
-            A[nodes, nodes] = self._node_rows(self._node_rows(G).T)
+            # both fold subtractions at once, in a form that is exactly
+            # symmetric: g[a] + g[b] commutes
+            g = G[:-1, -1]
+            A[nodes, nodes] = G[:-1, :-1] - (g[:, None] + g) + G[-1, -1]
             S = (self._node_by_pair @ w).reshape(-1, n)
             A[nodes, pairs] = self._node_rows((rows_t @ S).T)
             A[pairs, nodes] = A[nodes, pairs].T
         for t in range(self._dense.stop):
             A[t] = A[:, t] = self._xt(w * self._columns[:, t])
         return A, self._xt(w * z)
-
-    def to_public(self, x) -> np.ndarray:
-        """Full-length public coefficient vector of solver coefficients."""
-        beta = np.zeros(self.design.n_columns)
-        beta[self.cols] = x
-        for idx, pos in self.recoded.values():
-            levels = _levels(x[pos], reference=True)
-            beta[idx] = levels[:-1]
-            beta[0] -= 2.0 * levels[-1]
-        return beta
-
-    def to_reference(self, beta) -> np.ndarray:
-        """Solver coefficients of a full-length public coefficient vector."""
-        beta = np.asarray(beta, dtype=np.float64)
-        x = beta[self.cols]
-        for idx, pos in self.recoded.values():
-            levels = _levels(beta[idx], reference=False)
-            x[pos] = levels[:-1] - levels[-1]
-            x[0] += 2.0 * levels[-1]
-        return x
-
-    def score_to_reference(self, score) -> np.ndarray:
-        """The score over the solver columns, from the full-length score
-        over the public columns, in O(q).
-
-        A public effect column is its level's endpoint sum minus the last
-        level's; the level sums of a group add up to twice the intercept
-        score (two endpoints per dyad), which gives the last level's sum.
-        """
-        score = np.asarray(score, dtype=np.float64)
-        out = score[self.cols]
-        for idx, pos in self.recoded.values():
-            out[pos] += (2.0 * score[0] - score[idx].sum()) / (len(idx) + 1)
-        return out

@@ -11,17 +11,14 @@ the normal equations, no penalty (or the separation ridge), a test on
 every step, and a search that accepts a step at most 1e-13 (relative)
 worse and gives up after 30 halvings (cause ``"no_progress"``).
 
-Inside the solver, node and block effects are coded by reference
-(``ReferenceCoding``), so each dyad has at most two effect entries. Each
-step builds X'WX and X'Wz once in that coding (``ReferenceCoding.gram``,
+The solver works on the design's own sum-to-zero columns. Each step
+builds X'WX and X'Wz once over the solver columns (``FactoredGram.gram``,
 shared with the penalized solver; it sums the working weights per node
 pair and per block pair instead of forming a sparse product) and solves
 the normal equations by a direct Cholesky factorization, so a fit is
 deterministic for a fixed input. The factorization is called from LAPACK
 directly (``potrf`` and ``potrs`` on the upper triangle), with the
-reciprocal condition number in the 1-norm estimated by ``pocon``. The
-proposal is mapped back to the sum-to-zero coding in O(q); the line
-search, the separation test and the score test run on the public design.
+reciprocal condition number in the 1-norm estimated by ``pocon``.
 Columns flagged inestimable by the encoder are held at zero. A system
 that is not positive definite, or whose condition estimate is below
 machine epsilon (where ``scipy.linalg.solve(assume_a="pos")`` would
@@ -67,7 +64,7 @@ import numpy as np
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 from scipy.special import gammaln, xlogy
 
-from .design import FAMILIES, GROUP_BLOCK, GROUP_NODE, DesignMatrix, ReferenceCoding, effect_levels
+from .design import FAMILIES, GROUP_BLOCK, GROUP_NODE, DesignMatrix, FactoredGram, effect_levels
 
 __all__ = [
     "ConvergenceError",
@@ -161,7 +158,7 @@ class _CellData:
         return w, eta + (self.y - self.n * mu) / w
 
     def score(self, mu: np.ndarray) -> np.ndarray:
-        """The score X'(y - n*mu) over the public columns, for cell means ``mu``."""
+        """The score X'(y - n*mu) over every column, for cell means ``mu``."""
         return self.XT @ (self.y - self.n * mu)
 
 
@@ -221,9 +218,9 @@ def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray,
     return np.linalg.lstsq(A, rhs, rcond=None)[0], None
 
 
-def _initial_beta(data: _CellData, coding: ReferenceCoding) -> np.ndarray:
-    beta = np.zeros(coding.design.n_columns)
-    if not len(coding.cols) or coding.cols[0] != 0:  # no intercept
+def _initial_beta(data: _CellData, cols: np.ndarray) -> np.ndarray:
+    beta = np.zeros(data.design.n_columns)
+    if not len(cols) or cols[0] != 0:  # no intercept
         return beta
     m = data.design.n_rows
     mean = float(np.sum(data.y)) / m if m else 0.5
@@ -254,7 +251,7 @@ _IRLS_SEARCH = _LineSearch(slack=1e-13, halvings=30, give_up=True)
 @dataclass
 class _Solve:
     """The end of an outer loop: the coefficients with their cell means,
-    log-likelihood kernel and public score, and how the loop got there."""
+    log-likelihood kernel and score, and how the loop got there."""
 
     beta: np.ndarray
     mu: np.ndarray
@@ -266,7 +263,7 @@ class _Solve:
     counts: dict[str, int]
 
 
-def _outer_loop(data: _CellData, coding: ReferenceCoding, beta: np.ndarray, *, penalty,
+def _outer_loop(data: _CellData, factored: FactoredGram, beta: np.ndarray, *, penalty,
                 working_solve, stop, search: _LineSearch, max_iter: int) -> _Solve:
     """The Newton-type outer iteration of every fit: the MLE, the restricted
     fit and each penalized fit differ only in what they pass in.
@@ -274,18 +271,20 @@ def _outer_loop(data: _CellData, coding: ReferenceCoding, beta: np.ndarray, *, p
     Each step builds the Gram ``A, b`` of the working problem at the
     current coefficients, unless the last call of ``stop`` asked to keep
     it: a chord step keeps ``A`` and takes the exact score here as its
-    gradient, ``b = A x + grad`` in solver coding.
+    gradient, ``b = A x + grad``, with ``x`` and ``grad`` the coefficients
+    and the score over the solver columns.
     ``working_solve(A, b, x, grad, counts)`` returns the new solver
     coefficients from the current ones ``x``; ``grad`` is None on a new
-    Gram. The step is then halved under ``search`` on the objective
-    ``penalty(beta) - loglik(beta)``. ``stop(beta, score, objective,
-    change, halved, fresh)`` sees the accepted point with its public
-    score, the objective and its change, whether the step was halved and
-    whether it used a new Gram; it returns ``(stopped, cause, refresh)``,
-    a stop with cause None being convergence. A loop that reaches
+    Gram; the other coefficients stay at zero. The step is then halved
+    under ``search`` on the objective ``penalty(beta) - loglik(beta)``.
+    ``stop(beta, score, objective, change, halved, fresh)`` sees the
+    accepted point with its score over every column, the objective and
+    its change, whether the step was halved and whether it used a new
+    Gram; it returns ``(stopped, cause, refresh)``, a stop with cause
+    None being convergence. A loop that reaches
     ``max_iter`` steps stops with cause ``"max_iterations"``.
     """
-    X, lyf = data.X, data.log_y_factorial
+    X, lyf, cols = data.X, data.log_y_factorial, factored.cols
     eta = X @ beta
     mu, kernel = data.evaluate(eta)
     objective = penalty(beta) - (kernel - lyf)
@@ -294,16 +293,17 @@ def _outer_loop(data: _CellData, coding: ReferenceCoding, beta: np.ndarray, *, p
     converged, fresh = False, True
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        x = coding.to_reference(beta)
+        x = beta[cols]
         if fresh:
-            A, b = coding.gram(*data.working(eta, mu))
+            A, b = factored.gram(*data.working(eta, mu))
             counts["gram_builds"] += 1
             grad = None
         else:
             # a chord step: the kept Gram with the exact score here
-            grad = coding.score_to_reference(score)
+            grad = score[cols]
             b = A @ x + grad
-        candidate = coding.to_public(working_solve(A, b, x, grad, counts))
+        candidate = np.zeros_like(beta)
+        candidate[cols] = working_solve(A, b, x, grad, counts)
 
         for halvings in range(search.halvings + 1):
             if halvings:
@@ -334,24 +334,19 @@ def _outer_loop(data: _CellData, coding: ReferenceCoding, beta: np.ndarray, *, p
                   converged=converged, cause=cause, counts=counts)
 
 
-def _irls(data: _CellData, coding: ReferenceCoding, score_bound: float, *,
+def _irls(data: _CellData, factored: FactoredGram, score_bound: float, *,
           ridge: float = 0.0, max_iter: int = MAX_ITERATIONS) -> _Solve:
-    """IRLS on the columns of ``coding`` (all treated free) from the
+    """IRLS on the columns of ``factored`` (all treated free) from the
     intercept-only start, through :func:`_outer_loop` (see the module
     docstring). It converges when the log-likelihood changes by at most
     ``LL_TOL`` (relative) and the score over the columns is within
     ``score_bound``."""
-    cols = coding.cols
-    if ridge:
-        # the ridge is on the public coefficients M x, M the map from
-        # the solver coding over ``cols``
-        M = np.column_stack([coding.to_public(e)[cols] for e in np.eye(len(cols))])
-        ridge_gram = 2.0 * ridge * (M.T @ M)
+    cols = factored.cols
     separable = ridge == 0.0 and data.family == "bernoulli_logit"
 
     def working_solve(A, b, x, grad, counts):
         if ridge:
-            A += ridge_gram
+            A[np.diag_indices_from(A)] += 2.0 * ridge
         counts["factorizations"] += 1
         return _solve_normal_equations(A, b, counts)[0]
 
@@ -365,7 +360,7 @@ def _irls(data: _CellData, coding: ReferenceCoding, score_bound: float, *,
         converged = abs(change) <= LL_TOL * (1.0 + abs(objective)) and score_max <= score_bound
         return converged, None, True
 
-    return _outer_loop(data, coding, _initial_beta(data, coding),
+    return _outer_loop(data, factored, _initial_beta(data, cols),
                        penalty=lambda beta: ridge * float(beta @ beta),
                        working_solve=working_solve, stop=stop, search=_IRLS_SEARCH,
                        max_iter=max_iter)
@@ -524,10 +519,10 @@ def fit_mle(design: DesignMatrix, response, family: str | None = None, *,
     reported through ``converged``/``diagnostics``, not an exception.
     """
     data = _CellData(design, response, family or design.spec.family)
-    coding = ReferenceCoding(design, np.flatnonzero(~design.inestimable))
-    cols = coding.cols
+    factored = FactoredGram(design, np.flatnonzero(~design.inestimable))
+    cols = factored.cols
     score_bound = SCORE_TOL * (1.0 + float(np.abs((data.XT @ data.y)[cols]).max(initial=0.0)))
-    result = _irls(data, coding, score_bound, max_iter=max_iter)
+    result = _irls(data, factored, score_bound, max_iter=max_iter)
     ridge_used = 0.0
     if result.cause == "separation":
         warnings.warn(
@@ -537,7 +532,7 @@ def fit_mle(design: DesignMatrix, response, family: str | None = None, *,
             RuntimeWarning,
             stacklevel=2,
         )
-        stabilized = _irls(data, coding, score_bound, ridge=SEPARATION_RIDGE, max_iter=max_iter)
+        stabilized = _irls(data, factored, score_bound, ridge=SEPARATION_RIDGE, max_iter=max_iter)
         ridge_used = SEPARATION_RIDGE
         counts = {k: v + stabilized.counts[k] for k, v in result.counts.items()}
         result = replace(stabilized, iterations=result.iterations + stabilized.iterations,

@@ -11,9 +11,8 @@ column is refused before any fit.
 
 Solver: penalized IRLS on the cells of the design (dyads with identical
 design rows, weighted by their count; see ``glm``; designs with node
-effects have one cell per dyad), with node and block effects coded by
-reference inside it (``ReferenceCoding``; the penalized columns are
-unchanged). It runs the outer loop of ``glm`` (``_outer_loop``), as the
+effects have one cell per dyad), over the design's own columns. It runs
+the outer loop of ``glm`` (``_outer_loop``), as the
 restricted fit does through ``glm._irls``, and passes in the working
 solve below, the penalty term, the KKT stopping test with its refresh
 rule, and a line search that accepts a step at most 1e-9 (relative)
@@ -29,8 +28,7 @@ current active set polishes the smooth part to machine precision. A
 step's first pass visits only the inactive columns whose gradient
 exceeds their threshold, the only ones that can enter; after each
 polish a vectorized soft threshold over all penalized columns decides
-whether a full pass is needed. The result is mapped back to the public
-sum-to-zero coding for the line search and the convergence test. Zeros
+whether a full pass is needed. Zeros
 are produced only by the soft threshold or by explicit clipping at a
 zero crossing, so they are exact and downstream sign counts need no
 cutoff. Convergence is declared on the exact-likelihood KKT conditions:
@@ -45,8 +43,8 @@ Chord steps: the outer steps of one solve are simplified-Newton steps
 (proximal Newton with an inexact Hessian; Lee, Sun & Saunders 2014,
 SIAM J. Optim. 24(3)). The first step builds A and b = X'Wz at the
 start; later steps keep A and take the exact score at the current
-coefficients as their gradient, in solver coding (b = A x + score; the
-score is the one the KKT test computed, recoded in O(q)). The Cholesky
+coefficients as their gradient (b = A x + score, over the solver
+columns; the score is the one the KKT test computed). The Cholesky
 factor of the polish system is kept with its selection and reused while
 A and the active set stay; the solver keeps one factor, and only one
 that passed the condition test without jitter. The refresh rule is
@@ -83,7 +81,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .design import DesignMatrix, ReferenceCoding
+from .design import DesignMatrix, FactoredGram
 from .glm import (
     ConvergenceError,
     FitResult,
@@ -113,6 +111,8 @@ __all__ = [
 ZERO_REFERENCE = 1e-10
 KKT_TOL = 1e-6
 MAX_OUTER = 200
+# re-solves of one polish after a coefficient is stopped at zero
+MAX_DROPS = 12
 # a step that raises the objective is halved up to ten times, and the
 # last point is kept; the KKT test then decides
 _PATH_SEARCH = _LineSearch(slack=1e-9, halvings=10, give_up=False)
@@ -157,7 +157,9 @@ def adaptive_weights(reference: FitResult, mask, gamma_w: float = 1.0) -> np.nda
     Returns a full-length vector: 0 on unpenalized columns, and
     ``|ref_j| ** -gamma_w`` on masked columns, with +inf where the
     reference coefficient is below 1e-10 in magnitude (the coefficient
-    is then fixed at zero).
+    is then fixed at zero). A ``gamma_w`` under which the weight of a
+    reference at or above 1e-10 underflows to 0 or overflows to inf is
+    refused with a ``ValueError`` that names the columns.
     """
     if gamma_w <= 0:
         raise ValueError("gamma_w must be positive")
@@ -170,7 +172,13 @@ def adaptive_weights(reference: FitResult, mask, gamma_w: float = 1.0) -> np.nda
     ref = np.abs(reference.coefficients[mask])
     values = np.full(ref.shape, np.inf)
     estimable = ref >= ZERO_REFERENCE
-    values[estimable] = ref[estimable] ** (-gamma_w)
+    with np.errstate(over="ignore"):
+        values[estimable] = ref[estimable] ** (-gamma_w)
+    unusable = estimable & ~((values > 0.0) & (values < np.inf))
+    if unusable.any():
+        names = ", ".join(np.asarray(reference.column_names)[mask][unusable])
+        raise ValueError(f"gamma_w={gamma_w:g} makes the penalty weight of column(s) {names} "
+                         "underflow to 0 or overflow to inf; use a smaller gamma_w")
     weights[mask] = values
     return weights
 
@@ -208,13 +216,13 @@ class _PenalizedSolver:
         self._factor: tuple[bytes, np.ndarray] | None = None
 
     @cached_property
-    def coding(self) -> ReferenceCoding:
-        return ReferenceCoding(self.design, self.cols)
+    def factored(self) -> FactoredGram:
+        return FactoredGram(self.design, self.cols)
 
     # -- restricted problem (penalized block forced to zero) ------------
 
     def restricted_fit(self) -> _Solve:
-        return _irls(self.data, ReferenceCoding(self.design, self.unpen_idx), KKT_TOL,
+        return _irls(self.data, FactoredGram(self.design, self.unpen_idx), KKT_TOL,
                      max_iter=MAX_OUTER)
 
     def lambda_max(self, beta_restricted: np.ndarray) -> float:
@@ -235,7 +243,7 @@ class _PenalizedSolver:
         return self.penalty(beta, lam) - (kernel - self.data.log_y_factorial)
 
     def kkt_violation(self, beta: np.ndarray, lam: float, score=None) -> float:
-        """Largest KKT violation at ``beta``; ``score`` is the public score
+        """Largest KKT violation at ``beta``; ``score`` is the score
         there when the caller has it."""
         score = self._score(beta) if score is None else score
         b, s = beta[self.pen_idx], score[self.pen_idx]
@@ -282,8 +290,7 @@ class _PenalizedSolver:
             self._factor = (key, factor)
         return y
 
-    def _polish_active_set(self, A, b, x, grad, thresholds, counts: dict,
-                           max_drops: int = 12) -> None:
+    def _polish_active_set(self, A, b, x, grad, thresholds, counts: dict) -> None:
         """Sign-restricted direct solve over the unpenalized block plus
         the active penalized positions, updating ``x`` and ``grad`` in
         place.
@@ -293,9 +300,10 @@ class _PenalizedSolver:
         exact optimum for their current sign pattern. A coefficient that
         would cross zero is stopped exactly at zero (the step is a
         descent direction of the convex working objective, so partial
-        steps are safe) and the system is re-solved without it.
+        steps are safe) and the system is re-solved without it, up to
+        ``MAX_DROPS`` times.
         """
-        for _ in range(max_drops):
+        for _ in range(MAX_DROPS):
             sel = np.concatenate([self.unpen_pos, self.pen_pos[x[self.pen_pos] != 0.0]])
             if len(sel) == 0:
                 return
@@ -372,7 +380,7 @@ class _PenalizedSolver:
             # step that cut the KKT violation less than tenfold
             return False, None, halved or (not fresh and kkt > 0.1 * kkt_prev)
 
-        solve = _outer_loop(self.data, self.coding, beta,
+        solve = _outer_loop(self.data, self.factored, beta,
                             penalty=lambda beta: self.penalty(beta, lam),
                             working_solve=working_solve, stop=stop, search=_PATH_SEARCH,
                             max_iter=MAX_OUTER)

@@ -90,6 +90,12 @@ class TestFit:
         assert "error (data)" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_gamma_w_out_of_range_is_data_error(self, dataset, tmp_path, capsys):
+        # weights |ref| ** -2000 overflow or underflow for any |ref| outside [0.70, 1.45]
+        assert run(*fit_args(dataset, tmp_path / "gamma", "--gamma-w", 2000)) == 3
+        err = capsys.readouterr().err
+        assert "error (data)" in err and "gamma_w=2000" in err
+
     def test_unpenalized_run(self, dataset, tmp_path):
         out = tmp_path / "plain"
         assert run(*fit_args(dataset, out, "--no-penalized")) == 0

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blocklasso as bl
-from blocklasso.design import (GROUP_BLOCK, GROUP_INTERACTION, GROUP_NODE, ReferenceCoding,
+from blocklasso.design import (GROUP_BLOCK, GROUP_INTERACTION, GROUP_NODE, FactoredGram,
                                effect_levels, reconstruct_interactions)
 
 from helpers import bernoulli_instance, poisson_instance
@@ -197,16 +197,23 @@ class TestFitLevelInvariance:
                       - fit2.block_interactions[np.ix_(order, order)]).max() < 1e-6
 
 
-def public_map(coding):
-    """M with columns ``coding.to_public(e_k)``: X M is the design in the
-    solver coding, with X the public design matrix."""
-    return np.column_stack([coding.to_public(e) for e in np.eye(len(coding.cols))])
+def gram_oracle(design, cols, w, z):
+    """X'WX and X'Wz from the dense rows of the cells over ``cols``."""
+    X = design.cells.matrix[:, cols].toarray()
+    return X.T @ (X * w[:, None]), X.T @ (w * z)
 
 
-def gram_oracle(design, coding, w, z):
-    """M'X'WXM and M'X'Wz from the dense public design matrix."""
-    XM = design.matrix.toarray() @ public_map(coding)
-    return XM.T @ (XM * w[:, None]), XM.T @ (w * z)
+def assert_gram_matches_oracle(design, cols, rng):
+    """The factored Gram over ``cols`` equals the dense oracle within
+    1e-12 and is exactly symmetric."""
+    gram = FactoredGram(design, cols)
+    cells = len(design.cells.counts)
+    w, z = rng.random(cells) + 0.1, rng.normal(size=cells)
+    A, b = gram.gram(w, z)
+    A_oracle, b_oracle = gram_oracle(design, cols, w, z)
+    assert np.array_equal(A, A.T)
+    assert np.abs(A - A_oracle).max(initial=0.0) < 1e-12
+    assert np.abs(b - b_oracle).max(initial=0.0) < 1e-12
 
 
 def singleton_block_design(seed):
@@ -228,44 +235,17 @@ def covariate_degree_corrected_design(seed):
 
 
 class TestReferenceCoding:
-    @pytest.mark.parametrize("maker,kwargs,group", [
-        (bernoulli_instance, dict(n=9, p=3), GROUP_NODE),
-        (poisson_instance, dict(n=9, p=4, n_covariates=2), GROUP_BLOCK),
-    ])
-    def test_same_predictor_round_trip_and_gram(self, maker, kwargs, group):
-        _, _, _, design = maker(3, **kwargs)
-        coding = ReferenceCoding(design, np.flatnonzero(~design.inestimable))
-        assert list(coding.recoded) == [group]
-        reference = design.matrix.toarray() @ public_map(coding)
-        # at most two entries per dyad in the recoded effect columns
-        effect = reference[:, coding.recoded[group][1]]
-        assert np.abs(effect).sum(axis=1).max() <= 2.0
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=len(coding.cols))
-        beta = coding.to_public(x)
-        assert np.abs(design.matrix @ beta - reference @ x).max() < 1e-12
-        assert np.abs(coding.to_reference(beta) - x).max() < 1e-12
-        w, z = rng.random(design.n_rows) + 0.1, rng.normal(size=design.n_rows)
-        A, b = coding.gram(w, z)
-        assert np.abs(A - reference.T @ (reference * w[:, None])).max() < 1e-12
-        assert np.abs(b - reference.T @ (w * z)).max() < 1e-12
-        # the solver-coded score from the public one
-        assert np.abs(coding.score_to_reference(design.matrix.T @ z)
-                      - reference.T @ z).max() < 1e-12
+    """:class:`FactoredGram`, the solver's X'WX over the design's own
+    columns, against the dense design matrix."""
 
-    def test_partly_excluded_group_keeps_public_coding(self):
-        _, _, _, design = bernoulli_instance(3, n=9, p=3)
-        cols = np.flatnonzero(~design.inestimable)[np.r_[0:2, 3:design.n_columns]]
-        coding = ReferenceCoding(design, cols)
-        assert not coding.recoded
-        reference = design.matrix.toarray() @ public_map(coding)
-        assert np.array_equal(reference, design.matrix[:, cols].toarray())
-        rng = np.random.default_rng(6)
-        w, z = rng.random(design.n_rows) + 0.1, rng.normal(size=design.n_rows)
-        A, b = coding.gram(w, z)
-        A_oracle, b_oracle = gram_oracle(design, coding, w, z)
-        assert np.abs(A - A_oracle).max() < 1e-12
-        assert np.abs(b - b_oracle).max() < 1e-12
+    @pytest.mark.parametrize("maker,kwargs", [
+        (bernoulli_instance, dict(n=9, p=3)),
+        (poisson_instance, dict(n=9, p=4, n_covariates=2)),
+    ], ids=["node_effects", "block_effects"])
+    def test_gram_of_every_estimable_column(self, maker, kwargs):
+        _, _, _, design = maker(3, **kwargs)
+        assert_gram_matches_oracle(design, np.flatnonzero(~design.inestimable),
+                                   np.random.default_rng(5))
 
     @pytest.mark.parametrize("make,drop", [
         (covariate_degree_corrected_design, 0),
@@ -279,18 +259,43 @@ class TestReferenceCoding:
         cols = np.flatnonzero(~design.inestimable)
         # drop interaction columns, as the path freezes infinitely weighted ones
         dropped = design.group_indices(GROUP_INTERACTION)[1::2][:drop]
-        coding = ReferenceCoding(design, np.setdiff1d(cols, dropped))
-        assert list(coding.recoded) == [GROUP_NODE]
         assert len(design.cells.counts) == design.n_rows
-        rng = np.random.default_rng(9)
-        w, z = rng.random(design.n_rows) + 0.1, rng.normal(size=design.n_rows)
-        A, b = coding.gram(w, z)
-        A_oracle, b_oracle = gram_oracle(design, coding, w, z)
-        assert np.array_equal(A, A.T)
-        assert np.abs(A - A_oracle).max() < 1e-12
-        assert np.abs(b - b_oracle).max() < 1e-12
-        score = coding.score_to_reference(design.matrix.T @ z)
-        assert np.abs(score - public_map(coding).T @ (design.matrix.T @ z)).max() < 1e-12
+        assert_gram_matches_oracle(design, np.setdiff1d(cols, dropped),
+                                   np.random.default_rng(9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 9), data=st.data(),
+           kind=st.sampled_from(["degree_corrected", "covariate_adjusted", "custom"]))
+    def test_factored_gram_property(self, seed, n, data, kind):
+        # a partition with up to four blocks, often with singletons
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        used = sorted(set(labels))
+        k = data.draw(st.integers(0, 2))
+        _, table, _, _ = poisson_instance(seed, n=n, p=2, n_covariates=k,
+                                          covariate_levels=data.draw(st.integers(0, 3)))
+        partition = bl.Partition(tuple(f"B{b}" for b in used),
+                                 {v: used.index(b) for v, b in zip(table.node_ids, labels)})
+        if kind == "degree_corrected":
+            spec = bl.ModelSpec.degree_corrected()
+        elif kind == "covariate_adjusted":
+            spec = bl.ModelSpec.covariate_adjusted(table.covariate_names)
+        else:
+            spec = bl.ModelSpec(family="bernoulli_logit", node_effects=data.draw(st.booleans()),
+                                block_main_effects=data.draw(st.booleans()),
+                                covariates=table.covariate_names)
+        design = bl.encode(table, partition, spec)
+        cols = np.flatnonzero(~design.inestimable)
+        # a random subset of interaction columns frozen out of the solver
+        interactions = design.group_indices(GROUP_INTERACTION)
+        dropped = interactions[data.draw(st.lists(st.booleans(), min_size=len(interactions),
+                                                  max_size=len(interactions)))]
+        cols = np.setdiff1d(cols, dropped)
+        assert_gram_matches_oracle(design, cols, np.random.default_rng(seed))
+        nodes = design.group_indices(GROUP_NODE)
+        if len(nodes):
+            missing = data.draw(st.sampled_from(list(nodes)))
+            with pytest.raises(ValueError, match="node-effect"):
+                FactoredGram(design, np.setdiff1d(cols, [missing]))
 
 
 class TestCells:

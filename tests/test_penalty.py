@@ -1,5 +1,6 @@
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,19 @@ class TestAdaptiveWeights:
         j = design.group_indices("interaction")[0]
         weights = bl.adaptive_weights(fit, design.penalized_mask)
         assert np.isinf(weights[j])
+
+    def test_weight_out_of_range_names_columns_and_gamma(self):
+        # |ref| = 17.97 underflows to a zero weight under gamma_w = 400
+        fit, design = self.make_reference([])
+        with pytest.raises(ValueError, match=r"gamma_w=400 .*interaction:B01\|B02"):
+            bl.adaptive_weights(fit, design.penalized_mask, 400.0)
+        # 1e-9 is kept by the 1e-10 rule, but 1e-9 ** -40 overflows to inf;
+        # no overflow warning escapes
+        fit, design = self.make_reference([1e-9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"gamma_w=40 .*interaction:B01\|B02"):
+                bl.adaptive_weights(fit, design.penalized_mask, 40.0)
 
     def test_unpenalized_columns_get_zero_weight(self):
         fit, design = self.make_reference([0.5])
@@ -359,11 +373,11 @@ class TestChordSteps:
         solver = _PenalizedSolver(design, table.response, design.spec.family, weights)
         beta = solver.restricted_fit().beta
         mu = solver.data.evaluate(solver.data.X @ beta)[0]
-        A, b = solver.coding.gram(*solver.data.working(solver.data.X @ beta, mu))
+        A, b = solver.factored.gram(*solver.data.working(solver.data.X @ beta, mu))
         thresholds = 0.05 * solver.lambda_max(beta) * weights[solver.cols]
         # a poor active set: random penalized coefficients, half of them zero
         rng = np.random.default_rng(seed)
-        x, pen = solver.coding.to_reference(beta), solver.pen_pos
+        x, pen = beta[solver.cols], solver.pen_pos
         x[pen] = rng.normal(size=len(pen)) * (rng.random(len(pen)) < 0.5)
         grad = b - A @ x
         solver._solve_working(A, b, x, grad, thresholds, _step_counts())
