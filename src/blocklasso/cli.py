@@ -94,7 +94,7 @@ _FIT_DEFAULTS = {
 def _resolve_fit_config(args) -> tuple[dict, PenaltySpec | None]:
     """The run's config document, and its penalty settings checked as a
     :class:`PenaltySpec` (``None`` when the penalty is disabled), so that
-    bad settings fail before any work is done."""
+    bad penalty and threshold settings fail before any work is done."""
     cfg = json.loads(json.dumps(_FIT_DEFAULTS))
     _deep_update(cfg, _load_config(args.config))
     for key in ("edges", "mode", "has_header", "attributes", "nodes", "model", "family", "out"):
@@ -131,6 +131,13 @@ def _resolve_fit_config(args) -> tuple[dict, PenaltySpec | None]:
         raise ValueError("no edge file given (use --edges or the config)")
     if cfg["model"] not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {cfg['model']!r}")
+    if cfg["threshold"] is not None:
+        if not 0.0 <= float(cfg["threshold"]) <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {cfg['threshold']}")
+        # the family does not depend on the covariates
+        if _build_model_spec(cfg, ()).family != "bernoulli_logit":
+            raise ValueError("the threshold rule needs fitted probabilities; "
+                             "it is undefined for rate (Poisson) fits")
     penalty = cfg["penalty"]
     if isinstance(penalty["lambda"], str) and penalty["lambda"] != "auto":
         penalty["lambda"] = float(penalty["lambda"])

@@ -9,14 +9,17 @@ Two model families are encoded over the dyad table:
   ``intercept + x_ij·b + g_r + g_s + f_rs`` with block effects summing
   to zero.
 
-In both, every row of the block-interaction matrix f sums to zero, so
-the within-block value f_rr equals minus the sum of that block's
-off-diagonal values. The encoding substitutes that identity directly:
-there is one free column per unordered block pair {r, s} with r < s, a
-between-block dyad puts +1 in its pair column, and a within-block dyad
-in block r puts -1 in every column {r, t}. Sum-to-zero node and block
-effects are coded the usual way, folding the last (sorted) level into
-the remaining columns with -1 entries.
+Each constraint is written once, as a coding matrix from the free
+coefficients to the levels. A sum-to-zero group of L levels (nodes or
+blocks) has L-1 columns: level k < L-1 is column k and the last (sorted)
+level is -1 in every column (``N`` for nodes, ``G`` for blocks). In both
+models every row of the block-interaction matrix f sums to zero, so f
+has one free column per unordered block pair {r, s} with r < s, which
+is +1 at f_rs and f_sr and -1 at f_rr and f_ss (``F``, over f flattened
+row-major). The row of a dyad (i, j) with i in block r and j in block s
+gathers the codings by endpoint and block pair:
+``[1, x_ij, N[i] + N[j], G[r] + G[s], F[r·p + s]]``, the same factors
+that :class:`FactoredGram` sums.
 
 :func:`effect_levels` is the one place that expands a sum-to-zero group
 into its full level vector; the solvers work on the same columns.
@@ -127,7 +130,6 @@ class DesignMatrix:
     spec: ModelSpec
     node_ids: tuple[str, ...]
     block_labels: tuple[str, ...]
-    block_pairs: tuple[tuple[int, int], ...]
     dyad_blocks: np.ndarray = field(repr=False)  # (m, 2) block index of each endpoint
     dyad_nodes: np.ndarray = field(repr=False)   # (m, 2) node index of each endpoint
 
@@ -270,86 +272,35 @@ def encode(table: DyadTable, partition: Partition, spec: ModelSpec) -> DesignMat
 
     names: list[str] = ["intercept"]
     groups: list[str] = [GROUP_INTERCEPT]
-    rows: list[np.ndarray] = [np.arange(m)]
-    cols: list[np.ndarray] = [np.zeros(m, dtype=np.int64)]
-    vals: list[np.ndarray] = [np.ones(m)]
-    offset = 1
-
-    for name in spec.covariates:
-        col = table.column(name)
-        nz = np.flatnonzero(col)
-        rows.append(nz)
-        cols.append(np.full(len(nz), offset, dtype=np.int64))
-        vals.append(col[nz].astype(np.float64))
-        names.append(name)
-        groups.append(GROUP_COVARIATE)
-        offset += 1
-
-    if spec.node_effects and n >= 2:
-        node_off = offset
-        # i < j <= n-1, so the i endpoint never needs folding.
-        rows.append(np.arange(m))
-        cols.append(node_off + i_idx)
-        vals.append(np.ones(m))
-        plain = j_idx < n - 1
-        rows.append(np.flatnonzero(plain))
-        cols.append(node_off + j_idx[plain])
-        vals.append(np.ones(int(plain.sum())))
-        folded = np.flatnonzero(~plain)
-        if len(folded) and n > 1:
-            rows.append(np.repeat(folded, n - 1))
-            cols.append(np.tile(node_off + np.arange(n - 1), len(folded)))
-            vals.append(-np.ones(len(folded) * (n - 1)))
+    parts = [sp.csr_array((np.ones(m), np.zeros(m, dtype=np.int64), np.arange(m + 1)),
+                          shape=(m, 1))]
+    if spec.covariates:
+        parts.append(sp.csr_array(np.column_stack([table.column(c) for c in spec.covariates])))
+        names.extend(spec.covariates)
+        groups.extend([GROUP_COVARIATE] * len(spec.covariates))
+    if spec.node_effects:
+        N = _sum_to_zero(n)
+        parts.append(N[i_idx] + N[j_idx])
         names.extend(f"node:{v}" for v in table.node_ids[:-1])
         groups.extend([GROUP_NODE] * (n - 1))
-        offset += n - 1
-
-    if spec.block_main_effects and p >= 2:
-        block_off = offset
-        for endpoint in (r_i, r_j):
-            plain = endpoint < p - 1
-            rows.append(np.flatnonzero(plain))
-            cols.append(block_off + endpoint[plain])
-            vals.append(np.ones(int(plain.sum())))
-            folded = np.flatnonzero(~plain)
-            if len(folded):
-                rows.append(np.repeat(folded, p - 1))
-                cols.append(np.tile(block_off + np.arange(p - 1), len(folded)))
-                vals.append(-np.ones(len(folded) * (p - 1)))
-        names.extend(f"block:{label}" for label in partition.block_labels[:-1])
+    # the block-effect and interaction rows depend on the ordered block
+    # pair alone: each of the p² pairs is coded once, then gathered per dyad
+    labels = partition.block_labels
+    first, second = np.divmod(np.arange(p * p), p)
+    pair_rows = []
+    if spec.block_main_effects:
+        G = _sum_to_zero(p)
+        pair_rows.append(G[first] + G[second])
+        names.extend(f"block:{label}" for label in labels[:-1])
         groups.extend([GROUP_BLOCK] * (p - 1))
-        offset += p - 1
+    pair_rows.append(_interaction_coding(p))
+    names.extend(f"interaction:{labels[r]}|{labels[s]}" for r, s in zip(*np.triu_indices(p, k=1)))
+    groups.extend([GROUP_INTERACTION] * (p * (p - 1) // 2))
+    parts.append(sp.hstack(pair_rows, format="csr")[r_i * p + r_j])
 
-    pairs = [(r, s) for r in range(p) for s in range(r + 1, p)]
-    pair_col = -np.ones((p, p), dtype=np.int64)
-    for k, (r, s) in enumerate(pairs):
-        pair_col[r, s] = pair_col[s, r] = offset + k
-    if pairs:
-        between = np.flatnonzero(r_i != r_j)
-        rows.append(between)
-        cols.append(pair_col[r_i[between], r_j[between]])
-        vals.append(np.ones(len(between)))
-        within = np.flatnonzero(r_i == r_j)
-        if len(within):
-            # -1 in every column pairing this block with another.
-            block_cols = pair_col[r_i[within]]          # (len(within), p)
-            keep = block_cols >= 0                      # drops the diagonal slot
-            rows.append(np.repeat(within, p - 1))
-            cols.append(block_cols[keep])
-            vals.append(-np.ones(len(within) * (p - 1)))
-        names.extend(
-            f"interaction:{partition.block_labels[r]}|{partition.block_labels[s]}"
-            for r, s in pairs
-        )
-        groups.extend([GROUP_INTERACTION] * len(pairs))
-        offset += len(pairs)
-
-    q = offset
-    matrix = sp.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, q),
-    ).tocsr()
-    matrix.sum_duplicates()
+    matrix = sp.hstack(parts, format="csr")
+    # +1 and the fold's -1 cancel in column i of N[i] + N[j] when j is the
+    # last node (and likewise for blocks): no explicit zero may stay
     matrix.eliminate_zeros()
     matrix.sort_indices()
 
@@ -357,8 +308,7 @@ def encode(table: DyadTable, partition: Partition, spec: ModelSpec) -> DesignMat
     penalized = groups_arr == GROUP_INTERACTION
     if spec.penalizes_covariates:
         penalized |= groups_arr == GROUP_COVARIATE
-    nnz_per_col = np.diff(matrix.tocsc().indptr)
-    inestimable = nnz_per_col == 0
+    inestimable = np.bincount(matrix.indices, minlength=len(names)) == 0
 
     return DesignMatrix(
         matrix=matrix,
@@ -368,11 +318,28 @@ def encode(table: DyadTable, partition: Partition, spec: ModelSpec) -> DesignMat
         inestimable=inestimable,
         spec=spec,
         node_ids=table.node_ids,
-        block_labels=partition.block_labels,
-        block_pairs=tuple(pairs),
+        block_labels=labels,
         dyad_blocks=np.column_stack([r_i, r_j]),
         dyad_nodes=table.dyads,
     )
+
+
+def _sum_to_zero(levels: int) -> sp.csr_array:
+    """Sparse ``levels``-by-(levels-1) coding of a sum-to-zero effect:
+    level k < levels-1 is column k and the last level is -1 in every column."""
+    return sp.vstack([sp.eye_array(levels - 1), -np.ones((1, levels - 1))], format="csr")
+
+
+def _interaction_coding(p: int) -> sp.csr_array:
+    """Sparse p²-by-p(p-1)/2 map from the free interaction coefficients to
+    the block-interaction matrix f, flattened row-major: the pair {r, s}
+    is +1 at (r, s) and (s, r) and -1 at (r, r) and (s, s), so every row
+    of f sums to zero."""
+    r, s = np.triu_indices(p, k=1)
+    rows = np.concatenate([r * p + s, s * p + r, r * (p + 1), s * (p + 1)])
+    pair = np.tile(np.arange(len(r)), 4)
+    values = np.repeat([1.0, 1.0, -1.0, -1.0], len(r))
+    return sp.csr_array((values, (rows, pair)), shape=(p * p, len(r)))
 
 
 def _incidence(keys: list[np.ndarray], size: int) -> sp.csr_array:

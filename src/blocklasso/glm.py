@@ -335,7 +335,7 @@ def _outer_loop(data: _CellData, factored: FactoredGram, beta: np.ndarray, *, pe
 
 
 def _irls(data: _CellData, factored: FactoredGram, score_bound: float, *,
-          ridge: float = 0.0, max_iter: int = MAX_ITERATIONS) -> _Solve:
+          ridge: float = 0.0, max_iter: int) -> _Solve:
     """IRLS on the columns of ``factored`` (all treated free) from the
     intercept-only start, through :func:`_outer_loop` (see the module
     docstring). It converges when the log-likelihood changes by at most
@@ -510,8 +510,7 @@ def assemble_fit(data: _CellData, solve: _Solve, diagnostics: dict,
     )
 
 
-def fit_mle(design: DesignMatrix, response, family: str | None = None, *,
-            max_iter: int = MAX_ITERATIONS) -> FitResult:
+def fit_mle(design: DesignMatrix, response, family: str | None = None) -> FitResult:
     """Maximum-likelihood fit by IRLS with step halving.
 
     A converged result satisfies the score condition
@@ -522,7 +521,7 @@ def fit_mle(design: DesignMatrix, response, family: str | None = None, *,
     factored = FactoredGram(design, np.flatnonzero(~design.inestimable))
     cols = factored.cols
     score_bound = SCORE_TOL * (1.0 + float(np.abs((data.XT @ data.y)[cols]).max(initial=0.0)))
-    result = _irls(data, factored, score_bound, max_iter=max_iter)
+    result = _irls(data, factored, score_bound, max_iter=MAX_ITERATIONS)
     ridge_used = 0.0
     if result.cause == "separation":
         warnings.warn(
@@ -532,7 +531,8 @@ def fit_mle(design: DesignMatrix, response, family: str | None = None, *,
             RuntimeWarning,
             stacklevel=2,
         )
-        stabilized = _irls(data, factored, score_bound, ridge=SEPARATION_RIDGE, max_iter=max_iter)
+        stabilized = _irls(data, factored, score_bound, ridge=SEPARATION_RIDGE,
+                           max_iter=MAX_ITERATIONS)
         ridge_used = SEPARATION_RIDGE
         counts = {k: v + stabilized.counts[k] for k, v in result.counts.items()}
         result = replace(stabilized, iterations=result.iterations + stabilized.iterations,

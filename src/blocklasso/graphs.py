@@ -149,7 +149,7 @@ class Partition:
 
 @dataclass
 class AttributeTable:
-    """Per-node named attributes, stored as strings and coerced on demand."""
+    """Per-node named attributes, stored as strings."""
 
     node_ids: tuple[str, ...]
     columns: dict[str, tuple[str, ...]]
@@ -164,10 +164,6 @@ class AttributeTable:
                                           f"for {len(self.node_ids)} nodes")
         self._row = {v: i for i, v in enumerate(self.node_ids)}
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.columns)
-
     def has_node(self, node_id: str) -> bool:
         return node_id in self._row
 
@@ -179,30 +175,17 @@ class AttributeTable:
             raise AttributeTableError(f"node {node_id!r} has no attribute row")
         return self.columns[attribute][self._row[node_id]]
 
-    def numeric(self, node_id: str, attribute: str) -> float:
-        raw = self.value(node_id, attribute)
-        try:
-            return float(raw)
-        except ValueError:
-            raise AttributeTableError(
-                f"attribute {attribute!r} of node {node_id!r} is not numeric: {raw!r}"
-            ) from None
-
 
 def _detect_delimiter(line: str) -> str:
     return "\t" if "\t" in line else ","
 
 
 def _read_lines(path) -> list[str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise
-    return text.splitlines()
+    return Path(path).read_text(encoding="utf-8").splitlines()
 
 
 def load_edge_list(path, mode: str = "binary", *, extra_nodes=(), node_file=None,
-                   has_header: bool = False, delimiter: str | None = None) -> Graph:
+                   has_header: bool = False) -> Graph:
     """Load an undirected graph from a delimited edge list.
 
     Parameters
@@ -210,7 +193,7 @@ def load_edge_list(path, mode: str = "binary", *, extra_nodes=(), node_file=None
     path : str or Path
         Text file with columns ``source,target`` (binary mode) or
         ``source,target,weight`` (weighted mode); comma or tab delimited,
-        autodetected unless ``delimiter`` is given.
+        autodetected from the first data line.
     mode : {"binary", "weighted"}
         Binary mode collapses duplicate rows with logical-or; weighted
         mode sums the integer weights of duplicate rows.
@@ -235,7 +218,7 @@ def load_edge_list(path, mode: str = "binary", *, extra_nodes=(), node_file=None
     nodes: set[str] = set(str(v) for v in extra_nodes)
     if node_file is not None:
         nodes.update(load_node_list(node_file))
-    sep = delimiter
+    sep = None
     start = 1 if has_header else 0
     for lineno, raw in enumerate(lines, start=1):
         if lineno <= start or not raw.strip():
@@ -287,16 +270,17 @@ def load_node_list(path) -> tuple[str, ...]:
     return tuple(line.strip() for line in _read_lines(path) if line.strip())
 
 
-def load_attributes(path, delimiter: str | None = None) -> AttributeTable:
+def load_attributes(path) -> AttributeTable:
     """Load a node-attribute table from delimited text with a header row.
 
-    The first column holds the node id; remaining header names become
-    attribute names. Empty cells are treated as missing values.
+    Comma or tab delimited, autodetected from the header. The first
+    column holds the node id; remaining header names become attribute
+    names. Empty cells are treated as missing values.
     """
     lines = [line for line in _read_lines(path) if line.strip()]
     if not lines:
         raise AttributeTableError(f"{path}: empty attribute table")
-    sep = delimiter or _detect_delimiter(lines[0])
+    sep = _detect_delimiter(lines[0])
     header = [f.strip() for f in lines[0].split(sep)]
     if len(header) < 1:
         raise AttributeTableError(f"{path}: missing header")
@@ -318,12 +302,11 @@ def load_attributes(path, delimiter: str | None = None) -> AttributeTable:
     return AttributeTable(node_ids=tuple(node_ids), columns=columns)
 
 
-def partition_from_attributes(attrs: AttributeTable, keys, overrides=None,
-                              separator: str = "-") -> Partition:
+def partition_from_attributes(attrs: AttributeTable, keys, overrides=None) -> Partition:
     """Build a partition whose blocks are combinations of attribute values.
 
     Each node is assigned the label formed by joining its values of
-    ``keys`` with ``separator``; nodes listed in ``overrides`` (a map
+    ``keys`` with ``"-"``; nodes listed in ``overrides`` (a map
     node id -> block label) get the override label instead and need no
     attribute values. Block labels are sorted, so the result is
     deterministic regardless of input order.
@@ -345,7 +328,7 @@ def partition_from_attributes(attrs: AttributeTable, keys, overrides=None,
                     f"node {node!r} is missing a value for {key!r} and has no override"
                 )
             parts.append(value)
-        block_of_label[node] = separator.join(parts)
+        block_of_label[node] = "-".join(parts)
     for node, label in overrides.items():
         block_of_label.setdefault(str(node), str(label))
     labels = tuple(sorted(set(block_of_label.values())))

@@ -82,8 +82,12 @@ class TestFit:
         ("--grid-ratio", 2),
         ("--gamma-w", -1),
         ("--select", "fixed", "--lambda", -1),
+        ("--threshold", 1.5),
+        ("--threshold", "nan"),
+        ("--family", "poisson_log", "--threshold", 0.5),
     ], ids=["fixed_without_lambda", "grid_ratio_above_one", "negative_gamma_w",
-            "negative_lambda"])
+            "negative_lambda", "threshold_above_one", "threshold_nan",
+            "threshold_with_poisson"])
     def test_bad_penalty_settings_fail_before_any_work(self, dataset, tmp_path, capsys, extra):
         out = tmp_path / "bad"
         assert run(*fit_args(dataset, out, *extra)) == 3

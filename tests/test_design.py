@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blocklasso as bl
@@ -150,6 +151,39 @@ class TestPredictorEquivalence:
         via_matrix = design.linear_predictor(coefs)
         direct = direct_predictor(design, partition, coefs)
         assert np.abs(via_matrix - direct).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(blocks=st.lists(st.integers(0, 4), min_size=2, max_size=9),
+           node_effects=st.booleans(), block_effects=st.booleans(),
+           k=st.integers(0, 2), seed=st.integers(0, 10_000))
+    @example(blocks=[0, 0], node_effects=True, block_effects=True, k=0, seed=0)
+    @example(blocks=[0, 1, 1, 2], node_effects=True, block_effects=True, k=2, seed=1)
+    @example(blocks=[2, 1, 1, 0], node_effects=False, block_effects=True, k=1, seed=2)
+    def test_any_spec(self, blocks, node_effects, block_effects, k, seed):
+        # blocks[t] is node t's block: p = 1, n = 2 and singleton first
+        # or last blocks are all drawn; covariates hold zeros
+        n = len(blocks)
+        node_ids = tuple(f"v{t}" for t in range(n))
+        labels, block_of = np.unique(blocks, return_inverse=True)
+        partition = bl.Partition(tuple(f"B{b}" for b in labels),
+                                 dict(zip(node_ids, block_of.tolist())))
+        rng = np.random.default_rng(seed)
+        dyads = np.column_stack(np.triu_indices(n, k=1))
+        names = tuple(f"x{c}" for c in range(k))
+        table = bl.DyadTable(node_ids, dyads, np.zeros(len(dyads)),
+                             rng.choice([0.0, 0.0, 1.0, -2.5], size=(len(dyads), k)), names)
+        spec = bl.ModelSpec(family="bernoulli_logit", node_effects=node_effects,
+                            block_main_effects=block_effects, covariates=names)
+        design = bl.encode(table, partition, spec)
+        coefs = rng.normal(size=design.n_columns)
+        direct = direct_predictor(design, partition, coefs)
+        assert np.abs(design.linear_predictor(coefs) - direct).max() < 1e-12
+        dense = design.matrix.toarray()
+        assert np.array_equal(design.inestimable, ~dense.any(axis=0))
+        # canonical CSR without explicit zeros is the CSR of the dense matrix
+        canonical = sp.csr_array(dense)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(design.matrix, attr), getattr(canonical, attr))
 
 
 class TestReconstructInteractions:

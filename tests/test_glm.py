@@ -161,9 +161,10 @@ class TestFitMle:
                                free=~design.inestimable, ridge=SEPARATION_RIDGE)
         assert np.abs(fit.coefficients - oracle).max() < 1e-4
 
-    def test_non_convergence_reported_not_raised(self):
+    def test_non_convergence_reported_not_raised(self, monkeypatch):
         _, table, _, design = bernoulli_instance(18, n=10, p=2)
-        fit = bl.fit_mle(design, table.response, max_iter=1)
+        monkeypatch.setattr(glm, "MAX_ITERATIONS", 1)
+        fit = bl.fit_mle(design, table.response)
         assert fit.converged is False
         assert fit.diagnostics["cause"] == "max_iterations"
         assert fit.iterations == 1
