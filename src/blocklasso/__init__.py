@@ -38,10 +38,8 @@ from .penalty import (
     PenaltySpec,
     adaptive_weights,
     fit_penalized,
-    kkt_violation,
     lambda_max,
     lambda_path,
-    penalized_objective,
     restricted_fit,
     select,
 )
@@ -51,7 +49,6 @@ from .reduced import (
     export_reduced_graph,
     reduce_positive,
     reduce_threshold,
-    reduced_graph_from_json,
 )
 from .simulate import (
     GeneratorSpec,
@@ -90,7 +87,6 @@ __all__ = [
     "export_reduced_graph",
     "fit_mle",
     "fit_penalized",
-    "kkt_violation",
     "lambda_max",
     "lambda_path",
     "load_attributes",
@@ -98,12 +94,10 @@ __all__ = [
     "load_node_list",
     "log_likelihood",
     "partition_from_attributes",
-    "penalized_objective",
     "read_fit_json",
     "reconstruct_interactions",
     "reduce_positive",
     "reduce_threshold",
-    "reduced_graph_from_json",
     "restricted_fit",
     "sample_graph",
     "select",

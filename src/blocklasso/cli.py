@@ -38,6 +38,7 @@ EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
 
 MODELS = ("degree_corrected", "covariate_adjusted", "custom")
+FORMATS = ("json", "dot", "graphml")
 
 
 # --------------------------------------------------------------------------
@@ -81,7 +82,6 @@ _FIT_DEFAULTS = {
         "gamma_w": 1.0,
         "grid_size": 100,
         "grid_ratio": 1e-4,
-        "selection": "bic",
         "lambda": "auto",
     },
     "threshold": None,
@@ -94,9 +94,15 @@ _FIT_DEFAULTS = {
 def _resolve_fit_config(args) -> tuple[dict, PenaltySpec | None]:
     """The run's config document, and its penalty settings checked as a
     :class:`PenaltySpec` (``None`` when the penalty is disabled), so that
-    bad penalty and threshold settings fail before any work is done."""
+    bad config shapes and bad penalty and threshold settings fail before
+    any work is done."""
     cfg = json.loads(json.dumps(_FIT_DEFAULTS))
     _deep_update(cfg, _load_config(args.config))
+    for key in ("penalty", "partition", "styling"):
+        if not isinstance(cfg[key], dict):
+            raise ValueError(f"config {key!r} must be a JSON object, got {cfg[key]!r}")
+    if not all(isinstance(style, dict) for style in cfg["styling"].values()):
+        raise ValueError("config 'styling' must map block labels to JSON objects")
     for key in ("edges", "mode", "has_header", "attributes", "nodes", "model", "family", "out"):
         value = getattr(args, key, None)
         if value is not None:
@@ -119,14 +125,14 @@ def _resolve_fit_config(args) -> tuple[dict, PenaltySpec | None]:
         cfg["penalty"]["grid_size"] = args.grid_size
     if getattr(args, "grid_ratio", None) is not None:
         cfg["penalty"]["grid_ratio"] = args.grid_ratio
-    if getattr(args, "select", None) is not None:
-        cfg["penalty"]["selection"] = {"bic": "bic", "fixed": "fixed_lambda"}[args.select]
     if getattr(args, "lam", None) is not None:
         cfg["penalty"]["lambda"] = args.lam
     if getattr(args, "threshold", None) is not None:
         cfg["threshold"] = args.threshold
     if getattr(args, "format", None):
         cfg["formats"] = list(dict.fromkeys(args.format))
+    if not isinstance(cfg["formats"], list) or not all(f in FORMATS for f in cfg["formats"]):
+        raise ValueError(f"formats must be a list drawn from {FORMATS}, got {cfg['formats']!r}")
     if cfg["edges"] is None:
         raise ValueError("no edge file given (use --edges or the config)")
     if cfg["model"] not in MODELS:
@@ -143,14 +149,12 @@ def _resolve_fit_config(args) -> tuple[dict, PenaltySpec | None]:
         penalty["lambda"] = float(penalty["lambda"])
     if not penalty["enabled"]:
         return cfg, None
-    # a numeric lambda selects that penalty
-    fixed = None if isinstance(penalty["lambda"], str) else float(penalty["lambda"])
+    # a numeric lambda selects that penalty, "auto" the BIC minimizer
     return cfg, PenaltySpec(
         gamma_w=float(penalty["gamma_w"]),
         grid_size=int(penalty["grid_size"]),
         grid_ratio=float(penalty["grid_ratio"]),
-        selection_rule="fixed_lambda" if fixed is not None else penalty["selection"],
-        fixed_lambda=fixed,
+        fixed_lambda=None if isinstance(penalty["lambda"], str) else float(penalty["lambda"]),
     )
 
 
@@ -229,10 +233,8 @@ def _load_inputs(cfg: dict):
 
 
 def _reduced_outputs(out_dir: Path, stem: str, rg, formats, styling) -> None:
-    wanted = list(dict.fromkeys(["json", *formats]))
-    for fmt in wanted:
-        suffix = {"json": ".json", "dot": ".dot", "graphml": ".graphml"}[fmt]
-        export_reduced_graph(rg, fmt, out_dir / f"{stem}{suffix}", styling=styling or None)
+    for fmt in dict.fromkeys(["json", *formats]):
+        export_reduced_graph(rg, fmt, out_dir / f"{stem}.{fmt}", styling=styling or None)
 
 
 def cmd_fit(args) -> int:
@@ -293,7 +295,8 @@ def cmd_fit(args) -> int:
         path = lambda_path(design, table.response, weights=weights,
                            grid_size=penalty.grid_size, grid_ratio=penalty.grid_ratio)
         path.write_csv(out_dir / "path_summary.csv")
-        selected = select(path, penalty.selection_rule, fixed_lambda=penalty.fixed_lambda)
+        rule = "bic" if penalty.fixed_lambda is None else "fixed_lambda"
+        selected = select(path, rule, fixed_lambda=penalty.fixed_lambda)
         selected.write_json(out_dir / "selected_fit.json")
         selected.write_coefficients_csv(out_dir / "selected_coefficients.csv")
         rg_sel = reduce_positive(selected.block_interactions, partition.block_labels)
@@ -515,14 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--family", choices=["bernoulli_logit", "poisson_log"])
     fit.add_argument("--penalized", action=argparse.BooleanOptionalAction, default=None)
     fit.add_argument("--lambda", dest="lam",
-                     help="'auto' (path + selection rule) or a numeric penalty")
+                     help="'auto' (BIC over the path) or a numeric penalty")
     fit.add_argument("--gamma-w", type=float, help="adaptive-weight exponent")
     fit.add_argument("--grid-size", type=int)
     fit.add_argument("--grid-ratio", type=float)
-    fit.add_argument("--select", choices=["bic", "fixed"])
     fit.add_argument("--threshold", type=float,
                      help="also derive a mean-probability threshold reduced graph")
-    fit.add_argument("--format", action="append", choices=["json", "dot", "graphml"])
+    fit.add_argument("--format", action="append", choices=FORMATS)
     fit.add_argument("--out", help="output directory")
     fit.set_defaults(func=cmd_fit)
 

@@ -79,18 +79,6 @@ class CovariateSpec:
             name=data.get("name"),
         )
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.attribute:
-            out["attribute"] = self.attribute
-        if self.reference:
-            out["reference"] = list(self.reference)
-        if self.path:
-            out["path"] = self.path
-        if self.name:
-            out["name"] = self.name
-        return out
-
 
 @dataclass
 class DyadTable:

@@ -99,10 +99,8 @@ __all__ = [
     "PathResult",
     "adaptive_weights",
     "fit_penalized",
-    "kkt_violation",
     "lambda_max",
     "lambda_path",
-    "penalized_objective",
     "restricted_fit",
     "select",
     "soft_threshold",
@@ -118,6 +116,12 @@ MAX_DROPS = 12
 _PATH_SEARCH = _LineSearch(slack=1e-9, halvings=10, give_up=False)
 
 
+def _check_lambda(lam: float) -> None:
+    # an infinite penalty times a zero weight is NaN
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+
+
 @dataclass
 class PenaltySpec:
     """Tuning choices for the penalized path."""
@@ -125,7 +129,6 @@ class PenaltySpec:
     gamma_w: float = 1.0
     grid_size: int = 100
     grid_ratio: float = 1e-4
-    selection_rule: str = "bic"
     fixed_lambda: float | None = None
 
     def __post_init__(self):
@@ -135,12 +138,8 @@ class PenaltySpec:
             raise ValueError("grid_size must be at least 1")
         if not 0.0 < self.grid_ratio < 1.0:
             raise ValueError("grid_ratio must be in (0, 1)")
-        if self.selection_rule not in ("bic", "fixed_lambda"):
-            raise ValueError(f"unknown selection rule {self.selection_rule!r}")
-        if self.selection_rule == "fixed_lambda" and self.fixed_lambda is None:
-            raise ValueError("fixed_lambda selection needs a lambda value")
-        if self.fixed_lambda is not None and not self.fixed_lambda >= 0:
-            raise ValueError("fixed_lambda must be nonnegative")
+        if self.fixed_lambda is not None:
+            _check_lambda(self.fixed_lambda)
 
 
 def soft_threshold(x: float, t: float) -> float:
@@ -236,11 +235,6 @@ class _PenalizedSolver:
 
     def penalty(self, beta: np.ndarray, lam: float) -> float:
         return lam * float(np.sum(self.weights[self.pen_idx] * np.abs(beta[self.pen_idx])))
-
-    def objective(self, beta: np.ndarray, lam: float) -> float:
-        """The penalized objective ``-loglik + penalty``."""
-        kernel = self.data.evaluate(self.data.X @ beta)[1]
-        return self.penalty(beta, lam) - (kernel - self.data.log_y_factorial)
 
     def kkt_violation(self, beta: np.ndarray, lam: float, score=None) -> float:
         """Largest KKT violation at ``beta``; ``score`` is the score
@@ -349,8 +343,7 @@ class _PenalizedSolver:
         """The fit at ``lam`` by penalized IRLS with chord steps from
         ``beta_start``, through ``glm._outer_loop`` (see the module
         docstring)."""
-        if lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        _check_lambda(lam)
         thresholds = lam * self.weights[self.cols]
         beta = np.array(beta_start, dtype=np.float64)
         beta[self.fixed_idx] = 0.0
@@ -421,31 +414,20 @@ def lambda_max(design: DesignMatrix, response, weights, restricted,
     return _solver(design, response, family, weights).lambda_max(restricted)
 
 
-def kkt_violation(design: DesignMatrix, response, weights, lam: float, coefficients,
-                  family: str | None = None) -> float:
-    """Largest violation of the exact-likelihood KKT conditions of the
-    penalized problem at ``coefficients``, in score units."""
-    return _solver(design, response, family, weights).kkt_violation(np.asarray(coefficients), lam)
-
-
-def penalized_objective(design: DesignMatrix, response, weights, lam: float, coefficients,
-                        family: str | None = None) -> float:
-    """``-loglik + lam * sum_j w_j |beta_j|`` at ``coefficients``."""
-    return _solver(design, response, family, weights).objective(np.asarray(coefficients), lam)
-
-
 def fit_penalized(design: DesignMatrix, response, family: str | None = None,
                   weights=None, lam: float = 0.0, *,
                   beta_start: np.ndarray | None = None) -> FitResult:
     """Penalized fit at a single penalty level.
 
-    ``weights`` is the full-length vector from :func:`adaptive_weights`.
-    At ``lam=0`` the solution matches the maximum-likelihood fit; reported
-    zeros among penalized coefficients are exact. Without ``beta_start``
-    the solve starts from the restricted fit, which is returned as it is
-    at ``lam >= lambda_max`` (as at the top of :func:`lambda_path`). The
-    KKT violation reached is recorded in ``diagnostics["kkt_max"]``.
+    ``weights`` is the full-length vector from :func:`adaptive_weights`;
+    ``lam`` must be finite and nonnegative. At ``lam=0`` the solution
+    matches the maximum-likelihood fit; reported zeros among penalized
+    coefficients are exact. Without ``beta_start`` the solve starts from
+    the restricted fit, which is returned as it is at
+    ``lam >= lambda_max`` (as at the top of :func:`lambda_path`). The KKT
+    violation reached is recorded in ``diagnostics["kkt_max"]``.
     """
+    _check_lambda(lam)
     solver = _solver(design, response, family, weights)
     if beta_start is None:
         restricted = solver.restricted_fit()

@@ -6,9 +6,15 @@ fitted block-interaction value is positive, so exact zeros from a
 penalized fit produce no edge and are tallied separately. The threshold
 rule, for Bernoulli fits only, averages the fitted dyad probabilities
 within each block pair and draws an edge when the mean exceeds a cutoff.
+Both rules reduce to a p×p value matrix with a mask of present pairs and
+one of flagged pairs, from which one builder reads the graph.
 
 Sign summaries count positive / zero / negative values over all
 p(p+1)/2 block pairs, diagonal included.
+
+Exports: DOT and GraphML carry the blocks (with optional styling) and
+the rule's edges; JSON also carries the non-edges, the flagged pairs and
+the sign summary.
 """
 
 from __future__ import annotations
@@ -30,10 +36,7 @@ __all__ = [
     "reduce_positive",
     "reduce_threshold",
     "export_reduced_graph",
-    "reduced_graph_from_json",
 ]
-
-_DOT_STYLE_KEYS = {"color", "shape", "label"}
 
 
 @dataclass
@@ -60,8 +63,8 @@ class ReducedGraph:
     ``edges`` holds (r, s) block-index pairs with r <= s (self-pairs
     allowed); ``edge_values`` the value attached to each present edge;
     ``nonedge_values`` the values of pairs that did not meet the rule
-    (used by the optional negative-edge export); ``flagged_pairs`` the
-    pairs with no dyads, for which the threshold rule is undefined.
+    (exported as the JSON ``nonedges``); ``flagged_pairs`` the pairs
+    with no dyads, for which the threshold rule is undefined.
     """
 
     blocks: tuple[str, ...]
@@ -72,10 +75,6 @@ class ReducedGraph:
     threshold: float | None = None
     nonedge_values: dict[tuple[int, int], float] = field(default_factory=dict)
     flagged_pairs: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,11 +97,26 @@ class ReducedGraph:
         }
 
 
-def _classify(values: np.ndarray) -> SignSummary:
-    positive = int(np.count_nonzero(values > 0.0))
-    negative = int(np.count_nonzero(values < 0.0))
-    zero = values.size - positive - negative
-    return SignSummary(positive=positive, zero=zero, negative=negative)
+def _from_values(blocks, values, present, flagged, summary, rule,
+                 threshold=None) -> ReducedGraph:
+    """The graph over ``blocks`` read from p×p arrays over the pairs
+    r <= s in row-major order: a ``flagged`` pair is flagged, else a
+    ``present`` pair is an edge and any other pair a non-edge, each
+    carrying its entry of ``values``."""
+    edges, flagged_pairs = [], []
+    edge_values, nonedge_values = {}, {}
+    for r, s in zip(*np.triu_indices(len(blocks))):
+        pair = (int(r), int(s))
+        if flagged[pair]:
+            flagged_pairs.append(pair)
+        elif present[pair]:
+            edges.append(pair)
+            edge_values[pair] = float(values[pair])
+        else:
+            nonedge_values[pair] = float(values[pair])
+    return ReducedGraph(blocks=tuple(blocks), edges=tuple(edges), edge_values=edge_values,
+                        sign_summary=summary, rule=rule, threshold=threshold,
+                        nonedge_values=nonedge_values, flagged_pairs=tuple(flagged_pairs))
 
 
 def reduce_positive(interactions: np.ndarray, block_labels=None) -> ReducedGraph:
@@ -127,27 +141,13 @@ def reduce_positive(interactions: np.ndarray, block_labels=None) -> ReducedGraph
     if len(blocks) != p:
         raise ValueError("block labels do not match the matrix size")
 
-    edges: list[tuple[int, int]] = []
-    edge_values: dict[tuple[int, int], float] = {}
-    nonedge_values: dict[tuple[int, int], float] = {}
-    upper = []
-    for r in range(p):
-        for s in range(r, p):
-            value = float(values[r, s])
-            upper.append(value)
-            if value > 0.0:
-                edges.append((r, s))
-                edge_values[(r, s)] = value
-            else:
-                nonedge_values[(r, s)] = value
-    return ReducedGraph(
-        blocks=blocks,
-        edges=tuple(edges),
-        edge_values=edge_values,
-        sign_summary=_classify(np.array(upper)),
-        rule="positive_interaction",
-        nonedge_values=nonedge_values,
-    )
+    upper = values[np.triu_indices(p)]
+    positive = int(np.count_nonzero(upper > 0.0))
+    negative = int(np.count_nonzero(upper < 0.0))
+    summary = SignSummary(positive=positive, zero=upper.size - positive - negative,
+                          negative=negative)
+    return _from_values(blocks, values, values > 0.0, np.zeros((p, p), dtype=bool),
+                        summary, "positive_interaction")
 
 
 def reduce_threshold(fit: FitResult, partition: Partition, threshold: float) -> ReducedGraph:
@@ -168,78 +168,59 @@ def reduce_threshold(fit: FitResult, partition: Partition, threshold: float) -> 
         raise ValueError("fit has no fitted values: fits loaded from JSON and the fits "
                          "of a lambda_path do not keep them; refit with fit_mle or "
                          "fit_penalized")
-    n = len(fit.node_ids)
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = np.triu_indices(len(fit.node_ids), k=1)
     blocks_of = partition.indices_for(fit.node_ids)
     p = partition.block_count
     r, s = blocks_of[iu], blocks_of[ju]
-    lo, hi = np.minimum(r, s), np.maximum(r, s)
-    totals = np.zeros((p, p))
-    counts = np.zeros((p, p), dtype=np.int64)
-    np.add.at(totals, (lo, hi), fit.fitted_values)
-    np.add.at(counts, (lo, hi), 1)
-
-    edges: list[tuple[int, int]] = []
-    edge_values: dict[tuple[int, int], float] = {}
-    nonedge_values: dict[tuple[int, int], float] = {}
-    flagged: list[tuple[int, int]] = []
-    for a in range(p):
-        for b in range(a, p):
-            if counts[a, b] == 0:
-                flagged.append((a, b))
-                continue
-            mean = float(totals[a, b] / counts[a, b])
-            if mean > threshold:
-                edges.append((a, b))
-                edge_values[(a, b)] = mean
-            else:
-                nonedge_values[(a, b)] = mean
-    summary = SignSummary(positive=len(edges), zero=len(flagged),
-                          negative=len(nonedge_values))
-    return ReducedGraph(
-        blocks=partition.block_labels,
-        edges=tuple(edges),
-        edge_values=edge_values,
-        sign_summary=summary,
-        rule="threshold",
-        threshold=float(threshold),
-        nonedge_values=nonedge_values,
-        flagged_pairs=tuple(flagged),
-    )
+    pair = np.minimum(r, s) * p + np.maximum(r, s)
+    totals = np.bincount(pair, weights=fit.fitted_values, minlength=p * p).reshape(p, p)
+    counts = np.bincount(pair, minlength=p * p).reshape(p, p)
+    flagged = counts == 0
+    means = totals / np.where(flagged, 1, counts)
+    present = ~flagged & (means > threshold)
+    upper = np.triu(np.ones((p, p), dtype=bool))
+    positive = int(np.count_nonzero(present & upper))
+    zero = int(np.count_nonzero(flagged & upper))
+    summary = SignSummary(positive=positive, zero=zero,
+                          negative=p * (p + 1) // 2 - positive - zero)
+    return _from_values(partition.block_labels, means, present, flagged, summary,
+                        "threshold", float(threshold))
 
 
 def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _to_dot(rg: ReducedGraph, styling, include_negative: bool) -> str:
+def _styles(styling, label: str, allowed) -> list[tuple[str, object]]:
+    """The styling attributes of block ``label`` that a format knows
+    (``allowed``), sorted by name; each other attribute warns, pointing
+    at the caller of :func:`export_reduced_graph`, and is dropped."""
+    known = []
+    for key, value in sorted(dict((styling or {}).get(label, {})).items()):
+        if key in allowed:
+            known.append((key, value))
+        else:
+            warnings.warn(f"unknown styling attribute {key!r} for block {label!r}; "
+                          "using defaults", RuntimeWarning, stacklevel=4)
+    return known
+
+
+def _to_dot(rg: ReducedGraph, styling) -> str:
     lines = ["graph reduced {", "  node [style=filled, fillcolor=white];"]
-    styling = styling or {}
     for label in rg.blocks:
-        attrs = []
-        for key, value in sorted(dict(styling.get(label, {})).items()):
-            if key not in _DOT_STYLE_KEYS:
-                warnings.warn(f"unknown styling attribute {key!r} for block {label!r}; "
-                              "using defaults", RuntimeWarning, stacklevel=3)
-                continue
-            target = "fillcolor" if key == "color" else key
-            attrs.append(f"{target}={_dot_quote(str(value))}")
+        attrs = [f"{'fillcolor' if key == 'color' else key}={_dot_quote(str(value))}"
+                 for key, value in _styles(styling, label, ("color", "shape", "label"))]
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {_dot_quote(label)}{suffix};")
     for r, s in rg.edges:
         value = rg.edge_values[(r, s)]
         lines.append(f"  {_dot_quote(rg.blocks[r])} -- {_dot_quote(rg.blocks[s])} "
                      f"[label={_dot_quote(format(value, '.6g'))}];")
-    if include_negative:
-        for (r, s), value in sorted(rg.nonedge_values.items()):
-            if value < 0.0:
-                lines.append(f"  {_dot_quote(rg.blocks[r])} -- {_dot_quote(rg.blocks[s])} "
-                             f"[style=dashed, label={_dot_quote(format(value, '.6g'))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _to_graphml(rg: ReducedGraph, styling, include_negative: bool) -> str:
+def _to_graphml(rg: ReducedGraph, styling) -> str:
     root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
     keys = {
         "label": ("node", "string", "d_label"),
@@ -252,47 +233,34 @@ def _to_graphml(rg: ReducedGraph, styling, include_negative: bool) -> str:
         ET.SubElement(root, "key", id=key_id, attrib={
             "for": domain, "attr.name": name, "attr.type": vtype})
     graph = ET.SubElement(root, "graph", id="reduced", edgedefault="undirected")
-    styling = styling or {}
     for k, label in enumerate(rg.blocks):
         node = ET.SubElement(graph, "node", id=f"b{k}")
         ET.SubElement(node, "data", key="d_label").text = label
-        for key, value in sorted(dict(styling.get(label, {})).items()):
-            if key not in ("color", "shape"):
-                warnings.warn(f"unknown styling attribute {key!r} for block {label!r}; "
-                              "using defaults", RuntimeWarning, stacklevel=3)
-                continue
+        for key, value in _styles(styling, label, ("color", "shape")):
             ET.SubElement(node, "data", key=f"d_{key}").text = str(value)
-
-    def add_edge(r, s, value, sign):
-        edge = ET.SubElement(graph, "edge", source=f"b{r}", target=f"b{s}")
-        ET.SubElement(edge, "data", key="d_value").text = repr(float(value))
-        ET.SubElement(edge, "data", key="d_sign").text = sign
-
     for r, s in rg.edges:
-        add_edge(r, s, rg.edge_values[(r, s)], "positive")
-    if include_negative:
-        for (r, s), value in sorted(rg.nonedge_values.items()):
-            if value < 0.0:
-                add_edge(r, s, value, "negative")
+        edge = ET.SubElement(graph, "edge", source=f"b{r}", target=f"b{s}")
+        ET.SubElement(edge, "data", key="d_value").text = repr(float(rg.edge_values[(r, s)]))
+        ET.SubElement(edge, "data", key="d_sign").text = "positive"
     ET.indent(root)
     return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
 
 
 def export_reduced_graph(rg: ReducedGraph, fmt: str, path=None, *,
-                         styling: dict | None = None,
-                         include_negative: bool = False) -> str:
+                         styling: dict | None = None) -> str:
     """Serialize a reduced graph as ``dot``, ``graphml`` or ``json``.
 
-    ``styling`` maps block labels to attribute dicts (``color``,
-    ``shape``); unknown attributes warn and fall back to defaults. By
-    default only the rule's edges appear; ``include_negative`` adds
-    negative-valued pairs as dashed (DOT) or sign-tagged (GraphML)
-    edges. Returns the text, and writes it to ``path`` when given.
+    DOT and GraphML hold the blocks and the rule's edges. ``styling``
+    maps block labels to attribute dicts: ``color`` and ``shape`` in
+    both formats, and ``label`` in DOT; any other attribute warns and
+    falls back to the default. JSON holds the whole graph, non-edges and
+    flagged pairs included (see :meth:`ReducedGraph.to_json_dict`).
+    Returns the text, and writes it to ``path`` when given.
     """
     if fmt == "dot":
-        text = _to_dot(rg, styling, include_negative)
+        text = _to_dot(rg, styling)
     elif fmt == "graphml":
-        text = _to_graphml(rg, styling, include_negative)
+        text = _to_graphml(rg, styling)
     elif fmt == "json":
         text = json.dumps(rg.to_json_dict(), indent=2, sort_keys=True) + "\n"
     else:
@@ -300,42 +268,3 @@ def export_reduced_graph(rg: ReducedGraph, fmt: str, path=None, *,
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text
-
-
-def reduced_graph_from_json(source) -> ReducedGraph:
-    """Rebuild a :class:`ReducedGraph` from its JSON export (text or path)."""
-    if isinstance(source, dict):
-        data = source
-    elif isinstance(source, Path):
-        data = json.loads(source.read_text(encoding="utf-8"))
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        data = json.loads(source)
-    else:
-        data = json.loads(Path(source).read_text(encoding="utf-8"))
-    if data.get("format") != "reduced-graph":
-        raise ValueError("not a reduced-graph JSON document")
-    blocks = tuple(data["blocks"])
-    index = {label: k for k, label in enumerate(blocks)}
-    edges = []
-    edge_values = {}
-    for item in data["edges"]:
-        pair = (index[item["source"]], index[item["target"]])
-        edges.append(pair)
-        edge_values[pair] = float(item["value"])
-    nonedge_values = {}
-    for item in data.get("nonedges", []):
-        pair = (index[item["source"]], index[item["target"]])
-        nonedge_values[pair] = float(item["value"])
-    summary = data["sign_summary"]
-    return ReducedGraph(
-        blocks=blocks,
-        edges=tuple(edges),
-        edge_values=edge_values,
-        sign_summary=SignSummary(positive=int(summary["positive"]),
-                                 zero=int(summary["zero"]),
-                                 negative=int(summary["negative"])),
-        rule=data["rule"],
-        threshold=data.get("threshold"),
-        nonedge_values=nonedge_values,
-        flagged_pairs=tuple((index[a], index[b]) for a, b in data.get("flagged", [])),
-    )

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .covariates import DyadTable
-from .design import FAMILIES
+from .design import FAMILIES, reconstruct_interactions
 from .graphs import Graph, Partition
 
 __all__ = [
@@ -193,13 +193,7 @@ def sparse_interactions(p: int, fraction_zero: float, magnitude: float,
     values = np.where(rng.integers(0, 2, size=pairs) == 1, magnitude, -magnitude)
     zero_at = rng.permutation(pairs)[:n_zero]
     values[zero_at] = 0.0
-    out = np.zeros((p, p))
-    if pairs:
-        iu, ju = np.triu_indices(p, k=1)
-        out[iu, ju] = values
-        out[ju, iu] = values
-    np.fill_diagonal(out, -out.sum(axis=1))
-    return out
+    return reconstruct_interactions(values, p)
 
 
 def write_dataset(out_dir, graph: Graph, partition: Partition,

@@ -78,19 +78,36 @@ class TestFit:
         assert not (tmp_path / "cfg_out").exists()
 
     @pytest.mark.parametrize("extra", [
-        ("--select", "fixed"),
         ("--grid-ratio", 2),
         ("--gamma-w", -1),
-        ("--select", "fixed", "--lambda", -1),
+        ("--lambda", -1),
+        ("--lambda", "inf"),
         ("--threshold", 1.5),
         ("--threshold", "nan"),
         ("--family", "poisson_log", "--threshold", 0.5),
-    ], ids=["fixed_without_lambda", "grid_ratio_above_one", "negative_gamma_w",
-            "negative_lambda", "threshold_above_one", "threshold_nan",
+    ], ids=["grid_ratio_above_one", "negative_gamma_w", "negative_lambda",
+            "infinite_lambda", "threshold_above_one", "threshold_nan",
             "threshold_with_poisson"])
     def test_bad_penalty_settings_fail_before_any_work(self, dataset, tmp_path, capsys, extra):
         out = tmp_path / "bad"
         assert run(*fit_args(dataset, out, *extra)) == 3
+        assert "error (data)" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("config", [
+        {"formats": ["svg"]},
+        {"formats": "dot"},
+        {"styling": ["x"]},
+        {"styling": {"B1": ["x"]}},
+        {"penalty": None},
+        {"partition": []},
+    ], ids=["unknown_format", "formats_not_a_list", "styling_not_an_object",
+            "block_styling_not_an_object", "penalty_null", "partition_not_an_object"])
+    def test_bad_config_shapes_fail_before_any_work(self, dataset, tmp_path, capsys, config):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "bad"
+        assert run(*fit_args(dataset, out, "--config", cfg_path)) == 3
         assert "error (data)" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
@@ -159,8 +176,7 @@ class TestCompare:
         out = tmp_path / "base"
         assert run(*fit_args(dataset, out)) == 0
         zero = tmp_path / "zero"
-        assert run(*fit_args(dataset, zero, "--select", "fixed", "--lambda", "0.0",
-                             "--grid-size", 4)) == 0
+        assert run(*fit_args(dataset, zero, "--lambda", "0.0", "--grid-size", 4)) == 0
         report_path = tmp_path / "cmp0.json"
         assert run("compare", out / "mle_fit.json", zero / "selected_fit.json",
                    "--out", report_path) == 0

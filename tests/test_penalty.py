@@ -168,8 +168,9 @@ class TestFitPenalized:
         beta_r = bl.restricted_fit(design, table.response)
         lam = 0.3 * bl.lambda_max(design, table.response, weights, beta_r)
         fit = bl.fit_penalized(design, table.response, weights=weights, lam=lam)
+        solver = _PenalizedSolver(design, table.response, design.spec.family, weights)
         for other in (fit, mle):
-            fast = bl.kkt_violation(design, table.response, weights, lam, other.coefficients)
+            fast = solver.kkt_violation(other.coefficients, lam)
             slow = kkt_violation(design, table.response, design.spec.family, weights, lam, other)
             assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
 
@@ -192,6 +193,14 @@ class TestFitPenalized:
         with pytest.raises(ValueError, match="nonnegative"):
             bl.fit_penalized(design, table.response, lam=-1.0)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_non_finite_lambda_rejected(self, lam):
+        # an infinite penalty times the zero weight of an unpenalized
+        # column is NaN; it is refused before any fit
+        _, table, _, design = bernoulli_instance(37, n=8, p=2)
+        with pytest.raises(ValueError, match="finite"):
+            bl.fit_penalized(design, table.response, lam=lam)
+
     def test_objective_not_above_restricted_start(self):
         _, table, _, design = bernoulli_instance(38, n=12, p=3)
         mle = bl.fit_mle(design, table.response)
@@ -199,8 +208,11 @@ class TestFitPenalized:
         beta_r = bl.restricted_fit(design, table.response)
         lam_max = bl.lambda_max(design, table.response, weights, beta_r)
 
+        finite = design.penalized_mask & np.isfinite(weights)
+
         def objective(coefficients, lam):
-            return bl.penalized_objective(design, table.response, weights, lam, coefficients)
+            penalty = lam * np.sum(weights[finite] * np.abs(coefficients[finite]))
+            return penalty - bl.log_likelihood(coefficients, design, table.response)
 
         for frac in (0.5, 0.1, 0.01):
             lam = frac * lam_max
@@ -531,6 +543,15 @@ class TestSelect:
         with pytest.raises(ValueError, match="selection rule"):
             bl.select(path, "aic")
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_non_finite_fixed_lambda_rejected(self, lam):
+        _, table, _, design = bernoulli_instance(46, n=8, p=2)
+        mle = bl.fit_mle(design, table.response)
+        weights = bl.adaptive_weights(mle, design.penalized_mask)
+        path = bl.lambda_path(design, table.response, weights=weights, grid_size=2)
+        with pytest.raises(ValueError, match="finite"):
+            bl.select(path, "fixed_lambda", fixed_lambda=lam)
+
 
 class TestPenaltySpec:
     def test_validation(self):
@@ -540,7 +561,8 @@ class TestPenaltySpec:
             bl.PenaltySpec(grid_size=0)
         with pytest.raises(ValueError):
             bl.PenaltySpec(grid_ratio=1.5)
-        with pytest.raises(ValueError):
-            bl.PenaltySpec(selection_rule="fixed_lambda")
-        spec = bl.PenaltySpec(selection_rule="fixed_lambda", fixed_lambda=0.5)
+        for lam in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                bl.PenaltySpec(fixed_lambda=lam)
+        spec = bl.PenaltySpec(fixed_lambda=0.5)
         assert spec.fixed_lambda == 0.5

@@ -1,7 +1,11 @@
+import json
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blocklasso as bl
 from blocklasso.design import reconstruct_interactions
@@ -13,6 +17,23 @@ from oracles import block_mean_probabilities, brute_force_positive_pairs
 def random_interactions(seed, p):
     rng = np.random.default_rng(seed)
     return reconstruct_interactions(rng.normal(size=p * (p - 1) // 2), p)
+
+
+def singleton_threshold_graph(threshold=0.5):
+    """Threshold graph over two singleton blocks and one larger block:
+    both singletons' within-pairs have no dyads and are flagged."""
+    graph, table, _, _ = bernoulli_instance(54, n=6, p=2)
+    single = bl.Partition(
+        ("a", "b", "rest"),
+        {v: (0 if k == 0 else 1 if k == 1 else 2) for k, v in enumerate(graph.node_ids)},
+    )
+    design = bl.encode(table, single, bl.ModelSpec.degree_corrected())
+    fit = bl.fit_mle(design, table.response)
+    return bl.reduce_threshold(fit, single, threshold)
+
+
+def upper_pairs(p):
+    return [(r, s) for r in range(p) for s in range(r, p)]
 
 
 class TestReducePositive:
@@ -111,18 +132,62 @@ class TestReduceThreshold:
             bl.reduce_threshold(fit, partition, 0.5)
 
     def test_pairs_without_dyads_flagged(self):
-        # two singleton blocks: both within-pairs have no dyads
-        graph, table, partition, design = bernoulli_instance(54, n=6, p=2)
-        single = bl.Partition(
-            ("a", "b", "rest"),
-            {v: (0 if k == 0 else 1 if k == 1 else 2)
-             for k, v in enumerate(graph.node_ids)},
-        )
-        design = bl.encode(table, single, bl.ModelSpec.degree_corrected())
-        fit = bl.fit_mle(design, table.response)
-        rg = bl.reduce_threshold(fit, single, 0.5)
+        rg = singleton_threshold_graph()
         assert (0, 0) in rg.flagged_pairs and (1, 1) in rg.flagged_pairs
         assert rg.sign_summary.total == 6
+
+
+class TestRulesAgainstOracles:
+    """Both rules against the exhaustive scans of ``oracles``: every pair
+    r <= s is exactly one of edge, non-edge or flagged, with its value,
+    and the sign summary counts them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 8), seed=st.integers(0, 10_000))
+    def test_positive_rule(self, p, seed):
+        rng = np.random.default_rng(seed)
+        # a third of the free coefficients are exact zeros
+        coefs = rng.normal(size=p * (p - 1) // 2) * (rng.random(p * (p - 1) // 2) > 1 / 3)
+        phi = reconstruct_interactions(coefs, p)
+        rg = bl.reduce_positive(phi)
+        expected = brute_force_positive_pairs(phi)
+        assert rg.edges == tuple(sorted(expected))
+        assert rg.edge_values == {pair: phi[pair] for pair in expected}
+        assert rg.nonedge_values == {pair: phi[pair] for pair in upper_pairs(p)
+                                     if pair not in expected}
+        assert rg.flagged_pairs == ()
+        upper = [phi[pair] for pair in upper_pairs(p)]
+        assert rg.sign_summary.as_tuple() == (sum(v > 0 for v in upper),
+                                              sum(v == 0 for v in upper),
+                                              sum(v < 0 for v in upper))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=8),
+           seed=st.integers(0, 10_000))
+    def test_threshold_rule(self, sizes, seed):
+        # blocks of one to three nodes, so singleton blocks are common
+        rng = np.random.default_rng(seed)
+        p = len(sizes)
+        node_blocks = rng.permutation(np.repeat(np.arange(p), sizes))
+        node_ids = tuple(f"v{i}" for i in range(len(node_blocks)))
+        partition = bl.Partition(tuple(f"b{r}" for r in range(p)),
+                                 {v: int(b) for v, b in zip(node_ids, node_blocks)})
+        fitted = rng.random(len(node_ids) * (len(node_ids) - 1) // 2)
+        fit = SimpleNamespace(family="bernoulli_logit", node_ids=node_ids,
+                              fitted_values=fitted)
+        means = block_mean_probabilities(fitted, node_blocks, p)
+        # a threshold equal to one of the means checks the strict inequality
+        threshold = float(rng.choice(list(means.values()))) if means else 0.5
+        rg = bl.reduce_threshold(fit, partition, threshold)
+        edges = [pair for pair in upper_pairs(p) if pair in means and means[pair] > threshold]
+        assert rg.edges == tuple(edges)
+        assert rg.edge_values == {pair: means[pair] for pair in edges}
+        assert rg.nonedge_values == {pair: mean for pair, mean in means.items()
+                                     if mean <= threshold}
+        flagged = tuple(pair for pair in upper_pairs(p) if pair not in means)
+        assert rg.flagged_pairs == flagged
+        assert rg.sign_summary.as_tuple() == (len(edges), len(flagged),
+                                              len(means) - len(edges))
 
 
 class TestExport:
@@ -152,18 +217,21 @@ class TestExport:
         if (0, 0) in rg.edges:
             assert '"one" -- "one"' in text
 
-    def test_dot_styling_and_unknown_attribute_warns(self):
-        rg = self.sample()
-        styling = {"east": {"color": "lightblue", "shape": "square", "sparkle": "yes"}}
-        with pytest.warns(RuntimeWarning, match="sparkle"):
-            text = bl.export_reduced_graph(rg, "dot", styling=styling)
-        assert 'fillcolor="lightblue"' in text
-        assert 'shape="square"' in text
-
-    def test_include_negative_dashed(self):
-        rg = self.sample()
-        text = bl.export_reduced_graph(rg, "dot", include_negative=True)
-        assert "style=dashed" in text
+    @pytest.mark.parametrize("fmt,unknown,styled", [
+        ("dot", ["sparkle"], ['fillcolor="lightblue"', 'shape="square"', 'label="East"']),
+        ("graphml", ["label", "sparkle"],
+         ['<data key="d_color">lightblue</data>', '<data key="d_shape">square</data>']),
+    ])
+    def test_styling_and_unknown_attribute_warns(self, fmt, unknown, styled):
+        styling = {"east": {"color": "lightblue", "shape": "square", "label": "East",
+                            "sparkle": "yes"}}
+        with pytest.warns(RuntimeWarning) as record:
+            text = bl.export_reduced_graph(self.sample(), fmt, styling=styling)
+        assert [str(w.message).split("'")[1] for w in record] == unknown
+        # each warning points at the caller of export_reduced_graph
+        assert {w.filename for w in record} == {__file__}
+        for piece in styled:
+            assert piece in text
 
     def test_graphml_well_formed(self):
         rg = self.sample()
@@ -174,19 +242,27 @@ class TestExport:
         assert len(graph.findall(f"{ns}node")) == 3
         assert len(graph.findall(f"{ns}edge")) == len(rg.edges)
 
-    def test_json_round_trip(self, tmp_path):
-        rg = self.sample()
-        path = tmp_path / "rg.json"
-        bl.export_reduced_graph(rg, "json", path)
-        loaded = bl.reduced_graph_from_json(path)
-        assert loaded == rg
+    @pytest.mark.parametrize("rule", ["positive_interaction", "threshold"])
+    def test_json_export_matches_graph_fields(self, rule):
+        rg = self.sample() if rule == "positive_interaction" else singleton_threshold_graph()
+        data = json.loads(bl.export_reduced_graph(rg, "json"))
 
-    def test_threshold_json_round_trip(self):
-        graph, table, partition, design = bernoulli_instance(55, n=10, p=2)
-        fit = bl.fit_mle(design, table.response)
-        rg = bl.reduce_threshold(fit, partition, 0.4)
-        text = bl.export_reduced_graph(rg, "json")
-        assert bl.reduced_graph_from_json(text) == rg
+        def named(pair):
+            return [rg.blocks[pair[0]], rg.blocks[pair[1]]]
+
+        assert (data["rule"], data["threshold"], data["blocks"]) == (
+            rg.rule, rg.threshold, list(rg.blocks))
+        assert data["edges"] == [{"source": named(pair)[0], "target": named(pair)[1],
+                                  "value": rg.edge_values[pair]} for pair in rg.edges]
+        assert data["nonedges"] == [{"source": named(pair)[0], "target": named(pair)[1],
+                                     "value": value}
+                                    for pair, value in sorted(rg.nonedge_values.items())]
+        assert data["flagged"] == [named(pair) for pair in rg.flagged_pairs]
+        summary = rg.sign_summary
+        assert data["sign_summary"] == {"positive": summary.positive, "zero": summary.zero,
+                                        "negative": summary.negative}
+        assert rg.edges and rg.nonedge_values
+        assert bool(rg.flagged_pairs) == (rule == "threshold")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
