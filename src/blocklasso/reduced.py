@@ -105,15 +105,16 @@ def _from_values(blocks, values, present, flagged, summary, rule,
     carrying its entry of ``values``."""
     edges, flagged_pairs = [], []
     edge_values, nonedge_values = {}, {}
-    for r, s in zip(*np.triu_indices(len(blocks))):
-        pair = (int(r), int(s))
-        if flagged[pair]:
-            flagged_pairs.append(pair)
-        elif present[pair]:
-            edges.append(pair)
-            edge_values[pair] = float(values[pair])
-        else:
-            nonedge_values[pair] = float(values[pair])
+    values, present, flagged = values.tolist(), present.tolist(), flagged.tolist()
+    for r in range(len(blocks)):
+        for s in range(r, len(blocks)):
+            if flagged[r][s]:
+                flagged_pairs.append((r, s))
+            elif present[r][s]:
+                edges.append((r, s))
+                edge_values[(r, s)] = values[r][s]
+            else:
+                nonedge_values[(r, s)] = values[r][s]
     return ReducedGraph(blocks=tuple(blocks), edges=tuple(edges), edge_values=edge_values,
                         sign_summary=summary, rule=rule, threshold=threshold,
                         nonedge_values=nonedge_values, flagged_pairs=tuple(flagged_pairs))
@@ -141,13 +142,14 @@ def reduce_positive(interactions: np.ndarray, block_labels=None) -> ReducedGraph
     if len(blocks) != p:
         raise ValueError("block labels do not match the matrix size")
 
-    upper = values[np.triu_indices(p)]
-    positive = int(np.count_nonzero(upper > 0.0))
-    negative = int(np.count_nonzero(upper < 0.0))
-    summary = SignSummary(positive=positive, zero=upper.size - positive - negative,
+    present = values > 0.0
+    upper = np.triu(np.ones((p, p), dtype=bool))
+    positive = int(np.count_nonzero(present & upper))
+    negative = int(np.count_nonzero((values < 0.0) & upper))
+    summary = SignSummary(positive=positive, zero=p * (p + 1) // 2 - positive - negative,
                           negative=negative)
-    return _from_values(blocks, values, values > 0.0, np.zeros((p, p), dtype=bool),
-                        summary, "positive_interaction")
+    return _from_values(blocks, values, present, np.zeros((p, p), dtype=bool), summary,
+                        "positive_interaction")
 
 
 def reduce_threshold(fit: FitResult, partition: Partition, threshold: float) -> ReducedGraph:

@@ -221,7 +221,7 @@ class TestExport:
         ("dot", ["sparkle"], ['fillcolor="lightblue"', 'shape="square"', 'label="East"']),
         ("graphml", ["label", "sparkle"],
          ['<data key="d_color">lightblue</data>', '<data key="d_shape">square</data>']),
-    ])
+    ], ids=["dot", "graphml"])
     def test_styling_and_unknown_attribute_warns(self, fmt, unknown, styled):
         styling = {"east": {"color": "lightblue", "shape": "square", "label": "East",
                             "sparkle": "yes"}}
