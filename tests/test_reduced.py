@@ -146,7 +146,7 @@ class TestRulesAgainstOracles:
     @given(p=st.integers(1, 8), seed=st.integers(0, 10_000))
     def test_positive_rule(self, p, seed):
         rng = np.random.default_rng(seed)
-        # a third of the free coefficients are exact zeros
+        # about a third of the free coefficients are exact zeros
         coefs = rng.normal(size=p * (p - 1) // 2) * (rng.random(p * (p - 1) // 2) > 1 / 3)
         phi = reconstruct_interactions(coefs, p)
         rg = bl.reduce_positive(phi)
