@@ -1,7 +1,11 @@
 """Command-line front door: fit, simulate, compare and validate.
 
 A run is driven by a single JSON config document; command-line flags
-override individual config fields (flags > config > defaults). All
+override individual config fields (flags > config > defaults).
+``FIT_SETTINGS`` (fit and validate) and ``SIMULATE_SETTINGS`` list every
+setting by dotted name with its type, default and flag. An unknown key, a
+section that is not a JSON object and a value of the wrong type exit 3
+and name the dotted key before any input is read or output written. All
 artifacts are plain files in the output directory, written with sorted
 keys and shortest-round-trip float formatting, so repeated runs with the
 same config and inputs produce byte-identical coefficient CSVs and
@@ -42,119 +46,153 @@ FORMATS = ("json", "dot", "graphml")
 
 
 # --------------------------------------------------------------------------
-# config handling
+# settings
 
 
-def _deep_update(base: dict, extra: dict) -> dict:
-    for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
-        else:
-            base[key] = value
-    return base
-
-
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return data
-
-
-_FIT_DEFAULTS = {
-    "edges": None,
-    "mode": "binary",
-    "has_header": False,
-    "attributes": None,
-    "nodes": None,
-    "partition": {"keys": [], "overrides": {}},
-    "model": "degree_corrected",
-    "family": None,
-    "node_effects": False,
-    "block_main_effects": False,
-    "covariates": [],
-    "penalize_covariates": None,
-    "standardize": [],
-    "penalty": {
-        "enabled": True,
-        "gamma_w": 1.0,
-        "grid_size": 100,
-        "grid_ratio": 1e-4,
-        "lambda": "auto",
-    },
-    "threshold": None,
-    "formats": ["json", "dot"],
-    "styling": {},
-    "out": "blocklasso_out",
+# Every setting of a command: its dotted config name (``penalty.gamma_w``
+# is the ``gamma_w`` key of the ``penalty`` object), its type, its default
+# and, in the comment, the flag whose argparse ``dest`` is that name.
+FIT_SETTINGS = {
+    "edges": (str, None),                         # --edges
+    "mode": (str, "binary"),                      # --mode binary|weighted
+    "has_header": (bool, False),                  # --has-header
+    "attributes": (str, None),                    # --attributes
+    "nodes": (str, None),                         # --nodes
+    "partition.keys": (list, []),                 # --partition-key (repeatable)
+    "partition.overrides": (dict, {}),            # --override NODE=LABEL (repeatable)
+    "model": (str, "degree_corrected"),           # --model
+    "family": (str, None),                        # --family
+    "node_effects": (bool, False),
+    "block_main_effects": (bool, False),
+    "covariates": (list, []),
+    "penalize_covariates": (bool, None),
+    "standardize": (list, []),
+    "penalty.enabled": (bool, True),              # --penalized / --no-penalized
+    "penalty.gamma_w": (float, 1.0),              # --gamma-w
+    "penalty.grid_size": (int, 100),              # --grid-size
+    "penalty.grid_ratio": (float, 1e-4),          # --grid-ratio
+    "penalty.lambda": ((str, float), "auto"),     # --lambda auto|NUMBER
+    "threshold": (float, None),                   # --threshold
+    "formats": (list, ["json", "dot"]),           # --format (repeatable)
+    "styling": (dict, {}),
+    "out": (str, "blocklasso_out"),               # --out
 }
+
+SIMULATE_SETTINGS = {
+    "simulate.n": (int, 40),                      # --n
+    "simulate.p": (int, 4),                       # --p
+    "simulate.family": (str, "bernoulli_logit"),  # --family
+    "simulate.intercept": (float, 0.0),           # --intercept
+    "simulate.fraction_zero": (float, 0.5),       # --fraction-zero
+    "simulate.magnitude": (float, 0.8),           # --magnitude
+    "simulate.interactions": (list, None),
+    "simulate.node_effects": (list, None),
+    "simulate.block_effects": (list, None),
+    "simulate.block_sizes": (list, None),
+    "simulate.seed": (int, 0),                    # --seed
+    "out": (str, "blocklasso_sim"),               # --out
+}
+
+_TYPE_NAMES = {str: "a string", bool: "true or false", int: "an integer",
+               float: "a number", list: "a list", dict: "a JSON object"}
+
+
+def _config_items(document, settings: dict, section: str = ""):
+    """The (dotted name, value) pairs of a config document; an unknown
+    key or a section that is not a JSON object is refused."""
+    if not isinstance(document, dict):
+        where = f"section {section!r}" if section else "document"
+        raise ValueError(f"config {where} must be a JSON object, got {document!r}")
+    for key, value in document.items():
+        name = f"{section}.{key}" if section else key
+        if name in settings:
+            yield name, value
+        elif not section and any(s.startswith(name + ".") for s in settings):
+            yield from _config_items(value, settings, name)
+        else:
+            raise ValueError(f"unknown config key {name!r}")
+
+
+def _typed(name: str, value, kind, default):
+    """``value`` checked against the setting's type ``kind`` (a type or a
+    tuple of types). A float setting takes any JSON number and stores a
+    float; None is taken only where the default is None."""
+    if value is None and default is None:
+        return None
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for one in kinds:
+        if isinstance(value, bool) and one is not bool:
+            continue  # JSON true and false are not numbers
+        if one is float and isinstance(value, int):
+            return float(value)
+        if isinstance(value, one):
+            return value
+    expected = " or ".join(_TYPE_NAMES[one] for one in kinds)
+    raise ValueError(f"setting {name!r} must be {expected}, got {value!r}")
+
+
+def _resolve(args, settings: dict) -> dict:
+    """The run's nested config document: the defaults of ``settings``,
+    then the ``--config`` document, then the flags. Repeated
+    ``--override NODE=LABEL`` flags merge into the mapping they set."""
+    values = json.loads(json.dumps({name: default for name, (_, default) in settings.items()}))
+    if args.config is not None:
+        document = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        values.update(_config_items(document, settings))
+    for name, (kind, _) in settings.items():
+        flag = getattr(args, name, None)
+        if flag is not None and kind is dict:  # repeated --override NODE=LABEL
+            for item in flag:
+                if not item.partition("=")[2]:
+                    raise ValueError(f"--override takes NODE=LABEL, got {item!r}")
+            flag = {**values[name], **dict(item.partition("=")[::2] for item in flag)}
+        if flag is not None:
+            values[name] = flag
+    cfg: dict = {}
+    for name, (kind, default) in settings.items():
+        section, _, key = name.rpartition(".")
+        node = cfg.setdefault(section, {}) if section else cfg
+        node[key] = _typed(name, values[name], kind, default)
+    return cfg
 
 
 def _resolve_fit_config(args) -> tuple[dict, PenaltySpec | None]:
-    """The run's config document, and its penalty settings checked as a
+    """The fit's config document, and its penalty settings checked as a
     :class:`PenaltySpec` (``None`` when the penalty is disabled), so that
-    bad config shapes and bad penalty and threshold settings fail before
-    any work is done."""
-    cfg = json.loads(json.dumps(_FIT_DEFAULTS))
-    _deep_update(cfg, _load_config(args.config))
-    for key in ("penalty", "partition", "styling"):
-        if not isinstance(cfg[key], dict):
-            raise ValueError(f"config {key!r} must be a JSON object, got {cfg[key]!r}")
+    bad settings fail before any work is done."""
+    cfg = _resolve(args, FIT_SETTINGS)
     if not all(isinstance(style, dict) for style in cfg["styling"].values()):
         raise ValueError("config 'styling' must map block labels to JSON objects")
-    for key in ("edges", "mode", "has_header", "attributes", "nodes", "model", "family", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    if getattr(args, "partition_key", None):
-        cfg["partition"]["keys"] = list(args.partition_key)
-    if getattr(args, "override", None):
-        overrides = dict(cfg["partition"].get("overrides") or {})
-        for item in args.override:
-            node, _, label = item.partition("=")
-            if not label:
-                raise ValueError(f"--override takes NODE=LABEL, got {item!r}")
-            overrides[node] = label
-        cfg["partition"]["overrides"] = overrides
-    if getattr(args, "penalized", None) is not None:
-        cfg["penalty"]["enabled"] = args.penalized
-    if getattr(args, "gamma_w", None) is not None:
-        cfg["penalty"]["gamma_w"] = args.gamma_w
-    if getattr(args, "grid_size", None) is not None:
-        cfg["penalty"]["grid_size"] = args.grid_size
-    if getattr(args, "grid_ratio", None) is not None:
-        cfg["penalty"]["grid_ratio"] = args.grid_ratio
-    if getattr(args, "lam", None) is not None:
-        cfg["penalty"]["lambda"] = args.lam
-    if getattr(args, "threshold", None) is not None:
-        cfg["threshold"] = args.threshold
-    if getattr(args, "format", None):
-        cfg["formats"] = list(dict.fromkeys(args.format))
-    if not isinstance(cfg["formats"], list) or not all(f in FORMATS for f in cfg["formats"]):
-        raise ValueError(f"formats must be a list drawn from {FORMATS}, got {cfg['formats']!r}")
+    cfg["formats"] = list(dict.fromkeys(cfg["formats"]))
+    if not all(f in FORMATS for f in cfg["formats"]):
+        raise ValueError(f"setting 'formats' must be drawn from {FORMATS}, "
+                         f"got {cfg['formats']!r}")
     if cfg["edges"] is None:
         raise ValueError("no edge file given (use --edges or the config)")
     if cfg["model"] not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {cfg['model']!r}")
     if cfg["threshold"] is not None:
-        if not 0.0 <= float(cfg["threshold"]) <= 1.0:
+        if not 0.0 <= cfg["threshold"] <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {cfg['threshold']}")
         # the family does not depend on the covariates
         if _build_model_spec(cfg, ()).family != "bernoulli_logit":
             raise ValueError("the threshold rule needs fitted probabilities; "
                              "it is undefined for rate (Poisson) fits")
     penalty = cfg["penalty"]
-    if isinstance(penalty["lambda"], str) and penalty["lambda"] != "auto":
-        penalty["lambda"] = float(penalty["lambda"])
+    if penalty["lambda"] != "auto":
+        try:
+            penalty["lambda"] = float(penalty["lambda"])
+        except ValueError:
+            raise ValueError("setting 'penalty.lambda' must be 'auto' or a number, "
+                             f"got {penalty['lambda']!r}") from None
     if not penalty["enabled"]:
         return cfg, None
     # a numeric lambda selects that penalty, "auto" the BIC minimizer
     return cfg, PenaltySpec(
-        gamma_w=float(penalty["gamma_w"]),
-        grid_size=int(penalty["grid_size"]),
-        grid_ratio=float(penalty["grid_ratio"]),
-        fixed_lambda=None if isinstance(penalty["lambda"], str) else float(penalty["lambda"]),
+        gamma_w=penalty["gamma_w"],
+        grid_size=penalty["grid_size"],
+        grid_ratio=penalty["grid_ratio"],
+        fixed_lambda=None if penalty["lambda"] == "auto" else penalty["lambda"],
     )
 
 
@@ -211,8 +249,8 @@ def _build_model_spec(cfg: dict, covariate_names) -> ModelSpec:
         raise ValueError("custom model needs a family")
     return ModelSpec(
         family=cfg["family"],
-        node_effects=bool(cfg["node_effects"]),
-        block_main_effects=bool(cfg["block_main_effects"]),
+        node_effects=cfg["node_effects"],
+        block_main_effects=cfg["block_main_effects"],
         covariates=tuple(covariate_names),
         penalize_covariates=cfg["penalize_covariates"],
     )
@@ -222,13 +260,10 @@ def _load_inputs(cfg: dict):
     attrs = load_attributes(cfg["attributes"]) if cfg["attributes"] else None
     extra_nodes = attrs.node_ids if attrs else ()
     graph = load_edge_list(cfg["edges"], mode=cfg["mode"], extra_nodes=extra_nodes,
-                           node_file=cfg["nodes"], has_header=bool(cfg["has_header"]))
+                           node_file=cfg["nodes"], has_header=cfg["has_header"])
     attrs_for_partition = attrs if attrs is not None else AttributeTable(graph.node_ids, {})
-    partition = partition_from_attributes(
-        attrs_for_partition,
-        cfg["partition"].get("keys") or [],
-        cfg["partition"].get("overrides") or {},
-    )
+    partition = partition_from_attributes(attrs_for_partition, cfg["partition"]["keys"],
+                                          cfg["partition"]["overrides"])
     return graph, attrs, partition
 
 
@@ -264,7 +299,7 @@ def cmd_fit(args) -> int:
     rg_mle = reduce_positive(mle.block_interactions, partition.block_labels)
     _reduced_outputs(out_dir, "reduced_mle", rg_mle, cfg["formats"], cfg["styling"])
     if cfg["threshold"] is not None:
-        rg_thresh = reduce_threshold(mle, partition, float(cfg["threshold"]))
+        rg_thresh = reduce_threshold(mle, partition, cfg["threshold"])
         _reduced_outputs(out_dir, "reduced_mle_threshold", rg_thresh,
                          cfg["formats"], cfg["styling"])
 
@@ -342,55 +377,18 @@ def cmd_fit(args) -> int:
 # simulate
 
 
-_SIM_DEFAULTS = {
-    "simulate": {
-        "n": 40,
-        "p": 4,
-        "family": "bernoulli_logit",
-        "intercept": 0.0,
-        "fraction_zero": 0.5,
-        "magnitude": 0.8,
-        "interactions": None,
-        "node_effects": None,
-        "block_effects": None,
-        "block_sizes": None,
-        "seed": 0,
-    },
-    "out": "blocklasso_sim",
-}
-
-
 def cmd_simulate(args) -> int:
     from .simulate import GeneratorSpec, sample_graph, sparse_interactions, write_dataset
 
     started = time.perf_counter()
-    cfg = json.loads(json.dumps(_SIM_DEFAULTS))
-    _deep_update(cfg, _load_config(args.config))
+    cfg = _resolve(args, SIMULATE_SETTINGS)
     sim = cfg["simulate"]
-    for key in ("n", "p", "family", "intercept", "fraction_zero", "magnitude", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            sim[key] = value
-    if args.out is not None:
-        cfg["out"] = args.out
-
-    if sim["interactions"] is not None:
-        interactions = np.array(sim["interactions"], dtype=np.float64)
-    else:
-        interactions = sparse_interactions(int(sim["p"]), float(sim["fraction_zero"]),
-                                           float(sim["magnitude"]), int(sim["seed"]))
-        sim["interactions"] = [[float(v) for v in row] for row in interactions]
-    spec = GeneratorSpec(
-        n=int(sim["n"]),
-        p=int(sim["p"]),
-        family=sim["family"],
-        intercept=float(sim["intercept"]),
-        interactions=interactions,
-        node_effects=None if sim["node_effects"] is None else np.array(sim["node_effects"]),
-        block_effects=None if sim["block_effects"] is None else np.array(sim["block_effects"]),
-        block_sizes=None if sim["block_sizes"] is None else tuple(sim["block_sizes"]),
-        seed=int(sim["seed"]),
-    )
+    if sim["interactions"] is None:
+        sim["interactions"] = sparse_interactions(sim["p"], sim["fraction_zero"],
+                                                  sim["magnitude"], sim["seed"]).tolist()
+    # GeneratorSpec turns the effect lists into arrays
+    spec = GeneratorSpec(**{key: value for key, value in sim.items()
+                            if key not in ("fraction_zero", "magnitude")})
     graph, _table, partition = sample_graph(spec)
     out_dir = Path(cfg["out"])
     mode = "binary" if spec.family == "bernoulli_logit" else "weighted"
@@ -507,36 +505,40 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the edge file starts with a header row")
         p.add_argument("--attributes", help="node attribute table")
         p.add_argument("--nodes", help="companion node-list file")
-        p.add_argument("--partition-key", action="append",
+        p.add_argument("--partition-key", dest="partition.keys", action="append",
                        help="attribute used to form blocks (repeatable)")
-        p.add_argument("--override", action="append", metavar="NODE=LABEL",
+        p.add_argument("--override", dest="partition.overrides", action="append",
+                       metavar="NODE=LABEL",
                        help="assign a node directly to a block (repeatable)")
 
     fit = sub.add_parser("fit", help="fit a blockmodel and derive reduced graphs")
     add_input_flags(fit)
     fit.add_argument("--model", choices=MODELS)
     fit.add_argument("--family", choices=["bernoulli_logit", "poisson_log"])
-    fit.add_argument("--penalized", action=argparse.BooleanOptionalAction, default=None)
-    fit.add_argument("--lambda", dest="lam",
+    fit.add_argument("--penalized", dest="penalty.enabled",
+                     action=argparse.BooleanOptionalAction, default=None)
+    fit.add_argument("--lambda", dest="penalty.lambda",
                      help="'auto' (BIC over the path) or a numeric penalty")
-    fit.add_argument("--gamma-w", type=float, help="adaptive-weight exponent")
-    fit.add_argument("--grid-size", type=int)
-    fit.add_argument("--grid-ratio", type=float)
+    fit.add_argument("--gamma-w", dest="penalty.gamma_w", type=float,
+                     help="adaptive-weight exponent")
+    fit.add_argument("--grid-size", dest="penalty.grid_size", type=int)
+    fit.add_argument("--grid-ratio", dest="penalty.grid_ratio", type=float)
     fit.add_argument("--threshold", type=float,
                      help="also derive a mean-probability threshold reduced graph")
-    fit.add_argument("--format", action="append", choices=FORMATS)
+    fit.add_argument("--format", dest="formats", action="append", choices=FORMATS)
     fit.add_argument("--out", help="output directory")
     fit.set_defaults(func=cmd_fit)
 
     sim = sub.add_parser("simulate", help="draw a synthetic network and write its files")
     sim.add_argument("--config", help="JSON config document")
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--p", type=int)
-    sim.add_argument("--family", choices=["bernoulli_logit", "poisson_log"])
-    sim.add_argument("--intercept", type=float)
-    sim.add_argument("--fraction-zero", dest="fraction_zero", type=float)
-    sim.add_argument("--magnitude", type=float)
-    sim.add_argument("--seed", type=int)
+    sim.add_argument("--n", dest="simulate.n", type=int)
+    sim.add_argument("--p", dest="simulate.p", type=int)
+    sim.add_argument("--family", dest="simulate.family",
+                     choices=["bernoulli_logit", "poisson_log"])
+    sim.add_argument("--intercept", dest="simulate.intercept", type=float)
+    sim.add_argument("--fraction-zero", dest="simulate.fraction_zero", type=float)
+    sim.add_argument("--magnitude", dest="simulate.magnitude", type=float)
+    sim.add_argument("--seed", dest="simulate.seed", type=int)
     sim.add_argument("--out", help="output directory")
     sim.set_defaults(func=cmd_simulate)
 

@@ -168,12 +168,6 @@ class DesignMatrix:
     def group_indices(self, group: str) -> np.ndarray:
         return np.flatnonzero(np.array(self.groups) == group)
 
-    def linear_predictor(self, coefficients) -> np.ndarray:
-        coefficients = np.asarray(coefficients, dtype=np.float64)
-        if coefficients.shape != (self.n_columns,):
-            raise ValueError(f"expected {self.n_columns} coefficients")
-        return self.matrix @ coefficients
-
     def interaction_matrix(self, coefficients) -> np.ndarray:
         """Symmetric p-by-p block-interaction matrix implied by a fit."""
         idx = self.group_indices(GROUP_INTERACTION)

@@ -64,7 +64,7 @@ import numpy as np
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 from scipy.special import gammaln, xlogy
 
-from .design import FAMILIES, GROUP_BLOCK, GROUP_NODE, DesignMatrix, FactoredGram, effect_levels
+from .design import GROUP_BLOCK, GROUP_NODE, DesignMatrix, FactoredGram, effect_levels
 
 __all__ = [
     "ConvergenceError",
@@ -85,12 +85,6 @@ _EPS = float(np.finfo(np.float64).eps)
 
 class ConvergenceError(RuntimeError):
     """A fit did not converge where a converged fit is required."""
-
-
-def _check_family(family: str) -> str:
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    return family
 
 
 def _validate_response(response, family: str, m: int) -> np.ndarray:
@@ -120,9 +114,9 @@ class _CellData:
     (zero for Bernoulli), computed once.
     """
 
-    def __init__(self, design: DesignMatrix, response, family: str):
+    def __init__(self, design: DesignMatrix, response):
         self.design = design
-        self.family = _check_family(family)
+        self.family = design.spec.family
         y = _validate_response(response, self.family, design.n_rows)
         cells = design.cells
         self.X = cells.matrix
@@ -162,7 +156,7 @@ class _CellData:
         return self.XT @ (self.y - self.n * mu)
 
 
-def log_likelihood(coefficients, design: DesignMatrix, response, family: str | None = None) -> float:
+def log_likelihood(coefficients, design: DesignMatrix, response) -> float:
     """Exact log-likelihood of a coefficient vector.
 
     Bernoulli: sum of ``y*eta - log(1 + exp(eta))``; Poisson: sum of
@@ -171,7 +165,7 @@ def log_likelihood(coefficients, design: DesignMatrix, response, family: str | N
     coefficients = np.asarray(coefficients, dtype=np.float64)
     if coefficients.shape != (design.n_columns,):
         raise ValueError(f"expected {design.n_columns} coefficients")
-    data = _CellData(design, response, family or design.spec.family)
+    data = _CellData(design, response)
     return data.evaluate(data.X @ coefficients)[1] - data.log_y_factorial
 
 
@@ -510,14 +504,14 @@ def assemble_fit(data: _CellData, solve: _Solve, diagnostics: dict,
     )
 
 
-def fit_mle(design: DesignMatrix, response, family: str | None = None) -> FitResult:
+def fit_mle(design: DesignMatrix, response) -> FitResult:
     """Maximum-likelihood fit by IRLS with step halving.
 
     A converged result satisfies the score condition
     ``max|X'(y - fitted)| <= 1e-6 * (1 + max|X'y|)``. Non-convergence is
     reported through ``converged``/``diagnostics``, not an exception.
     """
-    data = _CellData(design, response, family or design.spec.family)
+    data = _CellData(design, response)
     factored = FactoredGram(design, np.flatnonzero(~design.inestimable))
     cols = factored.cols
     score_bound = SCORE_TOL * (1.0 + float(np.abs((data.XT @ data.y)[cols]).max(initial=0.0)))

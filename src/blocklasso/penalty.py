@@ -185,9 +185,9 @@ def adaptive_weights(reference: FitResult, mask, gamma_w: float = 1.0) -> np.nda
 class _PenalizedSolver:
     """Shared machinery for one (design, response, weights) problem."""
 
-    def __init__(self, design: DesignMatrix, response, family: str, weights):
+    def __init__(self, design: DesignMatrix, response, weights):
         self.design = design
-        self.data = _CellData(design, response, family)
+        self.data = _CellData(design, response)
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (design.n_columns,):
             raise ValueError(f"weights must have length {design.n_columns}")
@@ -393,29 +393,27 @@ class _PenalizedSolver:
         return assemble_fit(self.data, solve, diagnostics, fitted_values)
 
 
-def _solver(design: DesignMatrix, response, family: str | None, weights) -> _PenalizedSolver:
+def _solver(design: DesignMatrix, response, weights) -> _PenalizedSolver:
     if weights is None:
         weights = np.where(design.penalized_mask, 1.0, 0.0)
-    return _PenalizedSolver(design, response, family or design.spec.family, weights)
+    return _PenalizedSolver(design, response, weights)
 
 
-def restricted_fit(design: DesignMatrix, response, family: str | None = None) -> np.ndarray:
+def restricted_fit(design: DesignMatrix, response) -> np.ndarray:
     """Coefficients of the fit with every penalized column held at zero,
     where each path starts; its unpenalized score is within ``KKT_TOL``
     of zero when it converges."""
-    return _solver(design, response, family, None).restricted_fit().beta
+    return _solver(design, response, None).restricted_fit().beta
 
 
-def lambda_max(design: DesignMatrix, response, weights, restricted,
-               family: str | None = None) -> float:
+def lambda_max(design: DesignMatrix, response, weights, restricted) -> float:
     """Smallest penalty at which every finitely weighted penalized
     coefficient is zero, from the score at the coefficients
     ``restricted`` of :func:`restricted_fit`."""
-    return _solver(design, response, family, weights).lambda_max(restricted)
+    return _solver(design, response, weights).lambda_max(restricted)
 
 
-def fit_penalized(design: DesignMatrix, response, family: str | None = None,
-                  weights=None, lam: float = 0.0, *,
+def fit_penalized(design: DesignMatrix, response, weights=None, lam: float = 0.0, *,
                   beta_start: np.ndarray | None = None) -> FitResult:
     """Penalized fit at a single penalty level.
 
@@ -428,7 +426,7 @@ def fit_penalized(design: DesignMatrix, response, family: str | None = None,
     violation reached is recorded in ``diagnostics["kkt_max"]``.
     """
     _check_lambda(lam)
-    solver = _solver(design, response, family, weights)
+    solver = _solver(design, response, weights)
     if beta_start is None:
         restricted = solver.restricted_fit()
         if lam >= solver.lambda_max(restricted.beta):
@@ -489,8 +487,8 @@ def _predicted_start(beta: np.ndarray, beta_prev: np.ndarray, step: float,
     return start
 
 
-def lambda_path(design: DesignMatrix, response, family: str | None = None,
-                weights=None, grid_size: int = 100, grid_ratio: float = 1e-4) -> PathResult:
+def lambda_path(design: DesignMatrix, response, weights=None, grid_size: int = 100,
+                grid_ratio: float = 1e-4) -> PathResult:
     """Fit the penalized model along a log-spaced penalty grid.
 
     The grid runs from ``lambda_max`` (the smallest penalty at which
@@ -509,7 +507,7 @@ def lambda_path(design: DesignMatrix, response, family: str | None = None,
         raise ValueError("grid_size must be at least 1")
     if not 0.0 < grid_ratio < 1.0:
         raise ValueError("grid_ratio must be in (0, 1)")
-    solver = _solver(design, response, family, weights)
+    solver = _solver(design, response, weights)
     m = design.n_rows
 
     restricted = solver.restricted_fit()

@@ -98,7 +98,7 @@ def test_criterion_03_mle_matches_independent_oracle():
 
 def _kkt_gap(design, response, family, weights, lam, coefficients):
     y = np.asarray(response, dtype=float)
-    eta = design.linear_predictor(coefficients)
+    eta = design.matrix @ coefficients
     mu = 1.0 / (1.0 + np.exp(-eta)) if family == "bernoulli_logit" else np.exp(eta)
     score = design.matrix.T @ (y - mu)
     worst = 0.0
@@ -136,8 +136,8 @@ def test_criterion_04_penalized_correctness():
             zero = bl.fit_penalized(design, table.response, weights=weights, lam=0.0)
             assert np.abs(zero.coefficients - mle.coefficients).max() <= 1e-6
 
-            beta_r = bl.restricted_fit(design, table.response, family)
-            lam_max = bl.lambda_max(design, table.response, weights, beta_r, family)
+            beta_r = bl.restricted_fit(design, table.response)
+            lam_max = bl.lambda_max(design, table.response, weights, beta_r)
             above = bl.fit_penalized(design, table.response, weights=weights,
                                      lam=1.01 * lam_max)
             assert np.count_nonzero(above.coefficients[design.penalized_mask]) == 0

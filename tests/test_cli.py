@@ -94,22 +94,51 @@ class TestFit:
         assert "error (data)" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("config", [
-        {"formats": ["svg"]},
-        {"formats": "dot"},
-        {"styling": ["x"]},
-        {"styling": {"B1": ["x"]}},
-        {"penalty": None},
-        {"partition": []},
+    @pytest.mark.parametrize("config,key", [
+        ({"formats": ["svg"]}, "formats"),
+        ({"formats": "dot"}, "formats"),
+        ({"styling": ["x"]}, "styling"),
+        ({"styling": {"B1": ["x"]}}, "styling"),
+        ({"penalty": None}, "penalty"),
+        ({"partition": []}, "partition"),
+        ({"penalty": {"lambda": None}}, "penalty.lambda"),
+        ({"penalty": {"gamma_w": None}}, "penalty.gamma_w"),
+        ({"penalty": {"gama_w": 2}}, "penalty.gama_w"),
+        ({"penalty": {"selection": "fixed_lambda"}}, "penalty.selection"),
+        ({"partition": {"keys": "block"}}, "partition.keys"),
     ], ids=["unknown_format", "formats_not_a_list", "styling_not_an_object",
-            "block_styling_not_an_object", "penalty_null", "partition_not_an_object"])
-    def test_bad_config_shapes_fail_before_any_work(self, dataset, tmp_path, capsys, config):
+            "block_styling_not_an_object", "penalty_null", "partition_not_an_object",
+            "lambda_null", "gamma_w_null", "misspelled_key", "removed_selection_key",
+            "partition_keys_not_a_list"])
+    def test_bad_config_shapes_fail_before_any_work(self, dataset, tmp_path, capsys,
+                                                     config, key):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / "bad"
-        assert run(*fit_args(dataset, out, "--config", cfg_path)) == 3
-        assert "error (data)" in capsys.readouterr().err
+        # no --partition-key, which would override the config's partition keys
+        assert run("fit", "--edges", dataset / "edges.csv", "--attributes",
+                   dataset / "attributes.csv", "--model", "custom", "--family",
+                   "bernoulli_logit", "--config", cfg_path, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "error (data)" in err and repr(key) in err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_manifest_config_reproduces_the_run(self, dataset, tmp_path):
+        first = tmp_path / "first"
+        assert run(*fit_args(dataset, first, "--threshold", 0.5, "--gamma-w", 1.5,
+                             "--format", "graphml", "--format", "dot")) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        second = tmp_path / "second"
+        cfg_path = tmp_path / "recorded.json"
+        cfg_path.write_text(json.dumps({**manifest["config"], "out": str(second)}))
+        assert run("fit", "--config", cfg_path) == 0
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        rerun = json.loads((second / "manifest.json").read_text())
+        assert rerun["config_hash"] == manifest["config_hash"]
 
     def test_gamma_w_out_of_range_is_data_error(self, dataset, tmp_path, capsys):
         # weights |ref| ** -2000 overflow or underflow for any |ref| outside [0.70, 1.45]
@@ -147,6 +176,19 @@ class TestSimulate:
             assert run("simulate", "--n", 20, "--p", 2, "--seed", 33, "--out", out) == 0
         for name in ("edges.csv", "attributes.csv", "truth.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("config,key", [
+        ({"simulate": {"n": 20, "seeds": 3}}, "simulate.seeds"),
+        ({"simulate": {"n": None}}, "simulate.n"),
+    ], ids=["unknown_key", "n_null"])
+    def test_bad_config_fails_before_any_work(self, tmp_path, capsys, config, key):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "bad"
+        assert run("simulate", "--config", cfg_path, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "error (data)" in err and repr(key) in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_weighted_family_round_trip(self, tmp_path):
         sim = tmp_path / "pois"

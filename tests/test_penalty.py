@@ -16,7 +16,7 @@ from helpers import bernoulli_instance, poisson_instance
 def kkt_violation(design, response, family, weights, lam, fit):
     """Exact-likelihood KKT gap computed outside the solver."""
     y = np.asarray(response, dtype=float)
-    eta = design.linear_predictor(fit.coefficients)
+    eta = design.matrix @ fit.coefficients
     mu = 1.0 / (1.0 + np.exp(-eta)) if family == "bernoulli_logit" else np.exp(eta)
     score = design.matrix.T @ (y - mu)
     worst = 0.0
@@ -168,7 +168,7 @@ class TestFitPenalized:
         beta_r = bl.restricted_fit(design, table.response)
         lam = 0.3 * bl.lambda_max(design, table.response, weights, beta_r)
         fit = bl.fit_penalized(design, table.response, weights=weights, lam=lam)
-        solver = _PenalizedSolver(design, table.response, design.spec.family, weights)
+        solver = _PenalizedSolver(design, table.response, weights)
         for other in (fit, mle):
             fast = solver.kkt_violation(other.coefficients, lam)
             slow = kkt_violation(design, table.response, design.spec.family, weights, lam, other)
@@ -358,7 +358,7 @@ class TestChordSteps:
         _, table, _, design = poisson_instance(31, n=14, p=3, n_covariates=2)
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        solver = _PenalizedSolver(design, table.response, design.spec.family, weights)
+        solver = _PenalizedSolver(design, table.response, weights)
         lam = 0.3 * solver.lambda_max(solver.restricted_fit().beta)
         # (Gram builds, step halvings) so far, as each outer step starts its working solve
         steps = []
@@ -382,7 +382,7 @@ class TestChordSteps:
         _, table, _, design = bernoulli_instance(43, n=40, p=5, node_scale=0.5)
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        solver = _PenalizedSolver(design, table.response, design.spec.family, weights)
+        solver = _PenalizedSolver(design, table.response, weights)
         beta = solver.restricted_fit().beta
         mu = solver.data.evaluate(solver.data.X @ beta)[0]
         A, b = solver.factored.gram(*solver.data.working(solver.data.X @ beta, mu))
@@ -439,7 +439,7 @@ class TestStopCauses:
 class TestFactorReuse:
     def solver(self):
         _, table, _, design = bernoulli_instance(37, n=8, p=2)
-        return _PenalizedSolver(design, table.response, design.spec.family,
+        return _PenalizedSolver(design, table.response,
                                 np.where(design.penalized_mask, 1.0, 0.0))
 
     def test_jittered_or_least_squares_solves_are_never_kept(self):
