@@ -4,8 +4,9 @@ A run is driven by a single JSON config document; command-line flags
 override individual config fields (flags > config > defaults).
 ``FIT_SETTINGS`` (fit and validate) and ``SIMULATE_SETTINGS`` list every
 setting by dotted name with its type, default and flag. An unknown key, a
-section that is not a JSON object and a value of the wrong type exit 3
-and name the dotted key before any input is read or output written. All
+section that is not a JSON object, a value of the wrong type and a
+malformed ``covariates`` entry exit 3 and name the dotted key (or
+``covariates[k]``) before any input is read or output written. All
 artifacts are plain files in the output directory, written with sorted
 keys and shortest-round-trip float formatting, so repeated runs with the
 same config and inputs produce byte-identical coefficient CSVs and
@@ -28,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .covariates import CovariateSpec, build_dyad_table, standardize
+from .covariates import CovariateError, CovariateSpec, build_dyad_table, standardize
 from .design import ModelSpec, encode
 from .glm import ConvergenceError, FitResult, fit_mle, read_fit_json
 from .graphs import (AttributeTable, load_attributes, load_edge_list,
@@ -156,11 +157,18 @@ def _resolve(args, settings: dict) -> dict:
     return cfg
 
 
-def _resolve_fit_config(args) -> tuple[dict, PenaltySpec | None]:
-    """The fit's config document, and its penalty settings checked as a
+def _resolve_fit_config(args) -> tuple[dict, list[CovariateSpec], PenaltySpec | None]:
+    """The fit's config document, its covariate entries checked as
+    :class:`CovariateSpec` objects, and its penalty settings checked as a
     :class:`PenaltySpec` (``None`` when the penalty is disabled), so that
     bad settings fail before any work is done."""
     cfg = _resolve(args, FIT_SETTINGS)
+    covariates = []
+    for k, entry in enumerate(cfg["covariates"]):
+        try:
+            covariates.append(CovariateSpec.from_json_dict(entry))
+        except CovariateError as exc:
+            raise ValueError(f"setting 'covariates[{k}]': {exc}") from None
     if not all(isinstance(style, dict) for style in cfg["styling"].values()):
         raise ValueError("config 'styling' must map block labels to JSON objects")
     cfg["formats"] = list(dict.fromkeys(cfg["formats"]))
@@ -186,9 +194,9 @@ def _resolve_fit_config(args) -> tuple[dict, PenaltySpec | None]:
             raise ValueError("setting 'penalty.lambda' must be 'auto' or a number, "
                              f"got {penalty['lambda']!r}") from None
     if not penalty["enabled"]:
-        return cfg, None
+        return cfg, covariates, None
     # a numeric lambda selects that penalty, "auto" the BIC minimizer
-    return cfg, PenaltySpec(
+    return cfg, covariates, PenaltySpec(
         gamma_w=penalty["gamma_w"],
         grid_size=penalty["grid_size"],
         grid_ratio=penalty["grid_ratio"],
@@ -274,7 +282,7 @@ def _reduced_outputs(out_dir: Path, stem: str, rg, formats, styling) -> None:
 
 def cmd_fit(args) -> int:
     started = time.perf_counter()
-    cfg, penalty = _resolve_fit_config(args)
+    cfg, covariates, penalty = _resolve_fit_config(args)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -284,8 +292,7 @@ def cmd_fit(args) -> int:
     if not report.passed:
         raise ValueError("input validation failed:\n" + report.to_text())
 
-    specs = [CovariateSpec.from_json_dict(d) for d in cfg["covariates"]]
-    table = build_dyad_table(graph, attrs, specs)
+    table = build_dyad_table(graph, attrs, covariates)
     scaling = None
     if cfg["standardize"]:
         table, scaling = standardize(table, cfg["standardize"])
@@ -476,7 +483,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg, _ = _resolve_fit_config(args)
+    cfg, _, _ = _resolve_fit_config(args)
     graph, _attrs, partition = _load_inputs(cfg)
     report = validate(graph, partition)
     print(report.to_text())

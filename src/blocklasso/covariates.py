@@ -70,7 +70,27 @@ class CovariateSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CovariateSpec":
+        """The spec of one JSON covariate object. Anything but an object,
+        a missing kind, an unknown key and a field of the wrong type are
+        refused, as the constructor refuses an unknown kind or a missing
+        field."""
+        if not isinstance(data, dict):
+            raise CovariateError(f"a covariate must be a JSON object, got {data!r}")
+        unknown = [key for key in data
+                   if key not in ("kind", "attribute", "reference", "path", "name")]
+        if unknown:
+            raise CovariateError(f"unknown covariate key {unknown[0]!r}")
+        if "kind" not in data:
+            raise CovariateError(f"a covariate needs a kind, one of {cls.KINDS}")
+        for key in ("kind", "attribute", "path", "name"):
+            value = data.get(key)
+            if value is not None and not isinstance(value, str):
+                raise CovariateError(f"covariate {key!r} must be a string, got {value!r}")
         reference = data.get("reference")
+        if reference is not None and not (isinstance(reference, list)
+                                          and all(isinstance(v, str) for v in reference)):
+            raise CovariateError("covariate 'reference' must be a list of two level names, "
+                                 f"got {reference!r}")
         return cls(
             kind=data["kind"],
             attribute=data.get("attribute"),

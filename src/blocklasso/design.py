@@ -430,6 +430,8 @@ class FactoredGram:
             i, j = ends
             self._node_pair = i * n + j
             self._node_by_pair = _incidence([pair * n + i, pair * n + j], P * n)
+        # the X'WX that every build overwrites
+        self._A = np.empty((len(self.cols),) * 2)
 
     @staticmethod
     def _node_rows(M: np.ndarray) -> np.ndarray:
@@ -451,6 +453,9 @@ class FactoredGram:
     def gram(self, w: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Dense X'WX and X'Wz of one IRLS step (per-cell working weights
         ``w``, working response ``z``), built once and shared by every solve.
+        X'WX is exactly symmetric and is this object's one buffer, which
+        the next build overwrites, so that a step does not allocate, and
+        fault in, a new q x q array.
 
         Block-pair columns meet through the working weight summed per
         block pair, node columns through the weight summed per node pair
@@ -460,7 +465,7 @@ class FactoredGram:
         n, nodes, pairs = self._n, self._nodes, self._pairs
         rows, rows_t = self._pair_rows, self._pair_rows_t
         sums = self._sums @ w
-        A = np.empty((len(self.cols),) * 2)
+        A = self._A
         A[pairs, pairs] = rows_t @ (sums[n:, None] * rows)
         if n:
             G = np.bincount(self._node_pair, w, n * n).reshape(n, n)

@@ -19,6 +19,12 @@ the normal equations by a direct Cholesky factorization, so a fit is
 deterministic for a fixed input. The factorization is called from LAPACK
 directly (``potrf`` and ``potrs`` on the upper triangle), with the
 reciprocal condition number in the 1-norm estimated by ``pocon``.
+The factorization and the 1-norm (``lange``) read the exactly symmetric
+system through its transpose, the Fortran-ordered view of the C-ordered
+array, so neither copies it: the factor is the only full-size array a
+solve allocates. A second one would push the allocator's heap past its
+trim threshold at every step, handing the memory back to the operating
+system only to fault it in again.
 Columns flagged inestimable by the encoder are held at zero. A system
 that is not positive definite, or whose condition estimate is below
 machine epsilon (where ``scipy.linalg.solve(assume_a="pos")`` would
@@ -61,7 +67,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+from scipy.linalg.lapack import dlange, dpocon, dpotrf, dpotrs
 from scipy.special import gammaln, xlogy
 
 from .design import GROUP_BLOCK, GROUP_NODE, DesignMatrix, FactoredGram, effect_levels
@@ -190,6 +196,10 @@ def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray,
     machine epsilon, gets an escalating diagonal jitter, up to seven
     times, then a least-squares solve; each is counted in ``fallbacks``.
 
+    ``A`` must be exactly symmetric, as every Gram and every symmetric
+    gather of one is: the factorization and the 1-norm (lange) read it
+    through its transpose without a copy (see the module docstring).
+
     Returns the solution and the Cholesky factor of ``A`` itself, which
     passed the condition test and can solve further right-hand sides with
     ``potrs``; the factor is None when the solve needed a jitter or the
@@ -202,9 +212,9 @@ def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray,
             jitter = max(jitter * 100.0, 1e-10 * max(1.0, float(np.abs(A).max())))
             fallbacks["jitter_escalations"] += 1
         system = A if jitter == 0.0 else A + jitter * np.eye(A.shape[0])
-        factor, info = dpotrf(system, clean=0)
+        factor, info = dpotrf(system.T, clean=0)
         if info == 0:
-            rcond, _ = dpocon(factor, float(np.abs(system).sum(axis=0).max()))
+            rcond, _ = dpocon(factor, float(dlange(b"1", system.T)))
             # written so that a NaN estimate also escalates
             if rcond >= _EPS:
                 return dpotrs(factor, rhs)[0], (factor if jitter == 0.0 else None)
@@ -457,6 +467,9 @@ class FitResult:
 
 
 def _json_safe(value):
+    """``value`` with numpy scalars and arrays made plain, and every
+    non-finite float written as the string ``"inf"``, ``"-inf"`` or
+    ``"nan"``, which standard JSON can hold."""
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -464,9 +477,9 @@ def _json_safe(value):
     if isinstance(value, np.ndarray):
         return [_json_safe(v) for v in value.tolist()]
     if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, float) and np.isinf(value):
-        return "inf"
+        value = value.item()
+    if isinstance(value, float) and not np.isfinite(value):
+        return "nan" if np.isnan(value) else ("inf" if value > 0 else "-inf")
     return value
 
 

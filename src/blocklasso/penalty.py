@@ -279,7 +279,9 @@ class _PenalizedSolver:
         if self._factor is not None and self._factor[0] == key:
             return dpotrs(self._factor[1], rhs)[0]
         counts["factorizations"] += 1
-        y, factor = _solve_normal_equations(A[sel][:, sel], rhs, counts)
+        # C-ordered, as the solve reads it without a copy, and with one
+        # intermediate, the gathered rows
+        y, factor = _solve_normal_equations(A.take(sel, 0).take(sel, 1), rhs, counts)
         if factor is not None:
             self._factor = (key, factor)
         return y

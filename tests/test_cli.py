@@ -106,10 +106,21 @@ class TestFit:
         ({"penalty": {"gama_w": 2}}, "penalty.gama_w"),
         ({"penalty": {"selection": "fixed_lambda"}}, "penalty.selection"),
         ({"partition": {"keys": "block"}}, "partition.keys"),
+        ({"covariates": ["x"]}, "covariates[0]"),
+        ({"covariates": [{"attribute": "block"}]}, "covariates[0]"),
+        ({"covariates": [{"kind": "same_level", "attribute": "block"}]}, "covariates[0]"),
+        ({"covariates": [{"kind": "same_value", "attribute": "block"},
+                         {"kind": "same_value", "attribute": "block", "weight": 2}]},
+         "covariates[1]"),
+        ({"covariates": [{"kind": "same_value", "attribute": 3}]}, "covariates[0]"),
+        ({"covariates": [{"kind": "pair_dummies", "attribute": "block", "reference": "B1"}]},
+         "covariates[0]"),
     ], ids=["unknown_format", "formats_not_a_list", "styling_not_an_object",
             "block_styling_not_an_object", "penalty_null", "partition_not_an_object",
             "lambda_null", "gamma_w_null", "misspelled_key", "removed_selection_key",
-            "partition_keys_not_a_list"])
+            "partition_keys_not_a_list", "covariate_not_an_object", "covariate_without_kind",
+            "covariate_unknown_kind", "covariate_unknown_key", "covariate_attribute_not_a_string",
+            "covariate_reference_not_a_list"])
     def test_bad_config_shapes_fail_before_any_work(self, dataset, tmp_path, capsys,
                                                      config, key):
         cfg_path = tmp_path / "run.json"

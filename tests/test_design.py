@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import blocklasso as bl
 from blocklasso.design import (GROUP_BLOCK, GROUP_INTERACTION, GROUP_NODE, FactoredGram,
                                effect_levels, reconstruct_interactions)
+from blocklasso.glm import _CellData
 
 from helpers import bernoulli_instance, poisson_instance
 
@@ -296,6 +297,37 @@ class TestReferenceCoding:
         assert len(design.cells.counts) == design.n_rows
         assert_gram_matches_oracle(design, np.setdiff1d(cols, dropped),
                                    np.random.default_rng(9))
+
+    @pytest.mark.parametrize("shape", ["degree_corrected", "covariate_adjusted", "replicates"])
+    def test_working_gram_is_exactly_symmetric(self, shape):
+        # the normal-equation solve reads X'WX through its transpose
+        if shape == "degree_corrected":
+            _, table, _, design = bernoulli_instance(6, n=40, p=5, node_scale=0.5)
+        elif shape == "covariate_adjusted":
+            _, table, _, design = poisson_instance(6, n=40, p=5, n_covariates=2)
+        else:
+            _, table, partition, _ = bernoulli_instance(6, n=40, p=4)
+            design = bl.encode(table, partition, bl.ModelSpec(family="bernoulli_logit"))
+        data = _CellData(design, table.response)
+        gram = FactoredGram(design, np.flatnonzero(~design.inestimable))
+        eta = np.random.default_rng(6).normal(scale=0.5, size=len(data.n)) - 1.0
+        A, _ = gram.gram(*data.working(eta, data.evaluate(eta)[0]))
+        assert np.array_equal(A, A.T)
+
+    def test_gram_buffer_is_rebuilt_in_full(self):
+        # node, block-pair and covariate parts of X'WX
+        design = covariate_degree_corrected_design(7)
+        cols = np.flatnonzero(~design.inestimable)
+        rng = np.random.default_rng(7)
+        cells = len(design.cells.counts)
+        (w1, z1), (w2, z2) = [(rng.random(cells) + 0.1, rng.normal(size=cells))
+                              for _ in range(2)]
+        gram = FactoredGram(design, cols)
+        A, _ = gram.gram(w1, z1)
+        A[np.diag_indices_from(A)] += 2e-8  # the separation ridge, in place
+        A_next, b_next = gram.gram(w2, z2)
+        A_fresh, b_fresh = FactoredGram(design, cols).gram(w2, z2)
+        assert np.array_equal(A_next, A_fresh) and np.array_equal(b_next, b_fresh)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(3, 9), data=st.data(),

@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -215,6 +217,24 @@ class TestFallbackCounts:
 class TestLeanKernels:
     """The direct LAPACK solve and the Bernoulli kernels against scipy."""
 
+    def test_solve_allocates_only_the_factor(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(450, 400))
+        A = X.T @ X
+        A = 0.5 * (A + A.T)
+        rhs = rng.normal(size=400)
+        counts = _fallback_counts()
+        tracemalloc.start()
+        try:
+            x, factor = _solve_normal_equations(A, rhs, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor is not None and counts == _fallback_counts()
+        assert np.abs(A @ x - rhs).max() < 1e-8 * np.abs(rhs).max()
+        # the factor itself, and no copy of the system or of its absolute values
+        assert peak <= 1.1 * A.nbytes
+
     def test_jitter_exactly_where_scipy_fails_or_warns(self):
         rng = np.random.default_rng(11)
         refused = []
@@ -306,6 +326,19 @@ class TestSerialization:
         assert loaded.converged == fit.converged
         assert np.array_equal(loaded.block_interactions, fit.block_interactions)
         assert loaded.fitted_values is None
+
+    def test_non_finite_diagnostics_are_standard_json(self):
+        _, table, _, design = bernoulli_instance(23, n=8, p=2)
+        fit = bl.fit_mle(design, table.response)
+        fit.diagnostics.update(pos=np.inf, neg=-np.inf, nan=np.nan, np_pos=np.float64(np.inf),
+                               np_neg=np.float64(-np.inf), np_nan=np.float64(np.nan),
+                               values=np.array([1.5, -np.inf]))
+        written = json.loads(json.dumps(fit.to_json_dict(), allow_nan=False))["diagnostics"]
+        for prefix in ("", "np_"):
+            assert written[prefix + "pos"] == "inf"
+            assert written[prefix + "neg"] == "-inf"
+            assert written[prefix + "nan"] == "nan"
+        assert written["values"] == [1.5, "-inf"]
 
     def test_coefficients_csv(self, tmp_path):
         _, table, _, design = bernoulli_instance(21, n=8, p=2)
