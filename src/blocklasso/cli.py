@@ -32,7 +32,7 @@ from . import __version__
 from .covariates import CovariateError, CovariateSpec, build_dyad_table, standardize
 from .design import ModelSpec, encode
 from .glm import ConvergenceError, FitResult, fit_mle, read_fit_json
-from .graphs import (AttributeTable, load_attributes, load_edge_list,
+from .graphs import (AttributeTable, _write_json, load_attributes, load_edge_list,
                      partition_from_attributes, validate)
 from .penalty import PenaltySpec, adaptive_weights, lambda_path, select
 from .reduced import export_reduced_graph, reduce_positive, reduce_threshold
@@ -217,11 +217,6 @@ def _sha256_file(path) -> str:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 def _manifest(command: str, cfg: dict, inputs: list, timings: dict, out_dir: Path) -> None:

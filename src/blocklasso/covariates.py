@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import AttributeTable, Graph, _detect_delimiter, _read_lines
+from .graphs import AttributeTable, Graph, _read_rows
 
 __all__ = [
     "CovariateError",
@@ -105,7 +105,8 @@ class DyadTable:
     """All n(n-1)/2 unordered node pairs with responses and covariates.
 
     Dyads are kept in lexicographic order on the (i, j) node indices with
-    i < j; every downstream operation relies on that order. ``response``
+    i < j; every downstream operation relies on that order, and the
+    constructor refuses any other. ``response``
     holds the edge weight of each dyad and ``covariates`` one named column
     per constructed covariate.
     """
@@ -126,6 +127,13 @@ class DyadTable:
         n = len(self.node_ids)
         if m != n * (n - 1) // 2:
             raise ValueError(f"expected {n * (n - 1) // 2} dyads for {n} nodes, got {m}")
+        if self.dyads.shape != (m, 2):
+            raise ValueError(f"dyads must have shape ({m}, 2), got {self.dyads.shape}")
+        # with the count above, strictly increasing keys i*n + j over pairs
+        # i < j < n leave only the lexicographic order of all pairs
+        i, j = self.dyads.T
+        if not (np.all((0 <= i) & (i < j) & (j < n)) and np.all(np.diff(i * n + j) > 0)):
+            raise ValueError("dyads must be the node pairs i < j in lexicographic order")
         if self.response.shape != (m,):
             raise ValueError("response length does not match dyad count")
         if self.covariates.shape != (m, len(self.covariate_names)):
@@ -173,21 +181,11 @@ def _numeric_values(graph: Graph, attrs: AttributeTable | None, attribute: str) 
 
 
 def _edge_table_column(graph: Graph, spec: CovariateSpec, iu, ju) -> np.ndarray:
-    lines = _read_lines(spec.path)
-    sep = None
     index = {v: i for i, v in enumerate(graph.node_ids)}
     n = graph.node_count
     dense = np.zeros((n, n))
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        if sep is None:
-            sep = _detect_delimiter(raw)
-        fields = [f.strip() for f in raw.split(sep)]
-        if len(fields) != 3:
-            raise CovariateError(f"{spec.path}: line {lineno}: expected 3 columns")
-        a, b, value = fields
+    for lineno, (a, b, value) in _read_rows(spec.path, CovariateError, 3):
         if a not in index or b not in index:
             raise CovariateError(f"{spec.path}: line {lineno}: unknown node id")
         if a == b:

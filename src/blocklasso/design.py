@@ -153,16 +153,11 @@ class DesignMatrix:
     def parameter_count(self) -> int:
         """Model parameter count in the blockmodel accounting convention.
 
-        For a node-effect model this is n + p(p-1)/2; for a block-effect
-        model it is (number of covariates) + p(p+1)/2, the intercept and
-        constrained effects being folded into the block tally. For the
-        two presets this equals ``n_columns`` exactly.
+        This is ``n_columns``: with node effects it equals
+        n + k + p(p-1)/2, and with block effects k + p(p+1)/2, for k
+        covariates, the intercept and constrained effects being folded
+        into the node or block tally.
         """
-        n, p = self.n_nodes, self.block_count
-        if self.spec.node_effects and not self.spec.block_main_effects:
-            return n + p * (p - 1) // 2
-        if self.spec.block_main_effects and not self.spec.node_effects:
-            return len(self.spec.covariates) + p * (p + 1) // 2
         return self.n_columns
 
     def group_indices(self, group: str) -> np.ndarray:

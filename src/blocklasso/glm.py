@@ -60,7 +60,6 @@ result is flagged not-converged with cause ``"separation"``.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field, replace
@@ -71,6 +70,7 @@ from scipy.linalg.lapack import dlange, dpocon, dpotrf, dpotrs
 from scipy.special import gammaln, xlogy
 
 from .design import GROUP_BLOCK, GROUP_NODE, DesignMatrix, FactoredGram, effect_levels
+from .graphs import _write_csv, _write_json
 
 __all__ = [
     "ConvergenceError",
@@ -436,15 +436,12 @@ class FitResult:
         }
 
     def write_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        _write_json(path, self.to_json_dict())
 
     def write_coefficients_csv(self, path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["name", "value"])
-            for name, value in zip(self.column_names, self.coefficients):
-                writer.writerow([name, repr(float(value))])
+        rows = [(name, repr(float(value)))
+                for name, value in zip(self.column_names, self.coefficients)]
+        _write_csv(path, [("name", "value"), *rows])
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FitResult":

@@ -1,14 +1,26 @@
-"""Network, partition and attribute ingestion.
+"""Network, partition and attribute ingestion, and the package's text formats.
 
 Reads delimited edge lists and node-attribute tables, builds block
 partitions from attribute combinations, and runs pre-fit diagnostics.
 All loaders map opaque string node ids to dense indices internally;
 node order is always the sorted order of the ids, so loading is
 invariant to the row order of the input files.
+
+This module owns the text formats of the package. Every delimited input
+(edge list, attribute table, edge-table covariate) is read by
+``_read_rows``: UTF-8 with an optional byte-order mark, blank lines
+skipped, comma or tab taken from the first data line, fields stripped,
+and a column-count error that names the file and the physical line.
+Every JSON artifact is written by ``_write_json`` (two-space indent,
+sorted keys, a final newline) and every CSV artifact by ``_write_csv``
+(``"\\n"`` line endings), both UTF-8. The module imports nothing from the
+package, so every other module can use these helpers.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,12 +188,47 @@ class AttributeTable:
         return self.columns[attribute][self._row[node_id]]
 
 
-def _detect_delimiter(line: str) -> str:
-    return "\t" if "\t" in line else ","
-
-
 def _read_lines(path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    return Path(path).read_text(encoding="utf-8-sig").splitlines()
+
+
+def _read_rows(path, error, width: int | None = None, skip_first: bool = False):
+    """Yield ``(line number, fields)`` for each data line of a delimited file.
+
+    Blank lines, and the first line when ``skip_first``, are skipped; the
+    delimiter (tab if the first data line has one, else comma) holds for
+    the whole file, and each field is stripped. Every row must have
+    ``width`` fields, or as many as the first data line when ``width`` is
+    None; otherwise ``error`` is raised naming the file and the physical
+    line number.
+    """
+    sep = None
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        if (skip_first and lineno == 1) or not raw.strip():
+            continue
+        if sep is None:
+            sep = "\t" if "\t" in raw else ","
+        fields = [f.strip() for f in raw.split(sep)]
+        if width is None:
+            width = len(fields)
+        if len(fields) != width:
+            raise error(f"{path}: line {lineno}: expected {width} columns, got {len(fields)}")
+        yield lineno, fields
+
+
+def _write_json(path, payload) -> str:
+    """Render ``payload`` as the package's JSON and write it to ``path``
+    unless that is None; returns the text."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is not None:
+        Path(path).write_text(text, encoding="utf-8")
+    return text
+
+
+def _write_csv(path, rows) -> None:
+    """Write ``rows`` (header first) to ``path`` as CSV."""
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
 def load_edge_list(path, mode: str = "binary", *, extra_nodes=(), node_file=None,
@@ -212,24 +259,12 @@ def load_edge_list(path, mode: str = "binary", *, extra_nodes=(), node_file=None
     """
     if mode not in ("binary", "weighted"):
         raise ValueError(f"mode must be 'binary' or 'weighted', got {mode!r}")
-    lines = _read_lines(path)
     expected = 2 if mode == "binary" else 3
     accum: dict[tuple[str, str], int] = {}
     nodes: set[str] = set(str(v) for v in extra_nodes)
     if node_file is not None:
         nodes.update(load_node_list(node_file))
-    sep = None
-    start = 1 if has_header else 0
-    for lineno, raw in enumerate(lines, start=1):
-        if lineno <= start or not raw.strip():
-            continue
-        if sep is None:
-            sep = _detect_delimiter(raw)
-        fields = [f.strip() for f in raw.split(sep)]
-        if len(fields) != expected:
-            raise EdgeListError(
-                f"{path}: line {lineno}: expected {expected} columns, got {len(fields)}"
-            )
+    for lineno, fields in _read_rows(path, EdgeListError, expected, has_header):
         a, b = fields[0], fields[1]
         if not a or not b:
             raise EdgeListError(f"{path}: line {lineno}: empty node id")
@@ -277,29 +312,16 @@ def load_attributes(path) -> AttributeTable:
     column holds the node id; remaining header names become attribute
     names. Empty cells are treated as missing values.
     """
-    lines = [line for line in _read_lines(path) if line.strip()]
-    if not lines:
+    rows = (fields for _, fields in _read_rows(path, AttributeTableError))
+    header = next(rows, None)
+    if header is None:
         raise AttributeTableError(f"{path}: empty attribute table")
-    sep = _detect_delimiter(lines[0])
-    header = [f.strip() for f in lines[0].split(sep)]
-    if len(header) < 1:
-        raise AttributeTableError(f"{path}: missing header")
     attr_names = header[1:]
     if len(set(attr_names)) != len(attr_names):
         raise AttributeTableError(f"{path}: duplicate attribute names in header")
-    node_ids: list[str] = []
-    values: list[list[str]] = [[] for _ in attr_names]
-    for lineno, raw in enumerate(lines[1:], start=2):
-        fields = [f.strip() for f in raw.split(sep)]
-        if len(fields) != len(header):
-            raise AttributeTableError(
-                f"{path}: line {lineno}: expected {len(header)} columns, got {len(fields)}"
-            )
-        node_ids.append(fields[0])
-        for k, v in enumerate(fields[1:]):
-            values[k].append(v)
-    columns = {name: tuple(col) for name, col in zip(attr_names, values)}
-    return AttributeTable(node_ids=tuple(node_ids), columns=columns)
+    body = list(rows)
+    columns = {name: tuple(row[k] for row in body) for k, name in enumerate(attr_names, 1)}
+    return AttributeTable(node_ids=tuple(row[0] for row in body), columns=columns)
 
 
 def partition_from_attributes(attrs: AttributeTable, keys, overrides=None) -> Partition:

@@ -72,11 +72,9 @@ above.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs
@@ -93,6 +91,7 @@ from .glm import (
     _solve_normal_equations,
     assemble_fit,
 )
+from .graphs import _write_csv
 
 __all__ = [
     "PenaltySpec",
@@ -455,22 +454,20 @@ class PathResult:
         """One row per grid point, with the convergence diagnostics that
         say how far to trust it: outer iterations, the KKT violation
         reached, whether it converged and, if not, why."""
-        with Path(path).open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["lambda", "df", "log_likelihood", "bic", "active_set_size",
-                             "outer_iterations", "kkt_max", "converged", "cause"])
-            for lam, df, fit, bic in zip(self.lambdas, self.dfs, self.fits, self.bics):
-                writer.writerow([
-                    repr(float(lam)),
-                    int(df),
-                    repr(float(fit.log_likelihood)),
-                    repr(float(bic)),
-                    int(fit.diagnostics.get("active_set_size", 0)),
-                    int(fit.iterations),
-                    repr(float(fit.diagnostics["kkt_max"])),
-                    "true" if fit.converged else "false",
-                    fit.diagnostics.get("cause", ""),
-                ])
+        header = ("lambda", "df", "log_likelihood", "bic", "active_set_size",
+                  "outer_iterations", "kkt_max", "converged", "cause")
+        rows = [(
+            repr(float(lam)),
+            int(df),
+            repr(float(fit.log_likelihood)),
+            repr(float(bic)),
+            int(fit.diagnostics.get("active_set_size", 0)),
+            int(fit.iterations),
+            repr(float(fit.diagnostics["kkt_max"])),
+            "true" if fit.converged else "false",
+            fit.diagnostics.get("cause", ""),
+        ) for lam, df, fit, bic in zip(self.lambdas, self.dfs, self.fits, self.bics)]
+        _write_csv(path, [header, *rows])
 
 
 def _bic(fit: FitResult, df: int, m: int) -> float:

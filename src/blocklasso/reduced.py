@@ -19,7 +19,6 @@ the sign summary.
 
 from __future__ import annotations
 
-import json
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .glm import FitResult
-from .graphs import Partition
+from .graphs import Partition, _write_json
 
 __all__ = [
     "SignSummary",
@@ -264,7 +263,7 @@ def export_reduced_graph(rg: ReducedGraph, fmt: str, path=None, *,
     elif fmt == "graphml":
         text = _to_graphml(rg, styling)
     elif fmt == "json":
-        text = json.dumps(rg.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return _write_json(path, rg.to_json_dict())
     else:
         raise ValueError(f"unknown export format {fmt!r}")
     if path is not None:

@@ -8,8 +8,6 @@ seed reproduces the graph exactly, across platforms.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +16,7 @@ from scipy.special import expit
 
 from .covariates import DyadTable
 from .design import FAMILIES, reconstruct_interactions
-from .graphs import Graph, Partition
+from .graphs import Graph, Partition, _write_csv, _write_json
 
 __all__ = [
     "GeneratorSpec",
@@ -213,27 +211,17 @@ def write_dataset(out_dir, graph: Graph, partition: Partition,
         mode = "binary" if graph.is_binary else "weighted"
     if mode == "binary" and not graph.is_binary:
         raise ValueError("graph has weights above 1; cannot write in binary mode")
-    binary = mode == "binary"
+    ids = np.array(graph.node_ids)
+    iu, ju = np.nonzero(np.triu(graph.weights, k=1))
+    columns = [ids[iu].tolist(), ids[ju].tolist()]
+    if mode != "binary":
+        columns.append(graph.weights[iu, ju].tolist())
     edges_path = out / "edges.csv"
     # no header row: that is the loader's default expectation
-    with edges_path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        n = graph.node_count
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = int(graph.weights[i, j])
-                if w == 0:
-                    continue
-                row = [graph.node_ids[i], graph.node_ids[j]]
-                if not binary:
-                    row.append(w)
-                writer.writerow(row)
+    _write_csv(edges_path, zip(*columns))
     attrs_path = out / "attributes.csv"
-    with attrs_path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["node_id", "block"])
-        for node in graph.node_ids:
-            writer.writerow([node, partition.label_of(node)])
+    _write_csv(attrs_path, [("node_id", "block"),
+                            *((node, partition.label_of(node)) for node in graph.node_ids)])
     paths = {"edges": edges_path, "attributes": attrs_path}
     if spec is not None:
         truth = {
@@ -253,7 +241,6 @@ def write_dataset(out_dir, graph: Graph, partition: Partition,
                                 else [float(v) for v in spec.covariate_coefs]),
         }
         truth_path = out / "truth.json"
-        truth_path.write_text(json.dumps(truth, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        _write_json(truth_path, truth)
         paths["truth"] = truth_path
     return paths

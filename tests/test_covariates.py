@@ -87,6 +87,24 @@ class TestOtherKinds:
         assert dyad_value(table, "affinity", 0, 2) == -1.0
         assert dyad_value(table, "affinity", 1, 2) == 0.0
 
+    def test_edge_table_short_row_reports_column_count(self, tmp_path):
+        graph, attrs = attrs_graph({"x": ["1", "2", "3"]})
+        path = tmp_path / "vals.csv"
+        a, b, c = graph.node_ids
+        path.write_text(f"{a},{b},2.5\n{c},{a}\n", encoding="utf-8")
+        spec = bl.CovariateSpec(kind="edge_table", path=str(path), name="affinity")
+        with pytest.raises(CovariateError, match="line 2: expected 3 columns, got 2"):
+            bl.build_dyad_table(graph, attrs, [spec])
+
+    def test_edge_table_byte_order_mark_ignored(self, tmp_path):
+        graph, attrs = attrs_graph({"x": ["1", "2", "3"]})
+        path = tmp_path / "vals.csv"
+        a, b, _ = graph.node_ids
+        path.write_text(f"\ufeff{a},{b},2.5\n", encoding="utf-8")
+        spec = bl.CovariateSpec(kind="edge_table", path=str(path), name="affinity")
+        table = bl.build_dyad_table(graph, attrs, [spec])
+        assert dyad_value(table, "affinity", 0, 1) == 2.5
+
     def test_missing_attribute_names_node(self):
         graph, attrs = attrs_graph({"age": ["40", "", "52"]})
         spec = bl.CovariateSpec(kind="abs_difference", attribute="age")
@@ -128,6 +146,32 @@ class TestDyadTable:
         with pytest.raises(ValueError, match="finite"):
             bl.DyadTable(graph.node_ids, np.column_stack(np.triu_indices(3, k=1)),
                          np.zeros(3), np.array([[np.inf], [0.0], [0.0]]), ("x",))
+
+    @pytest.mark.parametrize("reorder", ["permute", "swap_endpoints", "repeat"])
+    def test_dyads_out_of_order_rejected(self, reorder):
+        # the count alone passes any arrangement of the n(n-1)/2 rows; the
+        # threshold rule and the design read the rows in lexicographic order
+        rng = np.random.default_rng(4)
+        upper = np.triu(rng.integers(0, 2, size=(30, 30)), k=1)
+        table = bl.build_dyad_table(graph_from_weights(upper + upper.T))
+        rows = np.arange(table.dyad_count)
+        dyads = table.dyads.copy()
+        if reorder == "permute":
+            rows = rng.permutation(rows)
+            dyads = dyads[rows]
+        elif reorder == "swap_endpoints":
+            dyads[5] = dyads[5, ::-1]
+        else:
+            dyads[7] = dyads[6]
+        with pytest.raises(ValueError, match="lexicographic"):
+            bl.DyadTable(table.node_ids, dyads, table.response[rows],
+                         table.covariates[rows], table.covariate_names)
+
+    def test_dyads_shape_checked_and_empty_table_accepted(self):
+        with pytest.raises(ValueError, match="shape"):
+            bl.DyadTable(("a", "b"), np.array([[0, 1, 1]]), np.zeros(1), np.empty((1, 0)), ())
+        table = bl.DyadTable(("a",), np.empty((0, 2)), np.zeros(0), np.empty((0, 0)), ())
+        assert table.dyad_count == 0
 
 
 class TestStandardize:

@@ -56,12 +56,17 @@ class TestColumnCounts:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 14), p=st.integers(1, 6), k=st.integers(0, 3),
            seed=st.integers(0, 10_000))
+    @example(n=12, p=2, k=2, seed=0)
     def test_count_identities(self, n, p, k, seed):
         p = min(p, n)
         _, _, _, d1 = bernoulli_instance(seed, n=n, p=p)
         assert d1.n_columns == n + p * (p - 1) // 2 == d1.parameter_count
-        _, _, _, d2 = poisson_instance(seed, n=n, p=p, n_covariates=k)
+        _, table, partition, d2 = poisson_instance(seed, n=n, p=p, n_covariates=k)
         assert d2.n_columns == k + p * (p + 1) // 2 == d2.parameter_count
+        # a custom node-effect model with covariates
+        d3 = bl.encode(table, partition, bl.ModelSpec(
+            family="bernoulli_logit", node_effects=True, covariates=table.covariate_names))
+        assert d3.n_columns == n + k + p * (p - 1) // 2 == d3.parameter_count
 
 
 class TestCoding:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blocklasso as bl
-from blocklasso.graphs import EdgeListError, PartitionError
+from blocklasso.graphs import AttributeTableError, EdgeListError, PartitionError
 
 from helpers import graph_from_weights, one_block_partition
 
@@ -85,6 +85,16 @@ class TestLoadEdgeList:
         with pytest.raises(FileNotFoundError):
             bl.load_edge_list(tmp_path / "nope.csv")
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # spreadsheet exports often start with a UTF-8 byte-order mark
+        path = write(tmp_path / "e.csv", "\ufeffv00,v01\nv01,v02\n")
+        graph = bl.load_edge_list(path, mode="binary")
+        assert graph.node_ids == ("v00", "v01", "v02")
+
+    def test_node_list_byte_order_mark_ignored(self, tmp_path):
+        path = write(tmp_path / "n.txt", "\ufeffa\nb\n")
+        assert bl.load_node_list(path) == ("a", "b")
+
     @settings(max_examples=25, deadline=None)
     @given(rows=st.permutations(["a,b", "b,c", "c,d", "a,d", "b,d"]), weighted=st.booleans())
     def test_row_order_invariance(self, tmp_path_factory, rows, weighted):
@@ -98,6 +108,19 @@ class TestLoadEdgeList:
         reference = bl.load_edge_list(write(tmp / "b.csv", "\n".join(canonical) + "\n"), mode=mode)
         assert permuted.node_ids == reference.node_ids
         assert np.array_equal(permuted.weights, reference.weights)
+
+
+class TestLoadAttributes:
+    def test_short_row_after_blank_line_names_physical_line(self, tmp_path):
+        path = write(tmp_path / "a.csv", "node_id,block\na,X\n\nb\n")
+        with pytest.raises(AttributeTableError, match="line 4: expected 2 columns, got 1"):
+            bl.load_attributes(path)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        path = write(tmp_path / "a.csv", "\ufeffnode_id,block\na,X\nb,Y\n")
+        attrs = bl.load_attributes(path)
+        assert attrs.node_ids == ("a", "b")
+        assert attrs.columns == {"block": ("X", "Y")}
 
 
 class TestGraphInvariants:

@@ -125,6 +125,24 @@ class TestWriteDataset:
                                    extra_nodes=attrs.node_ids)
         assert np.array_equal(loaded.weights, graph.weights)
 
+    @pytest.mark.parametrize("family,mode", [("bernoulli_logit", "binary"),
+                                             ("poisson_log", "weighted")])
+    def test_edge_rows_in_row_major_order(self, tmp_path, family, mode):
+        spec = bl.GeneratorSpec(n=25, p=3, family=family, intercept=-0.5,
+                                interactions=bl.sparse_interactions(3, 0.3, 0.5, seed=8),
+                                seed=8)
+        graph, _, partition = bl.sample_graph(spec)
+        paths = bl.write_dataset(tmp_path, graph, partition, spec, mode=mode)
+        # reference: every node pair i < j in row-major order, nonzero weights only
+        expected = ""
+        for i in range(graph.node_count):
+            for j in range(i + 1, graph.node_count):
+                w = int(graph.weights[i, j])
+                if w:
+                    row = [graph.node_ids[i], graph.node_ids[j]] + [str(w)] * (mode == "weighted")
+                    expected += ",".join(row) + "\n"
+        assert paths["edges"].read_bytes() == expected.encode("utf-8")
+
     def test_truth_written(self, tmp_path):
         import json
         spec = bl.GeneratorSpec(n=8, p=2, family="bernoulli_logit",
