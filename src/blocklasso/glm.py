@@ -45,10 +45,13 @@ The solver evaluates one row per cell of the design (``DesignMatrix.cells``:
 dyads with identical design rows), with the cell's response total and
 dyad count as a row weight. Without node effects this collapses the m
 dyads to one cell per block pair and covariate pattern; designs with
-node effects are not collapsed. Outputs stay per dyad: the
-log-likelihood, the deviance and the fitted values are those of the
-dyads, with the response-only terms (sum of log y!, the saturated
-Poisson likelihood) computed once per fit.
+node effects are not collapsed. The linear predictor and the score
+X'(y - n*mu) come from the design's factors (``DesignMatrix.predictor``
+and ``DesignMatrix.xt``): no fit forms the design matrix. Outputs stay
+per dyad: the log-likelihood, the deviance and the fitted values are
+those of the dyads, with the response-only terms (sum of log y!, the
+saturated Poisson likelihood) computed once per fit over the distinct
+counts.
 
 Quasi-separation is a realistic input for the Bernoulli family with node
 effects (a node adjacent to everything, or to nothing, drives its effect
@@ -61,13 +64,13 @@ result is flagged not-converged with cause ``"separation"``.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg.lapack import dlange, dpocon, dpotrf, dpotrs
-from scipy.special import gammaln, xlogy
 
 from .design import GROUP_BLOCK, GROUP_NODE, DesignMatrix, FactoredGram, effect_levels
 from .graphs import _write_csv, _write_json
@@ -108,6 +111,13 @@ def _validate_response(response, family: str, m: int) -> np.ndarray:
     return y
 
 
+def _logistic(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The logistic function of ``eta`` and ``e = exp(-|eta|)``, from
+    which it is computed: nothing overflows."""
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0.0, 1.0, e) / (1.0 + e), e
+
+
 class _CellData:
     """A response summed over the cells of its design (``DesignMatrix.cells``).
 
@@ -117,7 +127,7 @@ class _CellData:
     weights ``n * max(v(mu), WEIGHT_FLOOR)`` (the floor is per dyad) and
     the score ``X'(y - n*mu)``. The terms that depend on the response
     alone, sum(log y!) and the saturated kernel, are dyad-level constants
-    (zero for Bernoulli), computed once.
+    (zero for Bernoulli), computed once over the distinct counts.
     """
 
     def __init__(self, design: DesignMatrix, response):
@@ -125,25 +135,23 @@ class _CellData:
         self.family = design.spec.family
         y = _validate_response(response, self.family, design.n_rows)
         cells = design.cells
-        self.X = cells.matrix
-        self.XT = self.X.T  # built once: a transpose per score costs more than the product
         self.n = cells.counts.astype(np.float64)
         self.y = np.bincount(cells.inverse, weights=y, minlength=len(self.n))
         self.log_y_factorial = self.saturated = 0.0
         if self.family == "poisson_log":
-            self.log_y_factorial = float(np.sum(gammaln(y + 1.0)))
-            self.saturated = float(np.sum(xlogy(y, y) - y))
+            values, counts = np.unique(y, return_counts=True)
+            self.log_y_factorial = float(counts @ [math.lgamma(v + 1.0) for v in values])
+            # y log y, which is 0 at y = 0
+            self.saturated = float(counts @ (values * np.log(np.maximum(values, 1.0)) - values))
 
     def evaluate(self, eta: np.ndarray) -> tuple[np.ndarray, float]:
         """The cell means and the log-likelihood kernel at ``eta``, from one
         evaluation; callers pass the mean on to :meth:`working` and
         :meth:`score` instead of recomputing it."""
         if self.family == "bernoulli_logit":
-            # the logistic function and the stable softplus log(1 + e^eta)
-            # (the formula of np.logaddexp(0, eta)) from exp(-|eta|), which
-            # cannot overflow
-            e = np.exp(-np.abs(eta))
-            mu = np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+            # the mean and the stable softplus log(1 + e^eta) (the formula
+            # of np.logaddexp(0, eta)) from one exp(-|eta|)
+            mu, e = _logistic(eta)
             softplus = np.log1p(e) + np.maximum(eta, 0.0)
             return mu, float(np.sum(self.y * eta - self.n * softplus))
         with np.errstate(over="ignore"):
@@ -159,7 +167,7 @@ class _CellData:
 
     def score(self, mu: np.ndarray) -> np.ndarray:
         """The score X'(y - n*mu) over every column, for cell means ``mu``."""
-        return self.XT @ (self.y - self.n * mu)
+        return self.design.xt(self.y - self.n * mu)
 
 
 def log_likelihood(coefficients, design: DesignMatrix, response) -> float:
@@ -172,7 +180,7 @@ def log_likelihood(coefficients, design: DesignMatrix, response) -> float:
     if coefficients.shape != (design.n_columns,):
         raise ValueError(f"expected {design.n_columns} coefficients")
     data = _CellData(design, response)
-    return data.evaluate(data.X @ coefficients)[1] - data.log_y_factorial
+    return data.evaluate(design.predictor(coefficients))[1] - data.log_y_factorial
 
 
 def _fallback_counts() -> dict[str, int]:
@@ -288,8 +296,8 @@ def _outer_loop(data: _CellData, factored: FactoredGram, beta: np.ndarray, *, pe
     None being convergence. A loop that reaches
     ``max_iter`` steps stops with cause ``"max_iterations"``.
     """
-    X, lyf, cols = data.X, data.log_y_factorial, factored.cols
-    eta = X @ beta
+    predictor, lyf, cols = data.design.predictor, data.log_y_factorial, factored.cols
+    eta = predictor(beta)
     mu, kernel = data.evaluate(eta)
     objective = penalty(beta) - (kernel - lyf)
     counts = _step_counts()
@@ -313,7 +321,7 @@ def _outer_loop(data: _CellData, factored: FactoredGram, beta: np.ndarray, *, pe
             if halvings:
                 candidate = 0.5 * (beta + candidate)
                 counts["step_halvings"] += 1
-            eta_try = X @ candidate
+            eta_try = predictor(candidate)
             mu_try, kernel_try = data.evaluate(eta_try)
             obj_try = penalty(candidate) - (kernel_try - lyf)
             accepted = obj_try <= objective + search.slack * (1.0 + abs(objective))
@@ -410,11 +418,11 @@ class FitResult:
 
     def node_effect_values(self) -> dict[str, float]:
         """Full node-effect vector keyed by node id (sums to zero)."""
-        values = effect_levels(self.coefficients, self.groups, GROUP_NODE)
+        values = effect_levels(self.coefficients[np.array(self.groups) == GROUP_NODE])
         return {node: float(v) for node, v in zip(self.node_ids, values)}
 
     def block_effect_values(self) -> dict[str, float]:
-        values = effect_levels(self.coefficients, self.groups, GROUP_BLOCK)
+        values = effect_levels(self.coefficients[np.array(self.groups) == GROUP_BLOCK])
         return {label: float(v) for label, v in zip(self.block_labels, values)}
 
     def to_json_dict(self) -> dict:
@@ -524,7 +532,7 @@ def fit_mle(design: DesignMatrix, response) -> FitResult:
     data = _CellData(design, response)
     factored = FactoredGram(design, np.flatnonzero(~design.inestimable))
     cols = factored.cols
-    score_bound = SCORE_TOL * (1.0 + float(np.abs((data.XT @ data.y)[cols]).max(initial=0.0)))
+    score_bound = SCORE_TOL * (1.0 + float(np.abs(design.xt(data.y)[cols]).max(initial=0.0)))
     result = _irls(data, factored, score_bound, max_iter=MAX_ITERATIONS)
     ridge_used = 0.0
     if result.cause == "separation":

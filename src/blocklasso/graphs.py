@@ -284,6 +284,9 @@ def load_edge_list(path, mode: str = "binary", *, extra_nodes=(), node_file=None
         key = (a, b) if a < b else (b, a)
         if mode == "weighted":
             accum[key] = accum.get(key, 0) + weight
+            if accum[key] > np.iinfo(np.int64).max:  # the type of Graph.weights
+                raise EdgeListError(f"{path}: line {lineno}: weight {weight} takes edge "
+                                    f"({a}, {b}) past the largest weight, 2**63 - 1")
         else:
             accum[key] = 1
         nodes.add(a)

@@ -230,7 +230,7 @@ class _PenalizedSolver:
     # -- penalized objective and optimality ------------------------------
 
     def _score(self, beta: np.ndarray) -> np.ndarray:
-        return self.data.score(self.data.evaluate(self.data.X @ beta)[0])
+        return self.data.score(self.data.evaluate(self.design.predictor(beta))[0])
 
     def penalty(self, beta: np.ndarray, lam: float) -> float:
         return lam * float(np.sum(self.weights[self.pen_idx] * np.abs(beta[self.pen_idx])))

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .covariates import DyadTable
 from .design import FAMILIES, reconstruct_interactions
+from .glm import _logistic
 from .graphs import Graph, Partition, _write_csv, _write_json
 
 __all__ = [
@@ -155,7 +155,7 @@ def sample_graph(spec: GeneratorSpec) -> tuple[Graph, DyadTable, Partition]:
 
     rng = np.random.default_rng(spec.seed)
     if spec.family == "bernoulli_logit":
-        draws = rng.binomial(1, expit(eta))
+        draws = rng.binomial(1, _logistic(eta)[0])
     else:
         draws = rng.poisson(np.exp(eta))
 
@@ -205,10 +205,12 @@ def write_dataset(out_dir, graph: Graph, partition: Partition,
     round trip), and ``truth.json`` with the generating parameters when
     a spec is given.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if mode is None:
         mode = "binary" if graph.is_binary else "weighted"
+    if mode not in ("binary", "weighted"):
+        raise ValueError(f"mode must be 'binary' or 'weighted', got {mode!r}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     if mode == "binary" and not graph.is_binary:
         raise ValueError("graph has weights above 1; cannot write in binary mode")
     ids = np.array(graph.node_ids)

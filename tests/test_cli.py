@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blocklasso
 from blocklasso.cli import main
 
 
@@ -45,6 +50,16 @@ class TestFit:
         code = run("fit", "--edges", tmp_path / "absent.csv", "--out", tmp_path / "o")
         assert code == 2
         assert "absent.csv" in capsys.readouterr().err
+
+    def test_weight_beyond_int64_is_data_error(self, dataset, tmp_path, capsys):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("v00,v01,1\nv00,v02,99999999999999999999\n")
+        code = run("fit", "--edges", edges, "--mode", "weighted",
+                   "--attributes", dataset / "attributes.csv", "--partition-key", "block",
+                   "--out", tmp_path / "out")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
 
     def test_byte_identical_reruns(self, dataset, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -178,6 +193,32 @@ class TestFit:
         assert selected["diagnostics"]["active_set_size"] == 0
         interactions = np.array(selected["block_interactions"])
         assert np.all(interactions == 0.0)
+
+
+IMPORT_PROBE = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[:2] in (["scipy", "sparse"], ["scipy", "special"]))
+import blocklasso
+after_import = loaded()
+from blocklasso import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"import": after_import, "fit": loaded(), "code": code}))
+"""
+
+
+def test_fit_imports_neither_scipy_sparse_nor_special(dataset, tmp_path):
+    # a fresh interpreter: the test process itself may have imported both
+    src = str(Path(blocklasso.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [str(a) for a in fit_args(dataset, tmp_path / "out", "--format", "dot")]
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report == {"import": [], "fit": [], "code": 0}
 
 
 class TestSimulate:

@@ -17,8 +17,8 @@ def direct_predictor(design, partition, coefficients):
     explicitly constrained parameter vectors."""
     node_idx = {v: k for k, v in enumerate(design.node_ids)}
     blocks = partition.indices_for(design.node_ids)
-    alpha = effect_levels(coefficients, design.groups, GROUP_NODE)
-    gamma = effect_levels(coefficients, design.groups, GROUP_BLOCK)
+    alpha = effect_levels(coefficients[design.group_indices(GROUP_NODE)])
+    gamma = effect_levels(coefficients[design.group_indices(GROUP_BLOCK)])
     phi = design.interaction_matrix(coefficients)
     intercept = coefficients[design.column_names.index("intercept")]
     cov_idx = [k for k, g in enumerate(design.groups) if g == "covariate"]
@@ -192,6 +192,52 @@ class TestPredictorEquivalence:
             assert np.array_equal(getattr(design.matrix, attr), getattr(canonical, attr))
 
 
+class TestMatrixFreeProducts:
+    """The fits' products, :meth:`DesignMatrix.predictor` (X·beta over the
+    cells) and :meth:`DesignMatrix.xt` (X'v), and the ``inestimable``
+    flags, against the reference matrix that :attr:`DesignMatrix.matrix`
+    assembles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(blocks=st.lists(st.integers(0, 3), min_size=2, max_size=10),
+           node_effects=st.booleans(), block_effects=st.booleans(),
+           k=st.integers(0, 2), zero_covariate=st.booleans(), seed=st.integers(0, 10_000))
+    @example(blocks=[0, 0, 0, 0], node_effects=True, block_effects=True, k=1,
+             zero_covariate=True, seed=0)
+    @example(blocks=[0, 1, 0, 1, 1], node_effects=False, block_effects=True, k=2,
+             zero_covariate=True, seed=1)
+    @example(blocks=[1, 0], node_effects=True, block_effects=False, k=0,
+             zero_covariate=False, seed=2)
+    def test_products_match_reference(self, blocks, node_effects, block_effects, k,
+                                      zero_covariate, seed):
+        # blocks[t] is node t's block: p = 1 and p = 2 are drawn, and n = 2,
+        # whose one node column is empty
+        n = len(blocks)
+        node_ids = tuple(f"v{t}" for t in range(n))
+        labels, block_of = np.unique(blocks, return_inverse=True)
+        partition = bl.Partition(tuple(f"B{b}" for b in labels),
+                                 dict(zip(node_ids, block_of.tolist())))
+        rng = np.random.default_rng(seed)
+        dyads = np.column_stack(np.triu_indices(n, k=1))
+        values = rng.choice([0.0, 0.0, 1.0, -2.5], size=(len(dyads), k))
+        if zero_covariate:
+            values = np.column_stack([values, np.zeros(len(dyads))])
+        names = tuple(f"x{c}" for c in range(values.shape[1]))
+        table = bl.DyadTable(node_ids, dyads, np.zeros(len(dyads)), values, names)
+        spec = bl.ModelSpec(family="bernoulli_logit", node_effects=node_effects,
+                            block_main_effects=block_effects, covariates=names)
+        design = bl.encode(table, partition, spec)
+        X = design.matrix[design.cells.first]
+        beta = rng.normal(size=design.n_columns)
+        v = rng.normal(size=X.shape[0])
+        # relative to the sum of the terms' magnitudes, row by row
+        assert np.all(np.abs(design.predictor(beta) - X @ beta)
+                      <= 1e-12 * (abs(X) @ np.abs(beta)))
+        assert np.all(np.abs(design.xt(v) - X.T @ v) <= 1e-12 * (abs(X).T @ np.abs(v)))
+        assert np.array_equal(design.inestimable,
+                              np.bincount(design.matrix.indices, minlength=design.n_columns) == 0)
+
+
 class TestReconstructInteractions:
     def test_two_blocks(self):
         out = reconstruct_interactions(np.array([0.5]), 2)
@@ -239,7 +285,7 @@ class TestFitLevelInvariance:
 
 def gram_oracle(design, cols, w, z):
     """X'WX and X'Wz from the dense rows of the cells over ``cols``."""
-    X = design.cells.matrix[:, cols].toarray()
+    X = design.matrix[design.cells.first][:, cols].toarray()
     return X.T @ (X * w[:, None]), X.T @ (w * z)
 
 
@@ -373,7 +419,7 @@ class TestCells:
     def test_node_effects_make_every_dyad_a_cell(self):
         _, _, _, design = bernoulli_instance(12, n=9, p=3)
         cells = design.cells
-        assert cells.matrix is design.matrix
+        assert np.array_equal(cells.first, np.arange(design.n_rows))
         assert np.array_equal(cells.inverse, np.arange(design.n_rows))
         assert np.array_equal(cells.counts, np.ones(design.n_rows))
 
@@ -385,7 +431,7 @@ class TestCells:
         design = make()
         X, cells = design.matrix, design.cells
         assert len(cells.counts) < design.n_rows
-        assert (X - cells.matrix[cells.inverse]).nnz == 0
+        assert (X - X[cells.first][cells.inverse]).nnz == 0
         assert cells.counts.sum() == design.n_rows
         assert np.array_equal(np.bincount(cells.inverse), cells.counts)
 
@@ -405,7 +451,8 @@ class TestCells:
         cells = design.cells
         assert np.array_equal(cells.inverse, rank[inverse.reshape(-1)])
         assert np.array_equal(cells.counts, counts[order])
-        assert np.array_equal(cells.matrix.toarray(), X[first[order]])
+        assert np.array_equal(cells.first, first[order])
+        assert np.array_equal(design.matrix[cells.first].toarray(), X[first[order]])
 
 
 def custom_design(seed, n, p):

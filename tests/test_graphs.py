@@ -44,6 +44,21 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListError, match="negative"):
             bl.load_edge_list(path, mode="weighted")
 
+    @pytest.mark.parametrize("rows,line", [
+        ("a,b,1\nv000,v033,99999999999999999999\n", 2),
+        # two weights within int64 whose sum is not
+        ("a,b,9223372036854775807\nb,a,1\n", 2),
+    ], ids=["one_weight", "summed_duplicates"])
+    def test_weight_beyond_int64_names_line(self, tmp_path, rows, line):
+        path = write(tmp_path / "e.csv", rows)
+        with pytest.raises(EdgeListError, match=rf"line {line}: weight .* past the largest weight"):
+            bl.load_edge_list(path, mode="weighted")
+
+    def test_largest_weight_accepted(self, tmp_path):
+        path = write(tmp_path / "e.csv", "a,b,9223372036854775807\n")
+        graph = bl.load_edge_list(path, mode="weighted")
+        assert graph.weights[0, 1] == np.iinfo(np.int64).max
+
     def test_non_integer_weight_rejected(self, tmp_path):
         path = write(tmp_path / "e.csv", "a,b,1.5\n")
         with pytest.raises(EdgeListError, match="non-integer"):

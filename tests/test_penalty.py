@@ -384,8 +384,9 @@ class TestChordSteps:
         weights = bl.adaptive_weights(mle, design.penalized_mask)
         solver = _PenalizedSolver(design, table.response, weights)
         beta = solver.restricted_fit().beta
-        mu = solver.data.evaluate(solver.data.X @ beta)[0]
-        A, b = solver.factored.gram(*solver.data.working(solver.data.X @ beta, mu))
+        eta = design.predictor(beta)
+        mu = solver.data.evaluate(eta)[0]
+        A, b = solver.factored.gram(*solver.data.working(eta, mu))
         thresholds = 0.05 * solver.lambda_max(beta) * weights[solver.cols]
         # a poor active set: random penalized coefficients, half of them zero
         rng = np.random.default_rng(seed)

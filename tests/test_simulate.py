@@ -143,6 +143,15 @@ class TestWriteDataset:
                     expected += ",".join(row) + "\n"
         assert paths["edges"].read_bytes() == expected.encode("utf-8")
 
+    def test_unknown_mode_refused(self, tmp_path):
+        spec = bl.GeneratorSpec(n=6, p=2, family="bernoulli_logit",
+                                interactions=bl.sparse_interactions(2, 0.0, 0.3, seed=7),
+                                seed=7)
+        graph, _, partition = bl.sample_graph(spec)
+        with pytest.raises(ValueError, match="mode must be 'binary' or 'weighted', got 'wieghted'"):
+            bl.write_dataset(tmp_path / "out", graph, partition, spec, mode="wieghted")
+        assert not (tmp_path / "out").exists()
+
     def test_truth_written(self, tmp_path):
         import json
         spec = bl.GeneratorSpec(n=8, p=2, family="bernoulli_logit",
