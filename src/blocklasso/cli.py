@@ -558,9 +558,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of ``main``, built on its first call and reused: parsing
+# leaves it unchanged, and every call gets a new namespace
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConvergenceError as exc:

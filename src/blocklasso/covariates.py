@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import AttributeTable, Graph, _read_rows
+from .graphs import AttributeTable, Graph, _read_columns
 
 __all__ = [
     "CovariateError",
@@ -185,7 +185,8 @@ def _edge_table_column(graph: Graph, spec: CovariateSpec, iu, ju) -> np.ndarray:
     n = graph.node_count
     dense = np.zeros((n, n))
     seen: set[tuple[int, int]] = set()
-    for lineno, (a, b, value) in _read_rows(spec.path, CovariateError, 3):
+    linenos, columns, fault = _read_columns(spec.path, CovariateError, 3)
+    for lineno, a, b, value in zip(linenos, *columns):
         if a not in index or b not in index:
             raise CovariateError(f"{spec.path}: line {lineno}: unknown node id")
         if a == b:
@@ -199,6 +200,8 @@ def _edge_table_column(graph: Graph, spec: CovariateSpec, iu, ju) -> np.ndarray:
         except ValueError:
             raise CovariateError(f"{spec.path}: line {lineno}: non-numeric value {value!r}") from None
         dense[i, j] = dense[j, i] = v
+    if fault is not None:
+        raise fault
     return dense[iu, ju]
 
 

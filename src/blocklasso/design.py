@@ -27,6 +27,15 @@ sums v per block pair and per node, and X'WX (:meth:`FactoredGram.gram`)
 sums the working weights per node pair, node, block pair and (block
 pair, node). :attr:`DesignMatrix.matrix` builds the scipy.sparse matrix
 of the design, the reference for tests and output checks; no fit reads it.
+
+Sums over a sorted key are taken run by run (:class:`_Runs`): the dyads
+come in the order of their first endpoint and, when the nodes are
+numbered block by block, of their block pair, so each run of equal keys
+is added up with ``np.add.reduceat`` and only the run totals go through
+``np.bincount``. Whatever a design can compute once is cached on it on
+first use: the cells, the pair keys and their runs, the interaction
+coding (the tail columns of ``pair_coding``), the group of every column
+and the names of the inestimable columns.
 """
 
 from __future__ import annotations
@@ -152,13 +161,27 @@ class DesignMatrix:
         """
         return self.n_columns
 
+    @cached_property
+    def _group_array(self) -> np.ndarray:
+        return np.array(self.groups)
+
     def group_indices(self, group: str) -> np.ndarray:
-        return np.flatnonzero(np.array(self.groups) == group)
+        return np.flatnonzero(self._group_array == group)
+
+    @cached_property
+    def _interactions(self) -> tuple[np.ndarray, np.ndarray]:
+        """The interaction columns and their p²-by-p(p-1)/2 coding, the
+        tail columns of ``pair_coding`` (as :func:`reconstruct_interactions`
+        builds it, in the same C order)."""
+        idx = self.group_indices(GROUP_INTERACTION)
+        first = self.pair_coding.shape[1] - len(idx)  # p = 1 has none
+        return idx, np.ascontiguousarray(self.pair_coding[:, first:])
 
     def interaction_matrix(self, coefficients) -> np.ndarray:
         """Symmetric p-by-p block-interaction matrix implied by a fit."""
-        idx = self.group_indices(GROUP_INTERACTION)
-        return reconstruct_interactions(np.asarray(coefficients)[idx], self.block_count)
+        idx, coding = self._interactions
+        values = np.asarray(coefficients, dtype=np.float64)[idx]
+        return (coding @ values).reshape(self.block_count, self.block_count)
 
     @cached_property
     def pair_columns(self) -> np.ndarray:
@@ -173,6 +196,11 @@ class DesignMatrix:
         counts = self.cells.counts.astype(np.float64)
         A, _ = FactoredGram(self, np.arange(self.n_columns)).gram(counts, counts)
         return np.diag(A) == 0.0
+
+    @cached_property
+    def inestimable_names(self) -> tuple[str, ...]:
+        """The names of the :attr:`inestimable` columns."""
+        return tuple(self.column_names[k] for k in np.flatnonzero(self.inestimable))
 
     @cached_property
     def matrix(self):
@@ -202,8 +230,8 @@ class DesignMatrix:
         # key, renumbered after each fold so that it stays below m**2
         key = np.arange(self.n_rows) if self.spec.node_effects else self._pair_keys
         for column in self.covariate_values.T:
-            _, code = np.unique(column, return_inverse=True)
-            key = np.unique(key * (int(code.max()) + 1) + code, return_inverse=True)[1]
+            levels, code = np.unique(column, return_inverse=True)
+            key = np.unique(key * len(levels) + code, return_inverse=True)[1]
         _, first, inverse, counts = np.unique(key, return_index=True,
                                               return_inverse=True, return_counts=True)
         # cells numbered by their first dyad
@@ -214,13 +242,25 @@ class DesignMatrix:
     def _pair_keys(self) -> np.ndarray:
         """Each dyad's unordered block pair {r, s}, r <= s, as the row
         r·p + s of ``pair_coding``."""
-        lo, hi = np.sort(self.dyad_blocks, axis=1).T
-        return lo * self.block_count + hi
+        first, second = self.dyad_blocks.T
+        return np.minimum(first, second) * self.block_count + np.maximum(first, second)
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
         """Per cell its row of ``pair_coding`` and its covariate values."""
         return self._pair_keys[self.cells.first], self.covariate_values[self.cells.first]
+
+    @cached_property
+    def _pair_runs(self) -> "_Runs":
+        """Sums over the cells per row of ``pair_coding``."""
+        return _Runs(self._factors[0], len(self.pair_coding))
+
+    @cached_property
+    def _node_runs(self) -> tuple["_Runs", np.ndarray]:
+        """Sums over the dyads per first endpoint, which come sorted, and
+        the second endpoints as one contiguous array."""
+        first, second = self.dyad_nodes.T
+        return _Runs(first, self.n_nodes), np.ascontiguousarray(second)
 
     def predictor(self, coefficients: np.ndarray) -> np.ndarray:
         """X·beta over the cells (:attr:`cells`): the block pairs' values,
@@ -239,15 +279,45 @@ class DesignMatrix:
         """X'v over every column, for ``v`` over the cells: v summed per
         block pair through the pair rows, C'v, and v summed per node and
         folded onto the node columns."""
-        pair, covariates = self._factors
-        k, n = covariates.shape[1], self.n_nodes
+        node_sums = None
+        if self.spec.node_effects:  # one cell per dyad
+            first, second = self._node_runs
+            node_sums = first.sum(v) + np.bincount(second, v, self.n_nodes)
+        return self._xt(v, self._pair_runs.sum(v), node_sums)
+
+    def _xt(self, v, pair_sums, node_sums) -> np.ndarray:
+        """X'v from the sums of v per row of ``pair_coding`` and per node
+        (None without node effects), which the caller has."""
+        covariates = self._factors[1]
+        k = covariates.shape[1]
         out = np.empty(self.n_columns)
-        out[self.pair_columns] = self.pair_coding.T @ np.bincount(pair, v, len(self.pair_coding))
-        out[1:1 + k] = covariates.T @ v
-        if self.spec.node_effects:
-            i, j = self.dyad_nodes.T
-            out[1 + k:k + n] = _fold(np.bincount(i, v, n) + np.bincount(j, v, n))
+        out[self.pair_columns] = self.pair_coding.T @ pair_sums
+        if k:  # an empty product costs as much as a small one
+            out[1:1 + k] = covariates.T @ v
+        if node_sums is not None:
+            out[1 + k:k + self.n_nodes] = _fold(node_sums)
         return out
+
+
+class _Runs:
+    """Sums per key of vectors aligned with ``keys``, taken run by run:
+    each run of equal neighbouring keys is added up with
+    ``np.add.reduceat``, and the run totals are summed per key with
+    ``np.bincount`` into ``size`` bins. On sorted keys this replaces the
+    chain of dependent adds into one bin with a sequential sum. When no
+    key repeats its neighbour (``starts`` is None), every run holds one
+    entry, which is its own total."""
+
+    def __init__(self, keys: np.ndarray, size: int):
+        starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+        self.starts = starts if len(starts) < len(keys) else None
+        self.keys = keys[starts]
+        self.size = size
+
+    def sum(self, v: np.ndarray) -> np.ndarray:
+        if self.starts is not None:
+            v = np.add.reduceat(v, self.starts)
+        return np.bincount(self.keys, v, self.size)
 
 
 @dataclass(frozen=True)
@@ -385,12 +455,24 @@ class FactoredGram:
         first = 1 + len(design.spec.covariates)
         d, e = np.searchsorted(self.cols, [first, first + len(nodes)])
         if e - d != len(nodes):
+            zero = [design.column_names[k] for k in np.setdiff1d(nodes, self.cols)
+                    if design.inestimable[k]]
+            if zero:
+                # only with two nodes: their one dyad holds the last node,
+                # whose level is minus the sum of the others
+                raise ValueError(
+                    f"node-effect column(s) {', '.join(zero)} cannot be estimated: every "
+                    "dyad of the node also holds the last node, so the sum-to-zero "
+                    "node effects cancel in its design row; node effects need at "
+                    "least three nodes")
             raise ValueError("solver columns must include every node-effect column")
         self._dense, self._nodes, self._pairs = slice(0, d), slice(d, e), slice(e, len(self.cols))
 
-        self._pair, covariates = design._factors
-        intercept_and_covariates = np.column_stack([np.ones(len(self._pair)), covariates])
-        self._columns = intercept_and_covariates[:, self.cols[self._dense]]
+        pair, covariates = design._factors
+        # the intercept's row is derived from sums every build makes; the
+        # covariates' rows are X'(w * x)
+        self._intercept = d > 0 and self.cols[0] == 0
+        self._covariates = covariates[:, self.cols[int(self._intercept):d] - 1].T.copy()
         R = design.pair_coding[:, np.searchsorted(design.pair_columns, self.cols[self._pairs])]
         q = R.shape[1]
         # R'diag(s)R: each pair (a, b) of nonzeros of R[k] adds R[k, a] R[k, b] s_k
@@ -404,10 +486,12 @@ class FactoredGram:
             i, j = design.dyad_nodes.T
             self._node_pair = i * n + j
             # R'S, S[k, u] the weight of the dyads of pair k at node u: each
-            # (k, u) that occurs adds R[k, c] S[k, u] at (u, c)
-            ends = np.concatenate([self._pair * n + i, self._pair * n + j])
+            # (k, u) that occurs adds R[k, c] S[k, u] at (u, c); the first
+            # endpoints come in runs, the second ones do not
+            ends = np.concatenate([pair * n + i, pair * n + j])
             occurring = np.unique(ends)
-            self._ends = np.searchsorted(occurring, ends)
+            first, second = np.split(np.searchsorted(occurring, ends), 2)
+            self._ends = _Runs(first, len(occurring)), second
             entry, c = np.nonzero((R != 0)[occurring // n])
             self._node_terms = (entry, occurring[entry] % n * q + c, R[occurring[entry] // n, c])
         # the X'WX that every build overwrites
@@ -418,27 +502,33 @@ class FactoredGram:
         ``w``, working response ``z``), built once and shared by every solve.
         X'WX is exactly symmetric and is this object's one buffer, which
         the next build overwrites, so that a step does not allocate, and
-        fault in, a new q x q array. The row of the intercept or of a
-        covariate x is X'(w * x).
+        fault in, a new q x q array. The row of the intercept is X'w, put
+        together from the weight sums per block pair and per node that
+        the other blocks use; the row of a covariate x is X'(w * x).
         """
-        n, nodes, pairs, A = self._n, self._nodes, self._pairs, self._A
+        design, n, nodes, pairs, A = self.design, self._n, self._nodes, self._pairs, self._A
         q = pairs.stop - pairs.start
-        pair_w = np.bincount(self._pair, w, len(self.design.pair_coding))
+        pair_w = design._pair_runs.sum(w)
         A[pairs, pairs] = _add_terms(self._pair_terms, pair_w, (q, q))
+        node_w = None
         if n:
             G = np.bincount(self._node_pair, w, n * n).reshape(n, n)
             G += G.T
-            G[np.diag_indices(n)] = G.sum(axis=1)
+            node_w = G.sum(axis=1)
+            G[np.diag_indices(n)] = node_w
             # both fold subtractions at once, in a form that is exactly
             # symmetric: g[a] + g[b] commutes
             g = G[:-1, -1]
             A[nodes, nodes] = G[:-1, :-1] - (g[:, None] + g) + G[-1, -1]
-            end_w = np.bincount(self._ends, np.concatenate([w, w]))
+            first, second = self._ends
+            end_w = first.sum(w) + np.bincount(second, w, first.size)
             A[nodes, pairs] = _fold(_add_terms(self._node_terms, end_w, (n, q)))
             A[pairs, nodes] = A[nodes, pairs].T
-        for t in range(self._dense.stop):
-            A[t] = A[:, t] = self.design.xt(w * self._columns[:, t])[self.cols]
-        return A, self.design.xt(w * z)[self.cols]
+        if self._intercept:
+            A[0] = A[:, 0] = design._xt(w, pair_w, node_w)[self.cols]
+        for t, x in enumerate(self._covariates, int(self._intercept)):
+            A[t] = A[:, t] = design.xt(w * x)[self.cols]
+        return A, design.xt(w * z)[self.cols]
 
 
 def _add_terms(terms, sums: np.ndarray, shape) -> np.ndarray:

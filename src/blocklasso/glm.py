@@ -114,8 +114,11 @@ def _validate_response(response, family: str, m: int) -> np.ndarray:
 def _logistic(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The logistic function of ``eta`` and ``e = exp(-|eta|)``, from
     which it is computed: nothing overflows."""
-    e = np.exp(-np.abs(eta))
-    return np.where(eta >= 0.0, 1.0, e) / (1.0 + e), e
+    e = np.abs(eta)
+    np.exp(np.negative(e, out=e), out=e)
+    mu = np.where(eta >= 0.0, 1.0, e)
+    mu /= 1.0 + e
+    return mu, e
 
 
 class _CellData:
@@ -148,21 +151,26 @@ class _CellData:
         """The cell means and the log-likelihood kernel at ``eta``, from one
         evaluation; callers pass the mean on to :meth:`working` and
         :meth:`score` instead of recomputing it."""
+        kernel = self.y * eta
         if self.family == "bernoulli_logit":
             # the mean and the stable softplus log(1 + e^eta) (the formula
-            # of np.logaddexp(0, eta)) from one exp(-|eta|)
+            # of np.logaddexp(0, eta)) from one exp(-|eta|), which the
+            # softplus and then n times it overwrite
             mu, e = _logistic(eta)
-            softplus = np.log1p(e) + np.maximum(eta, 0.0)
-            return mu, float(np.sum(self.y * eta - self.n * softplus))
+            softplus = np.log1p(e, out=e)
+            softplus += np.maximum(eta, 0.0)
+            kernel -= np.multiply(self.n, softplus, out=softplus)
+            return mu, float(kernel.sum())
         with np.errstate(over="ignore"):
             mu = np.exp(eta)
-        return mu, float(np.sum(self.y * eta - self.n * mu))
+        kernel -= self.n * mu
+        return mu, float(kernel.sum())
 
     def working(self, eta: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Working weights and working response of one IRLS step at
         ``eta``, whose cell means are ``mu``."""
         variance = mu * (1.0 - mu) if self.family == "bernoulli_logit" else mu
-        w = self.n * np.clip(variance, WEIGHT_FLOOR, None)
+        w = self.n * np.maximum(variance, WEIGHT_FLOOR)
         return w, eta + (self.y - self.n * mu) / w
 
     def score(self, mu: np.ndarray) -> np.ndarray:
@@ -314,7 +322,7 @@ def _outer_loop(data: _CellData, factored: FactoredGram, beta: np.ndarray, *, pe
             # a chord step: the kept Gram with the exact score here
             grad = score[cols]
             b = A @ x + grad
-        candidate = np.zeros_like(beta)
+        candidate = np.zeros(len(beta))
         candidate[cols] = working_solve(A, b, x, grad, counts)
 
         for halvings in range(search.halvings + 1):
@@ -501,10 +509,7 @@ def assemble_fit(data: _CellData, solve: _Solve, diagnostics: dict,
     diagnostics = {**diagnostics, **solve.counts}
     if solve.cause:
         diagnostics["cause"] = solve.cause
-    diagnostics.setdefault(
-        "fixed_zero",
-        [design.column_names[k] for k in np.flatnonzero(design.inestimable)],
-    )
+    diagnostics.setdefault("fixed_zero", list(design.inestimable_names))
     return FitResult(
         family=data.family,
         column_names=design.column_names,

@@ -8,7 +8,7 @@ invariant to the row order of the input files.
 
 This module owns the text formats of the package. Every delimited input
 (edge list, attribute table, edge-table covariate) is read by
-``_read_rows``: UTF-8 with an optional byte-order mark, blank lines
+``_read_columns``: UTF-8 with an optional byte-order mark, blank lines
 skipped, comma or tab taken from the first data line, fields stripped,
 and a column-count error that names the file and the physical line.
 Every JSON artifact is written by ``_write_json`` (two-space indent,
@@ -192,28 +192,39 @@ def _read_lines(path) -> list[str]:
     return Path(path).read_text(encoding="utf-8-sig").splitlines()
 
 
-def _read_rows(path, error, width: int | None = None, skip_first: bool = False):
-    """Yield ``(line number, fields)`` for each data line of a delimited file.
+def _read_columns(path, error, width: int | None = None, skip_first: bool = False):
+    """The data lines of a delimited file, as columns.
 
     Blank lines, and the first line when ``skip_first``, are skipped; the
     delimiter (tab if the first data line has one, else comma) holds for
     the whole file, and each field is stripped. Every row must have
     ``width`` fields, or as many as the first data line when ``width`` is
-    None; otherwise ``error`` is raised naming the file and the physical
-    line number.
+    None. Returns ``(line numbers, columns, fault)``: the physical line
+    numbers of the data lines and their fields as one tuple per column,
+    both up to the first line with another field count, and for that
+    line the ``error`` that names the file and the line (None when every
+    line has ``width`` fields). A caller checks the rows it got before it
+    raises ``fault``, so that faults are reported in line order.
     """
-    sep = None
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        if (skip_first and lineno == 1) or not raw.strip():
-            continue
-        if sep is None:
-            sep = "\t" if "\t" in raw else ","
-        fields = [f.strip() for f in raw.split(sep)]
-        if width is None:
-            width = len(fields)
-        if len(fields) != width:
-            raise error(f"{path}: line {lineno}: expected {width} columns, got {len(fields)}")
-        yield lineno, fields
+    first = int(skip_first)
+    lines = _read_lines(path)[first:]
+    # no container per line, which would only feed the garbage collector:
+    # the good lines are joined and split once, and every width-th field
+    # is a column
+    data = [t for t, stripped in enumerate(map(str.strip, lines)) if stripped]
+    raws = [lines[t] for t in data]
+    sep = "\t" if raws and "\t" in raws[0] else ","
+    seps = list(map(str.count, raws, [sep] * len(raws)))
+    if width is None:
+        width = seps[0] + 1 if seps else 0
+    good, fault = len(data), None
+    if seps.count(width - 1) != good:
+        good = next(t for t, count in enumerate(seps) if count != width - 1)
+        fault = error(f"{path}: line {data[good] + first + 1}: expected {width} columns, "
+                      f"got {seps[good] + 1}")
+    fields = sep.join(raws[:good]).split(sep) if good else []
+    columns = [tuple(map(str.strip, fields[k::width])) for k in range(width)]
+    return [t + first + 1 for t in data[:good]], columns, fault
 
 
 def _write_json(path, payload) -> str:
@@ -259,47 +270,51 @@ def load_edge_list(path, mode: str = "binary", *, extra_nodes=(), node_file=None
     """
     if mode not in ("binary", "weighted"):
         raise ValueError(f"mode must be 'binary' or 'weighted', got {mode!r}")
-    expected = 2 if mode == "binary" else 3
-    accum: dict[tuple[str, str], int] = {}
+    weighted = mode == "weighted"
     nodes: set[str] = set(str(v) for v in extra_nodes)
     if node_file is not None:
         nodes.update(load_node_list(node_file))
-    for lineno, fields in _read_rows(path, EdgeListError, expected, has_header):
-        a, b = fields[0], fields[1]
-        if not a or not b:
-            raise EdgeListError(f"{path}: line {lineno}: empty node id")
-        if a == b:
-            raise EdgeListError(f"{path}: line {lineno}: self-loop on node {a!r}")
-        if mode == "weighted":
-            try:
-                weight = int(fields[2])
-            except ValueError:
-                raise EdgeListError(
-                    f"{path}: line {lineno}: non-integer weight {fields[2]!r}"
-                ) from None
-            if weight < 0:
-                raise EdgeListError(f"{path}: line {lineno}: negative weight {weight}")
-        else:
-            weight = 1
-        key = (a, b) if a < b else (b, a)
-        if mode == "weighted":
-            accum[key] = accum.get(key, 0) + weight
-            if accum[key] > np.iinfo(np.int64).max:  # the type of Graph.weights
-                raise EdgeListError(f"{path}: line {lineno}: weight {weight} takes edge "
-                                    f"({a}, {b}) past the largest weight, 2**63 - 1")
-        else:
-            accum[key] = 1
-        nodes.add(a)
-        nodes.add(b)
-
+    linenos, columns, fault = _read_columns(path, EdgeListError, 3 if weighted else 2,
+                                            has_header)
+    a, b = columns[0], columns[1]
+    nodes.update(a, b)
     node_ids = tuple(sorted(nodes))
     index = {v: i for i, v in enumerate(node_ids)}
     n = len(node_ids)
+    i, j = (np.fromiter(map(index.__getitem__, ends), np.int64, len(ends)) for ends in (a, b))
+    # the lines before the first one with an empty node id or a self-loop
+    faulty = i == j
+    if "" in index:
+        faulty |= (i == index[""]) | (j == index[""])
+    end = int(np.argmax(faulty)) if faulty.any() else len(a)
     weights = np.zeros((n, n), dtype=np.int64)
-    for (a, b), weight in accum.items():
-        i, j = index[a], index[b]
-        weights[i, j] = weight
-        weights[j, i] = weight
+    if weighted:
+        largest = int(np.iinfo(np.int64).max)  # the type of Graph.weights
+        accum: dict[tuple[int, int], int] = {}
+        pairs = zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
+        for lineno, u, v, text, key in zip(linenos[:end], a, b, columns[2], pairs):
+            try:
+                weight = int(text)
+            except ValueError:
+                raise EdgeListError(f"{path}: line {lineno}: non-integer weight {text!r}") from None
+            if weight < 0:
+                raise EdgeListError(f"{path}: line {lineno}: negative weight {weight}")
+            accum[key] = total = accum.get(key, 0) + weight
+            if total > largest:
+                raise EdgeListError(f"{path}: line {lineno}: weight {weight} takes edge "
+                                    f"({u}, {v}) past the largest weight, 2**63 - 1")
+        lo, hi = np.array(list(accum), dtype=np.int64).reshape(-1, 2).T
+        weights[lo, hi] = weights[hi, lo] = np.fromiter(accum.values(), np.int64, len(accum))
+    else:
+        # a repeated edge sets the same 1 again
+        weights[i[:end], j[:end]] = weights[j[:end], i[:end]] = 1
+    if end < len(a):
+        lineno, u, v = linenos[end], a[end], b[end]
+        if not u or not v:
+            raise EdgeListError(f"{path}: line {lineno}: empty node id")
+        raise EdgeListError(f"{path}: line {lineno}: self-loop on node {u!r}")
+    if fault is not None:
+        raise fault
     return Graph(node_ids=node_ids, weights=weights)
 
 
@@ -315,16 +330,16 @@ def load_attributes(path) -> AttributeTable:
     column holds the node id; remaining header names become attribute
     names. Empty cells are treated as missing values.
     """
-    rows = (fields for _, fields in _read_rows(path, AttributeTableError))
-    header = next(rows, None)
-    if header is None:
+    linenos, columns, fault = _read_columns(path, AttributeTableError)
+    if not linenos:
         raise AttributeTableError(f"{path}: empty attribute table")
-    attr_names = header[1:]
+    attr_names = [column[0] for column in columns[1:]]
     if len(set(attr_names)) != len(attr_names):
         raise AttributeTableError(f"{path}: duplicate attribute names in header")
-    body = list(rows)
-    columns = {name: tuple(row[k] for row in body) for k, name in enumerate(attr_names, 1)}
-    return AttributeTable(node_ids=tuple(row[0] for row in body), columns=columns)
+    if fault is not None:
+        raise fault
+    body = {name: column[1:] for name, column in zip(attr_names, columns[1:])}
+    return AttributeTable(node_ids=columns[0][1:], columns=body)
 
 
 def partition_from_attributes(attrs: AttributeTable, keys, overrides=None) -> Partition:
@@ -433,14 +448,14 @@ def validate(graph: Graph, partition: Partition) -> ValidationReport:
     common = [v for v in graph.node_ids if v in partition.block_of]
     idx = np.array([graph.index_of(v) for v in common], dtype=np.int64)
     blocks = np.array([partition.block_of[v] for v in common], dtype=np.int64)
-    pair_dyads = np.zeros((p, p), dtype=np.int64)
-    pair_weight = np.zeros((p, p), dtype=np.int64)
-    if len(common) >= 2:
-        iu, ju = np.triu_indices(len(common), k=1)
-        r, s = blocks[iu], blocks[ju]
-        lo, hi = np.minimum(r, s), np.maximum(r, s)
-        np.add.at(pair_dyads, (lo, hi), 1)
-        np.add.at(pair_weight, (lo, hi), graph.weights[idx[iu], idx[ju]])
+    # weights are nonnegative, so a pair's weight is 0 exactly when it
+    # has no dyad of nonzero weight
+    iu, ju = np.triu_indices(len(common), k=1)
+    r, s = blocks[iu], blocks[ju]
+    pair = np.minimum(r, s) * p + np.maximum(r, s)
+    pair_dyads = np.bincount(pair, minlength=p * p).reshape(p, p)
+    pair_weight = np.bincount(pair[graph.weights[idx[iu], idx[ju]] != 0],
+                              minlength=p * p).reshape(p, p)
 
     empty, sparse = [], []
     for r in range(p):

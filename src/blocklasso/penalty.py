@@ -209,6 +209,7 @@ class _PenalizedSolver:
         self.pen_pos = np.flatnonzero(design.penalized_mask[self.cols])
         self.unpen_pos = np.flatnonzero(~design.penalized_mask[self.cols])
         self.pen_idx, self.unpen_idx = self.cols[self.pen_pos], self.cols[self.unpen_pos]
+        self.pen_weights = weights[self.pen_idx]
         # the one Cholesky factor kept, (selection key, factor), made from
         # the current Gram of ``solve`` without jitter
         self._factor: tuple[bytes, np.ndarray] | None = None
@@ -225,7 +226,7 @@ class _PenalizedSolver:
 
     def lambda_max(self, beta_restricted: np.ndarray) -> float:
         score = self._score(beta_restricted)[self.pen_idx]
-        return float((np.abs(score) / self.weights[self.pen_idx]).max(initial=0.0))
+        return float((np.abs(score) / self.pen_weights).max(initial=0.0))
 
     # -- penalized objective and optimality ------------------------------
 
@@ -233,16 +234,18 @@ class _PenalizedSolver:
         return self.data.score(self.data.evaluate(self.design.predictor(beta))[0])
 
     def penalty(self, beta: np.ndarray, lam: float) -> float:
-        return lam * float(np.sum(self.weights[self.pen_idx] * np.abs(beta[self.pen_idx])))
+        return lam * float((self.pen_weights * np.abs(beta[self.pen_idx])).sum())
 
     def kkt_violation(self, beta: np.ndarray, lam: float, score=None) -> float:
         """Largest KKT violation at ``beta``; ``score`` is the score
         there when the caller has it."""
         score = self._score(beta) if score is None else score
-        b, s = beta[self.pen_idx], score[self.pen_idx]
-        bound = lam * self.weights[self.pen_idx]
-        gaps = np.where(b != 0.0, np.abs(s - bound * np.sign(b)),
-                        np.maximum(0.0, np.abs(s) - bound))
+        b = beta[self.pen_idx]
+        bound = lam * self.pen_weights
+        # |s - bound| at an active b > 0, |s + bound| at b < 0, and
+        # |s| - bound at b = 0, which counts only where positive
+        gaps = np.abs(score[self.pen_idx] - bound * np.sign(b))
+        gaps -= bound * (b == 0.0)
         return max(float(np.abs(score[self.unpen_idx]).max(initial=0.0)),
                    float(gaps.max(initial=0.0)))
 
@@ -264,10 +267,10 @@ class _PenalizedSolver:
         at ``x``, from a vectorized soft threshold of every penalized
         position; nothing is moved."""
         pen = self.pen_pos
-        diag = A[pen, pen]
-        u = grad[pen] + diag * x[pen]
+        diag, x_pen = A[pen, pen], x[pen]
+        u = grad[pen] + diag * x_pen
         target = np.sign(u) * np.maximum(np.abs(u) - thresholds[pen], 0.0) / diag
-        return float((np.abs(target - x[pen]) * diag).max(initial=0.0))
+        return float((np.abs(target - x_pen) * diag).max(initial=0.0))
 
     def _factored_solve(self, A, rhs, sel, counts: dict) -> np.ndarray:
         """Solve ``A[sel, sel] y = rhs``, reusing the kept Cholesky factor
@@ -278,9 +281,8 @@ class _PenalizedSolver:
         if self._factor is not None and self._factor[0] == key:
             return dpotrs(self._factor[1], rhs)[0]
         counts["factorizations"] += 1
-        # C-ordered, as the solve reads it without a copy, and with one
-        # intermediate, the gathered rows
-        y, factor = _solve_normal_equations(A.take(sel, 0).take(sel, 1), rhs, counts)
+        # gathered in one pass, C-ordered, as the solve reads it without a copy
+        y, factor = _solve_normal_equations(A[sel[:, None], sel], rhs, counts)
         if factor is not None:
             self._factor = (key, factor)
         return y
@@ -302,9 +304,9 @@ class _PenalizedSolver:
             sel = np.concatenate([self.unpen_pos, self.pen_pos[x[self.pen_pos] != 0.0]])
             if len(sel) == 0:
                 return
-            signs = np.sign(x[sel])
-            signs[: len(self.unpen_pos)] = 0.0
             old = x[sel]
+            signs = np.sign(old)
+            signs[: len(self.unpen_pos)] = 0.0
             new = self._factored_solve(A, b[sel] - thresholds[sel] * signs, sel, counts)
             flips = (signs != 0.0) & (np.sign(new) != signs)
             if not flips.any():

@@ -221,6 +221,41 @@ def test_fit_imports_neither_scipy_sparse_nor_special(dataset, tmp_path):
     assert report == {"import": [], "fit": [], "code": 0}
 
 
+def test_repeated_calls_in_one_process_are_independent(dataset, tmp_path):
+    # ``main`` builds its parser once and reuses it: flags of one call must
+    # not leak into the next
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(*fit_args(dataset, first, "--format", "graphml", "--threshold", 0.2)) == 0
+    assert (first / "reduced_mle.graphml").exists()
+    assert (first / "reduced_mle_threshold.json").exists()
+    assert run(*fit_args(dataset, second)) == 0
+    assert not list(second.glob("*.graphml"))
+    assert not list(second.glob("reduced_mle_threshold.*"))
+    fresh = tmp_path / "fresh"
+    src = str(Path(blocklasso.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "blocklasso.cli",
+                           *[str(a) for a in fit_args(dataset, fresh)]],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (second / "summary.json").read_bytes() == (fresh / "summary.json").read_bytes()
+    assert sorted(f.name for f in second.iterdir()) == sorted(f.name for f in fresh.iterdir())
+
+
+@pytest.mark.parametrize("blocks", [("X", "Y"), ("X", "X")])
+def test_two_node_degree_corrected_fit_names_the_inestimable_column(tmp_path, capsys, blocks):
+    # the one dyad holds both nodes, so the fold cancels the one node column
+    edges, attributes = tmp_path / "edges.csv", tmp_path / "attributes.csv"
+    edges.write_text("a,b\n")
+    attributes.write_text(f"node_id,block\na,{blocks[0]}\nb,{blocks[1]}\n")
+    code = run("fit", "--edges", edges, "--attributes", attributes, "--partition-key", "block",
+               "--model", "degree_corrected", "--out", tmp_path / "out")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "node:a" in err and "cannot be estimated" in err and "three nodes" in err
+
+
 class TestSimulate:
     def test_fixed_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "s1", tmp_path / "s2"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -236,6 +238,94 @@ class TestMatrixFreeProducts:
         assert np.all(np.abs(design.xt(v) - X.T @ v) <= 1e-12 * (abs(X).T @ np.abs(v)))
         assert np.array_equal(design.inestimable,
                               np.bincount(design.matrix.indices, minlength=design.n_columns) == 0)
+
+
+def assert_products_match(design, rng):
+    """X·beta, X'v and X'WX over the estimable columns against the
+    reference matrix of the design."""
+    X = design.matrix[design.cells.first]
+    beta = rng.normal(size=design.n_columns)
+    v = rng.normal(size=X.shape[0])
+    assert np.all(np.abs(design.predictor(beta) - X @ beta) <= 1e-12 * (abs(X) @ np.abs(beta)))
+    assert np.all(np.abs(design.xt(v) - X.T @ v) <= 1e-12 * (abs(X).T @ np.abs(v)))
+    assert_gram_matches_oracle(design, np.flatnonzero(~design.inestimable), rng)
+
+
+def interleaved_design(n, p, node_effects, k=0, seed=0):
+    """A design whose node t is in block t % p, so that the dyads of one
+    first endpoint change block pair at every step: runs of one key."""
+    node_ids = tuple(f"v{t:02d}" for t in range(n))
+    partition = bl.Partition(tuple(f"B{b}" for b in range(p)),
+                             {v: t % p for t, v in enumerate(node_ids)})
+    dyads = np.column_stack(np.triu_indices(n, k=1))
+    values = np.random.default_rng(seed).choice([0.0, 1.0, -2.5], size=(len(dyads), k))
+    names = tuple(f"x{c}" for c in range(k))
+    table = bl.DyadTable(node_ids, dyads, np.zeros(len(dyads)), values, names)
+    spec = bl.ModelSpec(family="bernoulli_logit", node_effects=node_effects,
+                        block_main_effects=not node_effects, covariates=names)
+    return bl.encode(table, partition, spec)
+
+
+class TestRunSums:
+    """The run-length sums behind :meth:`DesignMatrix.xt` and
+    :meth:`FactoredGram.gram`, on keys that do not come in long runs, and
+    the interaction coding cached on the design."""
+
+    @pytest.mark.parametrize("node_effects", [True, False])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_interleaved_blocks(self, node_effects, k):
+        design = interleaved_design(12, 3, node_effects, k, seed=k)
+        if node_effects:  # the cells are the dyads, whose block pair changes at each step
+            assert len(design._pair_runs.keys) > len(np.unique(design._factors[0]))
+        assert_products_match(design, np.random.default_rng(4))
+
+    @pytest.mark.parametrize("node_effects", [True, False])
+    def test_missing_dyads(self, node_effects):
+        # DyadTable holds every pair, so dyads are dropped from the design:
+        # some keys lose runs, one first endpoint loses all of its dyads
+        design = interleaved_design(10, 3, node_effects, k=1)
+        i = design.dyad_nodes[:, 0]
+        keep = (np.arange(design.n_rows) % 3 != 1) & (i != 4)
+        dropped = replace(design, dyad_blocks=design.dyad_blocks[keep],
+                          dyad_nodes=design.dyad_nodes[keep],
+                          covariate_values=design.covariate_values[keep])
+        assert dropped.n_rows < design.n_rows
+        assert_products_match(dropped, np.random.default_rng(5))
+
+    @pytest.mark.parametrize("node_effects", [True, False])
+    def test_no_dyads(self, node_effects):
+        design = interleaved_design(6, 2, node_effects, k=1)
+        empty = replace(design, dyad_blocks=design.dyad_blocks[:0],
+                        dyad_nodes=design.dyad_nodes[:0],
+                        covariate_values=design.covariate_values[:0])
+        assert empty.n_rows == 0 and empty.inestimable.all()
+        assert np.array_equal(empty.xt(np.zeros(0)), np.zeros(empty.n_columns))
+        A, b = FactoredGram(empty, np.arange(empty.n_columns)).gram(np.zeros(0), np.zeros(0))
+        assert not A.any() and not b.any()
+
+    @pytest.mark.parametrize("node_effects", [True, False])
+    def test_one_block(self, node_effects):
+        # no interaction columns: the tail of pair_coding is empty, not all of it
+        design = interleaved_design(6, 1, node_effects, k=1)
+        assert design.group_indices(GROUP_INTERACTION).size == 0
+        assert design._interactions[1].shape == (1, 0)
+        out = design.interaction_matrix(np.arange(design.n_columns, dtype=float))
+        assert np.array_equal(out, np.zeros((1, 1)))
+        assert_products_match(design, np.random.default_rng(6))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), p=st.integers(1, 7), node_effects=st.booleans(),
+           zeros=st.booleans())
+    def test_interaction_matrix_is_bitwise_reconstruct(self, seed, p, node_effects, zeros):
+        design = interleaved_design(max(p, 3) + 1, p, node_effects)
+        rng = np.random.default_rng(seed)
+        beta = rng.normal(scale=3.0, size=design.n_columns)
+        if zeros:  # exact zeros of either sign, as a path's fits hold
+            beta[rng.random(design.n_columns) < 0.5] = 0.0
+            beta[rng.random(design.n_columns) < 0.3] = -0.0
+        idx = design.group_indices(GROUP_INTERACTION)
+        cached = design.interaction_matrix(beta)
+        assert cached.tobytes() == reconstruct_interactions(beta[idx], p).tobytes()
 
 
 class TestReconstructInteractions:

@@ -125,6 +125,70 @@ class TestLoadEdgeList:
         assert np.array_equal(permuted.weights, reference.weights)
 
 
+def reference_edge_list(text, weighted):
+    """The edge list read line by line, as the loader did before it read
+    columns: ``(node ids, weights)``, or the error text of the first
+    faulty line in file order."""
+    width, sep, accum = 3 if weighted else 2, None, {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if not raw.strip():
+            continue
+        sep = sep or ("\t" if "\t" in raw else ",")
+        fields = [f.strip() for f in raw.split(sep)]
+        if len(fields) != width:
+            return f"line {lineno}: expected {width} columns"
+        a, b = fields[0], fields[1]
+        if not a or not b:
+            return f"line {lineno}: empty node id"
+        if a == b:
+            return f"line {lineno}: self-loop"
+        key = (min(a, b), max(a, b))
+        if weighted:
+            try:
+                weight = int(fields[2])
+            except ValueError:
+                return f"line {lineno}: non-integer weight"
+            if weight < 0:
+                return f"line {lineno}: negative weight"
+            accum[key] = accum.get(key, 0) + weight
+        else:
+            accum[key] = 1
+    node_ids = sorted({v for key in accum for v in key})
+    weights = np.zeros((len(node_ids), len(node_ids)), dtype=np.int64)
+    for (a, b), weight in accum.items():
+        i, j = node_ids.index(a), node_ids.index(b)
+        weights[i, j] = weights[j, i] = weight
+    return tuple(node_ids), weights
+
+
+class TestLoadEdgeListAgainstLines:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(["a", "b", " c", "d ", "", "e f"]),
+                                   st.sampled_from(["a", "b", " c", "d ", "", "e f"]),
+                                   st.sampled_from(["1", " 2", "0", "-1", "x", None])),
+                         max_size=8),
+           blank=st.lists(st.booleans(), min_size=8, max_size=8),
+           weighted=st.booleans(), sep=st.sampled_from([",", "\t"]))
+    def test_same_graph_or_same_first_fault(self, tmp_path_factory, rows, blank, weighted,
+                                            sep):
+        lines = []
+        for (a, b, w), skip in zip(rows, blank):
+            if skip:
+                lines.append("  ")
+            lines.append(sep.join([a, b] if w is None else [a, b, w]))
+        text = "\n".join(lines) + "\n"
+        path = write(tmp_path_factory.mktemp("lines") / "e.csv", text)
+        expected = reference_edge_list(text, weighted)
+        mode = "weighted" if weighted else "binary"
+        if isinstance(expected, str):
+            with pytest.raises(EdgeListError, match=expected):
+                bl.load_edge_list(path, mode=mode)
+        else:
+            graph = bl.load_edge_list(path, mode=mode)
+            assert graph.node_ids == expected[0]
+            assert np.array_equal(graph.weights, expected[1])
+
+
 class TestLoadAttributes:
     def test_short_row_after_blank_line_names_physical_line(self, tmp_path):
         path = write(tmp_path / "a.csv", "node_id,block\na,X\n\nb\n")
