@@ -286,6 +286,13 @@ def cmd_fit(args) -> int:
     _write_json(out_dir / "validation.json", report.to_json_dict())
     if not report.passed:
         raise ValueError("input validation failed:\n" + report.to_text())
+    # an all-zero response, or an all-one Bernoulli response, has no finite MLE
+    edges = graph.edge_count
+    if edges == 0:
+        raise ValueError("the graph has no edges, so no maximum-likelihood estimate is finite")
+    if edges == len(graph.weights) and _build_model_spec(cfg, ()).family == "bernoulli_logit":
+        raise ValueError("every dyad is an edge, so no Bernoulli maximum-likelihood "
+                         "estimate is finite")
 
     table = build_dyad_table(graph, attrs, covariates)
     scaling = None

@@ -1,7 +1,9 @@
 """Dyad-level covariate construction from node attributes.
 
 Every covariate is symmetric in the two endpoints by construction, so
-the value attached to an unordered dyad is well defined. Three derived
+the value attached to an unordered dyad is well defined. The response
+(``Graph.weights`` as it stands) and every covariate are vectors in the
+package's one dyad order (``graphs._dyads``). Three derived
 kinds are supported (categorical pair dummies with a reference pair, a
 same-value indicator, and an absolute numeric difference) plus a
 passthrough kind that reads per-dyad values from a file.
@@ -10,12 +12,13 @@ passthrough kind that reads per-dyad values from a file.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
 
-from .graphs import AttributeTable, Graph, _read_columns
+from .graphs import AttributeTable, Graph, _dyad_index, _dyads, _read_columns
 
 __all__ = [
     "CovariateError",
@@ -104,46 +107,40 @@ class CovariateSpec:
 class DyadTable:
     """All n(n-1)/2 unordered node pairs with responses and covariates.
 
-    Dyads are kept in lexicographic order on the (i, j) node indices with
-    i < j; every downstream operation relies on that order, and the
-    constructor refuses any other. ``response``
-    holds the edge weight of each dyad and ``covariates`` one named column
-    per constructed covariate.
+    Dyads are the node pairs i < j in the package's one dyad order,
+    lexicographic (``graphs._dyads``), on which every downstream operation
+    relies; :attr:`dyads` derives their endpoints from the node count.
+    ``response`` holds the edge weight of each dyad and ``covariates`` one
+    named column per constructed covariate.
     """
 
     node_ids: tuple[str, ...]
-    dyads: np.ndarray          # (m, 2) int indices, i < j, lexicographic
     response: np.ndarray       # (m,) int
     covariates: np.ndarray     # (m, k) float
     covariate_names: tuple[str, ...]
 
     def __post_init__(self):
         self.node_ids = tuple(self.node_ids)
-        self.dyads = np.asarray(self.dyads, dtype=np.int64)
         self.response = np.asarray(self.response, dtype=np.int64)
         self.covariates = np.asarray(self.covariates, dtype=np.float64)
         self.covariate_names = tuple(self.covariate_names)
-        m = len(self.dyads)
         n = len(self.node_ids)
-        if m != n * (n - 1) // 2:
-            raise ValueError(f"expected {n * (n - 1) // 2} dyads for {n} nodes, got {m}")
-        if self.dyads.shape != (m, 2):
-            raise ValueError(f"dyads must have shape ({m}, 2), got {self.dyads.shape}")
-        # with the count above, strictly increasing keys i*n + j over pairs
-        # i < j < n leave only the lexicographic order of all pairs
-        i, j = self.dyads.T
-        if not (np.all((0 <= i) & (i < j) & (j < n)) and np.all(np.diff(i * n + j) > 0)):
-            raise ValueError("dyads must be the node pairs i < j in lexicographic order")
+        m = n * (n - 1) // 2
         if self.response.shape != (m,):
-            raise ValueError("response length does not match dyad count")
+            raise ValueError(f"response must have length {m}, got shape {self.response.shape}")
         if self.covariates.shape != (m, len(self.covariate_names)):
             raise ValueError("covariate matrix does not match covariate names")
         if self.covariates.size and not np.all(np.isfinite(self.covariates)):
             raise ValueError("covariate values must be finite")
 
+    @cached_property
+    def dyads(self) -> np.ndarray:
+        """(m, 2) node indices i < j of every dyad, in the dyad order."""
+        return np.column_stack(_dyads(len(self.node_ids)))
+
     @property
     def dyad_count(self) -> int:
-        return len(self.dyads)
+        return len(self.response)
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -180,29 +177,29 @@ def _numeric_values(graph: Graph, attrs: AttributeTable | None, attribute: str) 
     return out
 
 
-def _edge_table_column(graph: Graph, spec: CovariateSpec, iu, ju) -> np.ndarray:
+def _edge_table_column(graph: Graph, spec: CovariateSpec) -> np.ndarray:
     index = {v: i for i, v in enumerate(graph.node_ids)}
-    n = graph.node_count
-    dense = np.zeros((n, n))
-    seen: set[tuple[int, int]] = set()
+    column = np.zeros(len(graph.weights))
+    seen: set[int] = set()
     linenos, columns, fault = _read_columns(spec.path, CovariateError, 3)
-    for lineno, a, b, value in zip(linenos, *columns):
+    # each line's dyad; one with an unknown node or a self-pair fails before use
+    i, j = (np.array([index.get(v, 0) for v in ends], dtype=np.int64) for ends in columns[:2])
+    keys = _dyad_index(i, j, graph.node_count).tolist()
+    for lineno, a, b, value, k in zip(linenos, *columns, keys):
         if a not in index or b not in index:
             raise CovariateError(f"{spec.path}: line {lineno}: unknown node id")
         if a == b:
             raise CovariateError(f"{spec.path}: line {lineno}: self-pair {a!r}")
-        i, j = sorted((index[a], index[b]))
-        if (i, j) in seen:
+        if k in seen:
             raise CovariateError(f"{spec.path}: line {lineno}: duplicate dyad ({a},{b})")
-        seen.add((i, j))
+        seen.add(k)
         try:
-            v = float(value)
+            column[k] = float(value)
         except ValueError:
             raise CovariateError(f"{spec.path}: line {lineno}: non-numeric value {value!r}") from None
-        dense[i, j] = dense[j, i] = v
     if fault is not None:
         raise fault
-    return dense[iu, ju]
+    return column
 
 
 def build_dyad_table(graph: Graph, attributes: AttributeTable | None = None,
@@ -214,10 +211,7 @@ def build_dyad_table(graph: Graph, attributes: AttributeTable | None = None,
     declaration order; pair-dummy specs contribute one column per
     non-reference unordered level pair, named ``attr:a-b``.
     """
-    n = graph.node_count
-    iu, ju = np.triu_indices(n, k=1)
-    dyads = np.column_stack([iu, ju])
-    response = graph.weights[iu, ju]
+    iu, ju = _dyads(graph.node_count)
 
     names: list[str] = []
     columns: list[np.ndarray] = []
@@ -251,15 +245,14 @@ def build_dyad_table(graph: Graph, attributes: AttributeTable | None = None,
             columns.append(np.abs(values[iu] - values[ju]))
         elif spec.kind == "edge_table":
             names.append(spec.name or Path(spec.path).stem)
-            columns.append(_edge_table_column(graph, spec, iu, ju))
+            columns.append(_edge_table_column(graph, spec))
     if len(set(names)) != len(names):
         raise CovariateError(f"duplicate covariate column names: {names}")
 
-    covariates = np.column_stack(columns) if columns else np.empty((len(dyads), 0))
+    covariates = np.column_stack(columns) if columns else np.empty((len(iu), 0))
     return DyadTable(
         node_ids=graph.node_ids,
-        dyads=dyads,
-        response=response,
+        response=graph.weights,
         covariates=covariates,
         covariate_names=tuple(names),
     )
@@ -298,7 +291,6 @@ def standardize(table: DyadTable, columns) -> tuple[DyadTable, ScalingRecord]:
         record.sds[name] = sd
     rescaled = DyadTable(
         node_ids=table.node_ids,
-        dyads=table.dyads,
         response=table.response,
         covariates=new,
         covariate_names=table.covariate_names,

@@ -33,7 +33,7 @@ come in the order of their first endpoint and, when the nodes are
 numbered block by block, of their block pair, so each run of equal keys
 is added up with ``np.add.reduceat`` and only the run totals go through
 ``np.bincount``. Whatever a design can compute once is cached on it on
-first use: the cells, the pair keys and their runs, the interaction
+first use: the cells, the runs of the pair keys, the interaction
 coding (the tail columns of ``pair_coding``), the group of every column
 and the names of the inestimable columns.
 """
@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .covariates import DyadTable
-from .graphs import Partition
+from .graphs import Partition, _pair_key
 
 __all__ = [
     "ModelSpec",
@@ -120,7 +120,7 @@ class DesignMatrix:
     lexicographic). ``penalized_mask`` marks the interaction columns and,
     when requested, the covariates. Dyad t's row is ``covariate_values[t]``,
     the node codings of ``dyad_nodes[t]`` and, over :attr:`pair_columns`,
-    the row ``pair_coding[r·p + s]`` of ``dyad_blocks[t] = (r, s)``.
+    the row ``pair_coding[dyad_pairs[t]]`` of its block-pair key (``graphs._pair_key``).
     """
 
     column_names: tuple[str, ...]
@@ -129,7 +129,7 @@ class DesignMatrix:
     spec: ModelSpec
     node_ids: tuple[str, ...]
     block_labels: tuple[str, ...]
-    dyad_blocks: np.ndarray = field(repr=False)       # (m, 2) block index of each endpoint
+    dyad_pairs: np.ndarray = field(repr=False)        # (m,) block-pair key
     dyad_nodes: np.ndarray = field(repr=False)        # (m, 2) node index of each endpoint
     covariate_values: np.ndarray = field(repr=False)  # (m, k)
     pair_coding: np.ndarray = field(repr=False)       # (p², len(pair_columns))
@@ -210,7 +210,7 @@ class DesignMatrix:
         against it."""
         import scipy.sparse as sp
 
-        pairs = sp.csr_array(self.pair_coding)[self._pair_keys]
+        pairs = sp.csr_array(self.pair_coding)[self.dyad_pairs]
         parts = [pairs[:, :1], sp.csr_array(self.covariate_values)]
         if self.spec.node_effects:
             N = sp.csr_array(_sum_to_zero(self.n_nodes))
@@ -228,7 +228,7 @@ class DesignMatrix:
         is the unordered block pair and the covariate values."""
         # each covariate's values are numbered and folded into one integer
         # key, renumbered after each fold so that it stays below m**2
-        key = np.arange(self.n_rows) if self.spec.node_effects else self._pair_keys
+        key = np.arange(self.n_rows) if self.spec.node_effects else self.dyad_pairs
         for column in self.covariate_values.T:
             levels, code = np.unique(column, return_inverse=True)
             key = np.unique(key * len(levels) + code, return_inverse=True)[1]
@@ -239,16 +239,9 @@ class DesignMatrix:
         return DyadCells(np.argsort(order)[inverse], counts[order], first[order])
 
     @cached_property
-    def _pair_keys(self) -> np.ndarray:
-        """Each dyad's unordered block pair {r, s}, r <= s, as the row
-        r·p + s of ``pair_coding``."""
-        first, second = self.dyad_blocks.T
-        return np.minimum(first, second) * self.block_count + np.maximum(first, second)
-
-    @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
         """Per cell its row of ``pair_coding`` and its covariate values."""
-        return self._pair_keys[self.cells.first], self.covariate_values[self.cells.first]
+        return self.dyad_pairs[self.cells.first], self.covariate_values[self.cells.first]
 
     @cached_property
     def _pair_runs(self) -> "_Runs":
@@ -379,7 +372,7 @@ def encode(table: DyadTable, partition: Partition, spec: ModelSpec) -> DesignMat
         spec=spec,
         node_ids=table.node_ids,
         block_labels=labels,
-        dyad_blocks=partition.indices_for(table.node_ids)[table.dyads],
+        dyad_pairs=_pair_key(*partition.indices_for(table.node_ids)[table.dyads.T], p),
         dyad_nodes=table.dyads,
         covariate_values=np.column_stack([np.empty((table.dyad_count, 0)), *covariates]),
         pair_coding=np.hstack(pair_coding),

@@ -6,6 +6,11 @@ All loaders map opaque string node ids to dense indices internally;
 node order is always the sorted order of the ids, so loading is
 invariant to the row order of the input files.
 
+It also owns the package's one dyad order, the n(n-1)/2 node pairs
+i < j in lexicographic order (``_dyads``, ``_dyad_index``), in which
+``Graph.weights``, the dyad table and the fitted values are vectors, and
+its one block-pair key, ``min(r, s)·p + max(r, s)`` (``_pair_key``).
+
 This module owns the text formats of the package. Every delimited input
 (edge list, attribute table, edge-table covariate) is read by
 ``_read_columns``: UTF-8 with an optional byte-order mark, blank lines
@@ -54,13 +59,34 @@ class PartitionError(ValueError):
     """A block partition is inconsistent with its node set."""
 
 
+def _dyads(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints (i, j), i < j, of the node pairs of ``n`` nodes, in
+    the package's one dyad order: lexicographic."""
+    return np.triu_indices(n, k=1)
+
+
+def _dyad_index(i, j, n: int):
+    """The position of the pair {i, j}, i != j in either order, in the
+    order of :func:`_dyads`."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # pairs before row lo: (n-1) + (n-2) + ... + (n-lo)
+    return lo * (2 * n - lo - 1) // 2 + hi - lo - 1
+
+
+def _pair_key(r, s, p: int):
+    """The key of the unordered block pair {r, s} of ``p`` blocks, its row
+    of the design's p²-row block-pair coding."""
+    return np.minimum(r, s) * p + np.maximum(r, s)
+
+
 @dataclass
 class Graph:
     """Undirected graph with nonnegative integer edge weights and no self-loops.
 
-    ``node_ids`` are held in sorted order and ``weights`` is the symmetric
-    adjacency matrix aligned to that order (binary graphs use {0, 1}).
-    Instances are treated as immutable once constructed.
+    ``node_ids`` are held in sorted order and ``weights`` is the vector of
+    the n(n-1)/2 node-pair weights in the dyad order (:func:`_dyads`), so
+    it holds no self-loop and no asymmetric weight (binary graphs use
+    {0, 1}). Instances are treated as immutable once constructed.
     """
 
     node_ids: tuple[str, ...]
@@ -72,20 +98,16 @@ class Graph:
             raise ValueError("duplicate node ids")
         w = np.asarray(self.weights)
         n = len(self.node_ids)
-        if w.ndim != 2 or w.shape != (n, n):
-            raise ValueError(f"weight matrix must be {n}x{n}, got {w.shape}")
+        m = n * (n - 1) // 2
+        if w.shape != (m,):
+            raise ValueError(f"weights must have length {m} (node pairs), got shape {w.shape}")
         if not np.issubdtype(w.dtype, np.integer):
             if not np.all(np.isfinite(w)) or np.any(w != np.round(w)):
                 raise ValueError("edge weights must be integers")
         w = w.astype(np.int64)
         if np.any(w < 0):
             raise ValueError("edge weights must be nonnegative")
-        if np.any(np.diag(w) != 0):
-            raise ValueError("self-loops are not allowed")
-        if not np.array_equal(w, w.T):
-            raise ValueError("weight matrix must be symmetric")
         self.weights = w
-        self._index = {v: i for i, v in enumerate(self.node_ids)}
 
     @property
     def node_count(self) -> int:
@@ -98,16 +120,11 @@ class Graph:
     @property
     def edge_count(self) -> int:
         """Number of node pairs with a nonzero weight."""
-        return int(np.count_nonzero(np.triu(self.weights, k=1)))
+        return int(np.count_nonzero(self.weights))
 
     @property
     def density(self) -> float:
-        n = self.node_count
-        pairs = n * (n - 1) // 2
-        return self.edge_count / pairs if pairs else 0.0
-
-    def index_of(self, node_id: str) -> int:
-        return self._index[node_id]
+        return self.edge_count / len(self.weights) if len(self.weights) else 0.0
 
 
 @dataclass
@@ -287,12 +304,12 @@ def load_edge_list(path, mode: str = "binary", *, extra_nodes=(), node_file=None
     if "" in index:
         faulty |= (i == index[""]) | (j == index[""])
     end = int(np.argmax(faulty)) if faulty.any() else len(a)
-    weights = np.zeros((n, n), dtype=np.int64)
+    weights = np.zeros(n * (n - 1) // 2, dtype=np.int64)
     if weighted:
         largest = int(np.iinfo(np.int64).max)  # the type of Graph.weights
-        accum: dict[tuple[int, int], int] = {}
-        pairs = zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
-        for lineno, u, v, text, key in zip(linenos[:end], a, b, columns[2], pairs):
+        accum: dict[int, int] = {}
+        keys = _dyad_index(i[:end], j[:end], n).tolist()
+        for lineno, u, v, text, key in zip(linenos, a, b, columns[2], keys):
             try:
                 weight = int(text)
             except ValueError:
@@ -303,11 +320,10 @@ def load_edge_list(path, mode: str = "binary", *, extra_nodes=(), node_file=None
             if total > largest:
                 raise EdgeListError(f"{path}: line {lineno}: weight {weight} takes edge "
                                     f"({u}, {v}) past the largest weight, 2**63 - 1")
-        lo, hi = np.array(list(accum), dtype=np.int64).reshape(-1, 2).T
-        weights[lo, hi] = weights[hi, lo] = np.fromiter(accum.values(), np.int64, len(accum))
+        weights[list(accum)] = list(accum.values())
     else:
         # a repeated edge sets the same 1 again
-        weights[i[:end], j[:end]] = weights[j[:end], i[:end]] = 1
+        weights[_dyad_index(i[:end], j[:end], n)] = 1
     if end < len(a):
         lineno, u, v = linenos[end], a[end], b[end]
         if not u or not v:
@@ -438,23 +454,20 @@ def validate(graph: Graph, partition: Partition) -> ValidationReport:
         problems.append(f"graph node {node!r} is missing from the partition")
 
     p = partition.block_count
-    sizes = np.zeros(p, dtype=np.int64)
-    for node in graph.node_ids:
-        if node in partition.block_of:
-            sizes[partition.block_of[node]] += 1
-    block_sizes = {label: int(sizes[i]) for i, label in enumerate(partition.block_labels)}
+    # the block of every graph node, -1 where the partition lacks the node;
+    # the dyads of such a node are left out of the tallies
+    blocks = np.array([partition.block_of.get(v, -1) for v in graph.node_ids], dtype=np.int64)
+    sizes = np.bincount(blocks[blocks >= 0], minlength=p)
+    block_sizes = dict(zip(partition.block_labels, sizes.tolist()))
 
-    # Per-pair dyad and edge-weight tallies over the shared node set.
-    common = [v for v in graph.node_ids if v in partition.block_of]
-    idx = np.array([graph.index_of(v) for v in common], dtype=np.int64)
-    blocks = np.array([partition.block_of[v] for v in common], dtype=np.int64)
-    # weights are nonnegative, so a pair's weight is 0 exactly when it
-    # has no dyad of nonzero weight
-    iu, ju = np.triu_indices(len(common), k=1)
-    r, s = blocks[iu], blocks[ju]
-    pair = np.minimum(r, s) * p + np.maximum(r, s)
+    # per-pair dyad and edge tallies; weights are nonnegative, so a pair's
+    # weight is 0 exactly when it has no dyad of nonzero weight
+    i, j = _dyads(graph.node_count)
+    r, s = blocks[i], blocks[j]
+    covered = (r >= 0) & (s >= 0)
+    pair = _pair_key(r, s, p)[covered]
     pair_dyads = np.bincount(pair, minlength=p * p).reshape(p, p)
-    pair_weight = np.bincount(pair[graph.weights[idx[iu], idx[ju]] != 0],
+    pair_weight = np.bincount(pair[graph.weights[covered] != 0],
                               minlength=p * p).reshape(p, p)
 
     empty, sparse = [], []

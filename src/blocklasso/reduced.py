@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .glm import FitResult
-from .graphs import Partition, _write_json
+from .graphs import Partition, _dyads, _pair_key, _write_json
 
 __all__ = [
     "SignSummary",
@@ -169,11 +169,10 @@ def reduce_threshold(fit: FitResult, partition: Partition, threshold: float) -> 
         raise ValueError("fit has no fitted values: fits loaded from JSON and the fits "
                          "of a lambda_path do not keep them; refit with fit_mle or "
                          "fit_penalized")
-    iu, ju = np.triu_indices(len(fit.node_ids), k=1)
     blocks_of = partition.indices_for(fit.node_ids)
     p = partition.block_count
-    r, s = blocks_of[iu], blocks_of[ju]
-    pair = np.minimum(r, s) * p + np.maximum(r, s)
+    i, j = _dyads(len(fit.node_ids))
+    pair = _pair_key(blocks_of[i], blocks_of[j], p)
     totals = np.bincount(pair, weights=fit.fitted_values, minlength=p * p).reshape(p, p)
     counts = np.bincount(pair, minlength=p * p).reshape(p, p)
     flagged = counts == 0

@@ -16,7 +16,7 @@ import numpy as np
 from .covariates import DyadTable
 from .design import FAMILIES, reconstruct_interactions
 from .glm import _logistic
-from .graphs import Graph, Partition, _write_csv, _write_json
+from .graphs import Graph, Partition, _dyads, _write_csv, _write_json
 
 __all__ = [
     "GeneratorSpec",
@@ -133,7 +133,7 @@ def sample_graph(spec: GeneratorSpec) -> tuple[Graph, DyadTable, Partition]:
     partition = allocate_blocks(spec.n, spec.p, spec.block_sizes)
     node_ids = tuple(sorted(partition.block_of))
     blocks = partition.indices_for(node_ids)
-    iu, ju = np.triu_indices(spec.n, k=1)
+    iu, ju = _dyads(spec.n)
     eta = np.full(len(iu), float(spec.intercept))
     if spec.node_effects is not None:
         eta += spec.node_effects[iu] + spec.node_effects[ju]
@@ -159,14 +159,9 @@ def sample_graph(spec: GeneratorSpec) -> tuple[Graph, DyadTable, Partition]:
     else:
         draws = rng.poisson(np.exp(eta))
 
-    n = spec.n
-    weights = np.zeros((n, n), dtype=np.int64)
-    weights[iu, ju] = draws
-    weights[ju, iu] = draws
-    graph = Graph(node_ids=node_ids, weights=weights)
+    graph = Graph(node_ids=node_ids, weights=draws)
     table = DyadTable(
         node_ids=node_ids,
-        dyads=np.column_stack([iu, ju]),
         response=draws,
         covariates=(spec.covariate_values if spec.covariate_values is not None
                     else np.empty((len(iu), 0))),
@@ -214,10 +209,10 @@ def write_dataset(out_dir, graph: Graph, partition: Partition,
     if mode == "binary" and not graph.is_binary:
         raise ValueError("graph has weights above 1; cannot write in binary mode")
     ids = np.array(graph.node_ids)
-    iu, ju = np.nonzero(np.triu(graph.weights, k=1))
-    columns = [ids[iu].tolist(), ids[ju].tolist()]
+    edges = np.flatnonzero(graph.weights)
+    columns = [ids[ends[edges]].tolist() for ends in _dyads(graph.node_count)]
     if mode != "binary":
-        columns.append(graph.weights[iu, ju].tolist())
+        columns.append(graph.weights[edges].tolist())
     edges_path = out / "edges.csv"
     # no header row: that is the loader's default expectation
     _write_csv(edges_path, zip(*columns))

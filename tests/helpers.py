@@ -5,13 +5,24 @@ from __future__ import annotations
 import numpy as np
 
 import blocklasso as bl
+from blocklasso.graphs import _dyad_index
 
 
 def graph_from_weights(weights, prefix="v") -> bl.Graph:
+    """The graph of a symmetric weight matrix with a zero diagonal."""
     weights = np.asarray(weights)
     n = weights.shape[0]
+    assert weights.shape == (n, n) and np.array_equal(weights, weights.T)
+    assert not np.diag(weights).any()
     width = max(2, len(str(n - 1)))
-    return bl.Graph(tuple(f"{prefix}{i:0{width}d}" for i in range(n)), weights)
+    return bl.Graph(tuple(f"{prefix}{i:0{width}d}" for i in range(n)),
+                    weights[np.triu_indices(n, k=1)])
+
+
+def edge_weight(graph: bl.Graph, u: str, v: str) -> int:
+    """The weight between the nodes ``u`` and ``v`` of ``graph``."""
+    i, j = graph.node_ids.index(u), graph.node_ids.index(v)
+    return int(graph.weights[_dyad_index(i, j, graph.node_count)])
 
 
 def one_block_partition(graph: bl.Graph) -> bl.Partition:

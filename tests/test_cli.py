@@ -245,15 +245,59 @@ def test_repeated_calls_in_one_process_are_independent(dataset, tmp_path):
 
 @pytest.mark.parametrize("blocks", [("X", "Y"), ("X", "X")])
 def test_two_node_degree_corrected_fit_names_the_inestimable_column(tmp_path, capsys, blocks):
-    # the one dyad holds both nodes, so the fold cancels the one node column
+    # the one dyad holds both nodes, so the fold cancels the one node column;
+    # a Poisson model with node effects, since a one-dyad Bernoulli graph
+    # has no finite MLE and is refused before the design is built
     edges, attributes = tmp_path / "edges.csv", tmp_path / "attributes.csv"
-    edges.write_text("a,b\n")
+    config = tmp_path / "config.json"
+    edges.write_text("a,b,2\n")
     attributes.write_text(f"node_id,block\na,{blocks[0]}\nb,{blocks[1]}\n")
+    config.write_text(json.dumps({"mode": "weighted", "model": "custom",
+                                  "family": "poisson_log", "node_effects": True}))
     code = run("fit", "--edges", edges, "--attributes", attributes, "--partition-key", "block",
-               "--model", "degree_corrected", "--out", tmp_path / "out")
+               "--config", config, "--out", tmp_path / "out")
     assert code == 3
     err = capsys.readouterr().err
     assert "node:a" in err and "cannot be estimated" in err and "three nodes" in err
+
+
+class TestNoFiniteMle:
+    """Graphs whose response is all zero, or all one under the Bernoulli
+    family, are refused by name before the dyad table is built."""
+
+    NODES = "node_id,block\na,X\nb,X\nc,Y\nd,Y\ne,Y\n"
+
+    def fit(self, tmp_path, edges, *args):
+        (tmp_path / "edges.csv").write_text(edges)
+        (tmp_path / "attributes.csv").write_text(self.NODES)
+        return run("fit", "--edges", tmp_path / "edges.csv", "--attributes",
+                   tmp_path / "attributes.csv", "--partition-key", "block",
+                   "--grid-size", 5, "--out", tmp_path / "out", *args)
+
+    @pytest.mark.parametrize("args", [
+        ("--mode", "weighted", "--model", "covariate_adjusted"),
+        ("--model", "custom", "--family", "bernoulli_logit"),
+        ("--model", "degree_corrected"),
+    ], ids=["covariate_adjusted", "bernoulli", "degree_corrected"])
+    def test_edgeless_graph_refused(self, tmp_path, capsys, args):
+        assert self.fit(tmp_path, "", *args) == 3
+        assert "the graph has no edges" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "mle_fit.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ("--model", "custom", "--family", "bernoulli_logit"),
+        ("--model", "degree_corrected"),
+    ], ids=["bernoulli", "degree_corrected"])
+    def test_complete_bernoulli_graph_refused(self, tmp_path, capsys, args):
+        edges = "".join(f"{u},{v}\n" for k, u in enumerate("abcde") for v in "abcde"[k + 1:])
+        assert self.fit(tmp_path, edges, *args) == 3
+        assert "every dyad is an edge" in capsys.readouterr().err
+
+    def test_complete_poisson_graph_fits(self, tmp_path):
+        edges = "".join(f"{u},{v},{k + 1}\n"
+                        for k, u in enumerate("abcde") for v in "abcde"[k + 1:])
+        assert self.fit(tmp_path, edges, "--mode", "weighted",
+                        "--model", "covariate_adjusted") == 0
 
 
 class TestSimulate:

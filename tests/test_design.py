@@ -176,10 +176,10 @@ class TestPredictorEquivalence:
         partition = bl.Partition(tuple(f"B{b}" for b in labels),
                                  dict(zip(node_ids, block_of.tolist())))
         rng = np.random.default_rng(seed)
-        dyads = np.column_stack(np.triu_indices(n, k=1))
+        m = n * (n - 1) // 2
         names = tuple(f"x{c}" for c in range(k))
-        table = bl.DyadTable(node_ids, dyads, np.zeros(len(dyads)),
-                             rng.choice([0.0, 0.0, 1.0, -2.5], size=(len(dyads), k)), names)
+        table = bl.DyadTable(node_ids, np.zeros(m), rng.choice([0.0, 0.0, 1.0, -2.5], size=(m, k)),
+                             names)
         spec = bl.ModelSpec(family="bernoulli_logit", node_effects=node_effects,
                             block_main_effects=block_effects, covariates=names)
         design = bl.encode(table, partition, spec)
@@ -220,12 +220,12 @@ class TestMatrixFreeProducts:
         partition = bl.Partition(tuple(f"B{b}" for b in labels),
                                  dict(zip(node_ids, block_of.tolist())))
         rng = np.random.default_rng(seed)
-        dyads = np.column_stack(np.triu_indices(n, k=1))
-        values = rng.choice([0.0, 0.0, 1.0, -2.5], size=(len(dyads), k))
+        m = n * (n - 1) // 2
+        values = rng.choice([0.0, 0.0, 1.0, -2.5], size=(m, k))
         if zero_covariate:
-            values = np.column_stack([values, np.zeros(len(dyads))])
+            values = np.column_stack([values, np.zeros(m)])
         names = tuple(f"x{c}" for c in range(values.shape[1]))
-        table = bl.DyadTable(node_ids, dyads, np.zeros(len(dyads)), values, names)
+        table = bl.DyadTable(node_ids, np.zeros(m), values, names)
         spec = bl.ModelSpec(family="bernoulli_logit", node_effects=node_effects,
                             block_main_effects=block_effects, covariates=names)
         design = bl.encode(table, partition, spec)
@@ -257,10 +257,10 @@ def interleaved_design(n, p, node_effects, k=0, seed=0):
     node_ids = tuple(f"v{t:02d}" for t in range(n))
     partition = bl.Partition(tuple(f"B{b}" for b in range(p)),
                              {v: t % p for t, v in enumerate(node_ids)})
-    dyads = np.column_stack(np.triu_indices(n, k=1))
-    values = np.random.default_rng(seed).choice([0.0, 1.0, -2.5], size=(len(dyads), k))
+    m = n * (n - 1) // 2
+    values = np.random.default_rng(seed).choice([0.0, 1.0, -2.5], size=(m, k))
     names = tuple(f"x{c}" for c in range(k))
-    table = bl.DyadTable(node_ids, dyads, np.zeros(len(dyads)), values, names)
+    table = bl.DyadTable(node_ids, np.zeros(m), values, names)
     spec = bl.ModelSpec(family="bernoulli_logit", node_effects=node_effects,
                         block_main_effects=not node_effects, covariates=names)
     return bl.encode(table, partition, spec)
@@ -286,7 +286,7 @@ class TestRunSums:
         design = interleaved_design(10, 3, node_effects, k=1)
         i = design.dyad_nodes[:, 0]
         keep = (np.arange(design.n_rows) % 3 != 1) & (i != 4)
-        dropped = replace(design, dyad_blocks=design.dyad_blocks[keep],
+        dropped = replace(design, dyad_pairs=design.dyad_pairs[keep],
                           dyad_nodes=design.dyad_nodes[keep],
                           covariate_values=design.covariate_values[keep])
         assert dropped.n_rows < design.n_rows
@@ -295,7 +295,7 @@ class TestRunSums:
     @pytest.mark.parametrize("node_effects", [True, False])
     def test_no_dyads(self, node_effects):
         design = interleaved_design(6, 2, node_effects, k=1)
-        empty = replace(design, dyad_blocks=design.dyad_blocks[:0],
+        empty = replace(design, dyad_pairs=design.dyad_pairs[:0],
                         dyad_nodes=design.dyad_nodes[:0],
                         covariate_values=design.covariate_values[:0])
         assert empty.n_rows == 0 and empty.inestimable.all()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 import warnings
@@ -10,7 +11,8 @@ from scipy.special import expit, xlogy
 import blocklasso as bl
 from blocklasso import glm
 from blocklasso.glm import SEPARATION_RIDGE, _CellData, _fallback_counts, _solve_normal_equations
-from helpers import bernoulli_instance, graph_from_weights, one_block_partition, poisson_instance
+from helpers import (bernoulli_instance, edge_weight, graph_from_weights, one_block_partition,
+                     poisson_instance)
 from oracles import damped_newton, naive_log_likelihood
 
 
@@ -129,9 +131,11 @@ class TestFitMle:
         fit = bl.fit_mle(design, table.response)
         # reverse the id order: same structure, different fold node
         renamed = {v: f"w{9 - k:02d}" for k, v in enumerate(graph.node_ids)}
-        order = np.argsort([renamed[v] for v in graph.node_ids])
-        weights = graph.weights[np.ix_(order, order)]
-        graph2 = bl.Graph(tuple(sorted(renamed.values())), weights)
+        original = {w: v for v, w in renamed.items()}
+        node_ids = tuple(sorted(original))
+        weights = [edge_weight(graph, original[a], original[b])
+                   for a, b in itertools.combinations(node_ids, 2)]
+        graph2 = bl.Graph(node_ids, weights)
         partition2 = bl.Partition(partition.block_labels,
                                   {renamed[v]: partition.block_of[v] for v in graph.node_ids})
         table2 = bl.build_dyad_table(graph2)

@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blocklasso as bl
-from blocklasso.graphs import AttributeTableError, EdgeListError, PartitionError
+from blocklasso.graphs import (AttributeTableError, EdgeListError, PartitionError, _dyad_index,
+                               _dyads, _pair_key)
 
-from helpers import graph_from_weights, one_block_partition
+from helpers import edge_weight, graph_from_weights, one_block_partition
 
 
 def write(path, text):
@@ -19,20 +22,19 @@ class TestLoadEdgeList:
         path = write(tmp_path / "e.csv", "a,b\nb,c\n")
         graph = bl.load_edge_list(path, mode="binary")
         assert graph.node_ids == ("a", "b", "c")
-        a, b, c = (graph.index_of(v) for v in "abc")
-        assert graph.weights[a, b] == 1 and graph.weights[b, c] == 1
-        assert graph.weights[a, c] == 0
+        assert edge_weight(graph, "a", "b") == 1 and edge_weight(graph, "b", "c") == 1
+        assert edge_weight(graph, "a", "c") == 0
         assert graph.edge_count == 2
 
     def test_weighted_duplicates_sum(self, tmp_path):
         path = write(tmp_path / "e.csv", "a,b,2\na,b,3\n")
         graph = bl.load_edge_list(path, mode="weighted")
-        assert graph.weights[graph.index_of("a"), graph.index_of("b")] == 5
+        assert edge_weight(graph, "a", "b") == 5
 
     def test_binary_duplicates_or(self, tmp_path):
         path = write(tmp_path / "e.csv", "a,b\nb,a\na,b\n")
         graph = bl.load_edge_list(path, mode="binary")
-        assert graph.weights[graph.index_of("a"), graph.index_of("b")] == 1
+        assert edge_weight(graph, "b", "a") == 1
 
     def test_self_loop_rejected_with_line(self, tmp_path):
         path = write(tmp_path / "e.csv", "a,b\nc,c\n")
@@ -57,7 +59,7 @@ class TestLoadEdgeList:
     def test_largest_weight_accepted(self, tmp_path):
         path = write(tmp_path / "e.csv", "a,b,9223372036854775807\n")
         graph = bl.load_edge_list(path, mode="weighted")
-        assert graph.weights[0, 1] == np.iinfo(np.int64).max
+        assert edge_weight(graph, "a", "b") == np.iinfo(np.int64).max
 
     def test_non_integer_weight_rejected(self, tmp_path):
         path = write(tmp_path / "e.csv", "a,b,1.5\n")
@@ -94,7 +96,7 @@ class TestLoadEdgeList:
         nodes = write(tmp_path / "n.txt", "z\n\na\n")
         graph = bl.load_edge_list(path, mode="binary", extra_nodes=("q",), node_file=nodes)
         assert graph.node_ids == ("a", "b", "q", "z")
-        assert graph.weights[graph.index_of("q")].sum() == 0
+        assert sum(edge_weight(graph, "q", v) for v in "abz") == 0
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -154,10 +156,10 @@ def reference_edge_list(text, weighted):
         else:
             accum[key] = 1
     node_ids = sorted({v for key in accum for v in key})
-    weights = np.zeros((len(node_ids), len(node_ids)), dtype=np.int64)
-    for (a, b), weight in accum.items():
-        i, j = node_ids.index(a), node_ids.index(b)
-        weights[i, j] = weights[j, i] = weight
+    # the node pairs enumerated in lexicographic order, the order of
+    # Graph.weights
+    weights = np.array([accum.get(pair, 0) for pair in itertools.combinations(node_ids, 2)],
+                       dtype=np.int64)
     return tuple(node_ids), weights
 
 
@@ -189,6 +191,25 @@ class TestLoadEdgeListAgainstLines:
             assert np.array_equal(graph.weights, expected[1])
 
 
+class TestDyadOrder:
+    def test_dyads_are_the_lexicographic_pairs(self):
+        for n in range(8):
+            assert list(zip(*_dyads(n))) == list(itertools.combinations(range(n), 2))
+
+    def test_index_is_the_position_in_the_order_either_way_round(self):
+        for n in range(41):
+            i, j = _dyads(n)
+            positions = np.arange(n * (n - 1) // 2)
+            assert np.array_equal(_dyad_index(i, j, n), positions)
+            assert np.array_equal(_dyad_index(j, i, n), positions)
+
+    def test_pair_key_is_symmetric_and_distinct(self):
+        r, s = np.divmod(np.arange(25), 5)
+        keys = _pair_key(r, s, 5)
+        assert np.array_equal(keys, _pair_key(s, r, 5))
+        assert len(set(keys[r <= s].tolist())) == 15
+
+
 class TestLoadAttributes:
     def test_short_row_after_blank_line_names_physical_line(self, tmp_path):
         path = write(tmp_path / "a.csv", "node_id,block\na,X\n\nb\n")
@@ -203,17 +224,15 @@ class TestLoadAttributes:
 
 
 class TestGraphInvariants:
-    def test_diagonal_must_be_zero(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            bl.Graph(("a", "b"), np.array([[1, 0], [0, 0]]))
-
-    def test_symmetry_required(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            bl.Graph(("a", "b"), np.array([[0, 1], [0, 0]]))
+    @pytest.mark.parametrize("weights", [[1], [0, 1, 0, 1], [[0, 1], [1, 0]]],
+                             ids=["short", "long", "matrix"])
+    def test_weights_must_cover_every_pair(self, weights):
+        with pytest.raises(ValueError, match="weights must have length 3"):
+            bl.Graph(("a", "b", "c"), np.array(weights))
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            bl.Graph(("a", "b"), np.array([[0, -1], [-1, 0]]))
+            bl.Graph(("a", "b"), np.array([-1]))
 
     def test_is_binary(self):
         graph = graph_from_weights(np.array([[0, 2], [2, 0]]))
@@ -296,6 +315,24 @@ class TestValidate:
         report = bl.validate(graph, partition)
         assert not report.passed
         assert any("ghost" in msg for msg in report.problems)
+
+    def test_graph_node_missing_from_partition_left_out_of_tallies(self):
+        # v02 is in no block: its edges are left out of every pair, and the
+        # block S holds only a node that is not in the graph
+        w = np.zeros((5, 5), dtype=int)
+        for i, j in [(0, 2), (1, 2), (2, 3), (1, 3)]:
+            w[i, j] = w[j, i] = 1
+        graph = graph_from_weights(w)
+        partition = bl.Partition(("L", "R", "S"), {"v00": 0, "v01": 1, "v03": 1, "v04": 0,
+                                                   "ghost": 2})
+        report = bl.validate(graph, partition)
+        assert not report.passed
+        assert any("v02" in msg for msg in report.problems)
+        assert report.block_sizes == {"L": 2, "R": 2, "S": 0}
+        # covered dyads: L-L (v00, v04), R-R (v01, v03) with the one covered
+        # edge, and the four L-R pairs
+        assert report.data_sparse_pairs == (("L", "L"), ("L", "R"))
+        assert report.empty_pairs == (("L", "S"), ("R", "S"), ("S", "S"))
 
     def test_singleton_pair_flagged_data_sparse(self):
         # blocks {v00}, {v01}: the between pair has a dyad but no edge,

@@ -3,6 +3,8 @@ import pytest
 
 import blocklasso as bl
 
+from helpers import edge_weight
+
 
 class TestSampleGraph:
     def test_constant_probability_density(self):
@@ -135,12 +137,11 @@ class TestWriteDataset:
         paths = bl.write_dataset(tmp_path, graph, partition, spec, mode=mode)
         # reference: every node pair i < j in row-major order, nonzero weights only
         expected = ""
-        for i in range(graph.node_count):
-            for j in range(i + 1, graph.node_count):
-                w = int(graph.weights[i, j])
+        for i, u in enumerate(graph.node_ids):
+            for v in graph.node_ids[i + 1:]:
+                w = edge_weight(graph, u, v)
                 if w:
-                    row = [graph.node_ids[i], graph.node_ids[j]] + [str(w)] * (mode == "weighted")
-                    expected += ",".join(row) + "\n"
+                    expected += ",".join([u, v] + [str(w)] * (mode == "weighted")) + "\n"
         assert paths["edges"].read_bytes() == expected.encode("utf-8")
 
     def test_unknown_mode_refused(self, tmp_path):
