@@ -23,19 +23,21 @@ A design keeps those factors, never the rows. The fits work on cells
 (:attr:`DesignMatrix.cells`), the dyads grouped by identical row, where
 X·beta (:meth:`DesignMatrix.predictor`) gathers the block pairs' values
 and the node levels of :func:`effect_levels`, X'v (:meth:`DesignMatrix.xt`)
-sums v per block pair and per node, and X'WX (:meth:`FactoredGram.gram`)
+sums v per block pair and per node, and X'WX (:meth:`DesignMatrix.gram`)
 sums the working weights per node pair, node, block pair and (block
-pair, node). :attr:`DesignMatrix.matrix` builds the scipy.sparse matrix
-of the design, the reference for tests and output checks; no fit reads it.
+pair, node) into a buffer that its caller owns, over every column, so
+that a fit and its solvers work in one column space, the design's.
+:attr:`DesignMatrix.matrix` builds the scipy.sparse matrix of the
+design, the reference for tests and output checks; no fit reads it.
 
 Sums over a sorted key are taken run by run (:class:`_Runs`): the dyads
 come in the order of their first endpoint and, when the nodes are
 numbered block by block, of their block pair, so each run of equal keys
 is added up with ``np.add.reduceat`` and only the run totals go through
 ``np.bincount``. Whatever a design can compute once is cached on it on
-first use: the cells, the runs of the pair keys, the interaction
-coding (the tail columns of ``pair_coding``), the group of every column
-and the names of the inestimable columns.
+first use: the cells, the runs of the pair keys, the index structures
+of X'WX, the interaction coding (the tail columns of ``pair_coding``),
+the group of every column and the names of the inestimable columns.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ __all__ = [
     "ModelSpec",
     "DesignMatrix",
     "DyadCells",
-    "FactoredGram",
     "effect_levels",
     "encode",
     "reconstruct_interactions",
@@ -194,7 +195,8 @@ class DesignMatrix:
         """The columns with no nonzero entry, those where X'X has a zero
         diagonal; fitters hold their coefficients at zero."""
         counts = self.cells.counts.astype(np.float64)
-        A, _ = FactoredGram(self, np.arange(self.n_columns)).gram(counts, counts)
+        A = np.empty((self.n_columns,) * 2)
+        self.gram(counts, counts, A)
         return np.diag(A) == 0.0
 
     @cached_property
@@ -290,6 +292,67 @@ class DesignMatrix:
         if node_sums is not None:
             out[1 + k:k + self.n_nodes] = _fold(node_sums)
         return out
+
+    @cached_property
+    def _gram_index(self) -> tuple:
+        """What :meth:`gram` reads besides the weights: the term products
+        of the pair rows R (``pair_coding`` without the intercept) and,
+        with node effects, each dyad's node pair, the (block pair, node)
+        end runs and the node terms."""
+        R = self.pair_coding[:, 1:]
+        q = R.shape[1]
+        # R'diag(s)R: each pair (a, b) of nonzeros of R[k] adds R[k, a] R[k, b] s_k
+        k, a = np.nonzero(R)
+        entry, b = np.nonzero((R != 0)[k])
+        pair_terms = (k[entry], a[entry] * q + b, R[k, a][entry] * R[k[entry], b])
+        if not self.spec.node_effects:
+            return pair_terms, None
+        # node effects make the cells the dyads
+        n, (i, j) = self.n_nodes, self.dyad_nodes.T
+        # R'S, S[k, u] the weight of the dyads of pair k at node u: each
+        # (k, u) that occurs adds R[k, c] S[k, u] at (u, c); the first
+        # endpoints come in runs, the second ones do not
+        ends = np.concatenate([self.dyad_pairs * n + i, self.dyad_pairs * n + j])
+        occurring = np.unique(ends)
+        first, second = np.split(np.searchsorted(occurring, ends), 2)
+        entry, c = np.nonzero((R != 0)[occurring // n])
+        node_terms = (entry, occurring[entry] % n * q + c, R[occurring[entry] // n, c])
+        return pair_terms, (i * n + j, _Runs(first, len(occurring)), second, node_terms)
+
+    def gram(self, w: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """X'WX over every column, exactly symmetric, written over all of
+        ``out``, which the caller owns, and X'Wz, returned, for per-cell
+        working weights ``w`` and working response ``z``. The row of the
+        intercept is X'w, put together from the weight sums per block pair
+        and per node that the other blocks use; the row of a covariate x
+        is X'(w * x)."""
+        pair_terms, node_index = self._gram_index
+        q = self.pair_coding.shape[1] - 1
+        # encode orders the columns intercept, covariates, node effects,
+        # block effects, interactions
+        nodes = slice(1 + self.covariate_values.shape[1], self.n_columns - q)
+        pairs = slice(nodes.stop, self.n_columns)
+        pair_w = self._pair_runs.sum(w)
+        out[pairs, pairs] = _add_terms(pair_terms, pair_w, (q, q))
+        node_w = None
+        if node_index is not None:
+            node_pair, first, second, node_terms = node_index
+            n = self.n_nodes
+            G = np.bincount(node_pair, w, n * n).reshape(n, n)
+            G += G.T
+            node_w = G.sum(axis=1)
+            G[np.diag_indices(n)] = node_w
+            # both fold subtractions at once, in a form that is exactly
+            # symmetric: g[a] + g[b] commutes
+            g = G[:-1, -1]
+            out[nodes, nodes] = G[:-1, :-1] - (g[:, None] + g) + G[-1, -1]
+            end_w = first.sum(w) + np.bincount(second, w, first.size)
+            out[nodes, pairs] = _fold(_add_terms(node_terms, end_w, (n, q)))
+            out[pairs, nodes] = out[nodes, pairs].T
+        out[0] = out[:, 0] = self._xt(w, pair_w, node_w)
+        for t, x in enumerate(self._factors[1].T, 1):
+            out[t] = out[:, t] = self.xt(w * x)
+        return self.xt(w * z)
 
 
 class _Runs:
@@ -426,102 +489,6 @@ def _fold(sums: np.ndarray) -> np.ndarray:
     """The transpose of :func:`effect_levels`: sums per level (rows of
     ``sums``) onto the free columns, the last level entering each with -1."""
     return sums[:-1] - sums[-1]
-
-
-class FactoredGram:
-    """X'WX over the columns ``cols`` of a design's cells
-    (:attr:`DesignMatrix.cells`), assembled from the factors of the rows:
-    the two endpoints' node rows, the covariate values, and the row R[k]
-    of the block pair k over the block effect and interaction columns.
-    Every node-effect column must be among ``cols``: the node rows fold
-    the last node into all of them.
-    """
-
-    def __init__(self, design: DesignMatrix, cols):
-        self.design = design
-        self.cols = np.asarray(cols, dtype=np.int64)
-        if np.any(np.diff(self.cols) <= 0):
-            raise ValueError("solver columns must be increasing")
-        # encode orders the columns intercept, covariates, node effects,
-        # block effects, interactions, so each factor is a run of columns
-        nodes = design.group_indices(GROUP_NODE)
-        first = 1 + len(design.spec.covariates)
-        d, e = np.searchsorted(self.cols, [first, first + len(nodes)])
-        if e - d != len(nodes):
-            zero = [design.column_names[k] for k in np.setdiff1d(nodes, self.cols)
-                    if design.inestimable[k]]
-            if zero:
-                # only with two nodes: their one dyad holds the last node,
-                # whose level is minus the sum of the others
-                raise ValueError(
-                    f"node-effect column(s) {', '.join(zero)} cannot be estimated: every "
-                    "dyad of the node also holds the last node, so the sum-to-zero "
-                    "node effects cancel in its design row; node effects need at "
-                    "least three nodes")
-            raise ValueError("solver columns must include every node-effect column")
-        self._dense, self._nodes, self._pairs = slice(0, d), slice(d, e), slice(e, len(self.cols))
-
-        pair, covariates = design._factors
-        # the intercept's row is derived from sums every build makes; the
-        # covariates' rows are X'(w * x)
-        self._intercept = d > 0 and self.cols[0] == 0
-        self._covariates = covariates[:, self.cols[int(self._intercept):d] - 1].T.copy()
-        R = design.pair_coding[:, np.searchsorted(design.pair_columns, self.cols[self._pairs])]
-        q = R.shape[1]
-        # R'diag(s)R: each pair (a, b) of nonzeros of R[k] adds R[k, a] R[k, b] s_k
-        k, a = np.nonzero(R)
-        entry, b = np.nonzero((R != 0)[k])
-        self._pair_terms = (k[entry], a[entry] * q + b, R[k, a][entry] * R[k[entry], b])
-        self._n = n = design.n_nodes if len(nodes) else 0
-        # node columns are only solver columns of node-effect designs,
-        # whose cells are the dyads
-        if n:
-            i, j = design.dyad_nodes.T
-            self._node_pair = i * n + j
-            # R'S, S[k, u] the weight of the dyads of pair k at node u: each
-            # (k, u) that occurs adds R[k, c] S[k, u] at (u, c); the first
-            # endpoints come in runs, the second ones do not
-            ends = np.concatenate([pair * n + i, pair * n + j])
-            occurring = np.unique(ends)
-            first, second = np.split(np.searchsorted(occurring, ends), 2)
-            self._ends = _Runs(first, len(occurring)), second
-            entry, c = np.nonzero((R != 0)[occurring // n])
-            self._node_terms = (entry, occurring[entry] % n * q + c, R[occurring[entry] // n, c])
-        # the X'WX that every build overwrites
-        self._A = np.empty((len(self.cols),) * 2)
-
-    def gram(self, w: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Dense X'WX and X'Wz of one IRLS step (per-cell working weights
-        ``w``, working response ``z``), built once and shared by every solve.
-        X'WX is exactly symmetric and is this object's one buffer, which
-        the next build overwrites, so that a step does not allocate, and
-        fault in, a new q x q array. The row of the intercept is X'w, put
-        together from the weight sums per block pair and per node that
-        the other blocks use; the row of a covariate x is X'(w * x).
-        """
-        design, n, nodes, pairs, A = self.design, self._n, self._nodes, self._pairs, self._A
-        q = pairs.stop - pairs.start
-        pair_w = design._pair_runs.sum(w)
-        A[pairs, pairs] = _add_terms(self._pair_terms, pair_w, (q, q))
-        node_w = None
-        if n:
-            G = np.bincount(self._node_pair, w, n * n).reshape(n, n)
-            G += G.T
-            node_w = G.sum(axis=1)
-            G[np.diag_indices(n)] = node_w
-            # both fold subtractions at once, in a form that is exactly
-            # symmetric: g[a] + g[b] commutes
-            g = G[:-1, -1]
-            A[nodes, nodes] = G[:-1, :-1] - (g[:, None] + g) + G[-1, -1]
-            first, second = self._ends
-            end_w = first.sum(w) + np.bincount(second, w, first.size)
-            A[nodes, pairs] = _fold(_add_terms(self._node_terms, end_w, (n, q)))
-            A[pairs, nodes] = A[nodes, pairs].T
-        if self._intercept:
-            A[0] = A[:, 0] = design._xt(w, pair_w, node_w)[self.cols]
-        for t, x in enumerate(self._covariates, int(self._intercept)):
-            A[t] = A[:, t] = design.xt(w * x)[self.cols]
-        return A, design.xt(w * z)[self.cols]
 
 
 def _add_terms(terms, sums: np.ndarray, shape) -> np.ndarray:

@@ -11,11 +11,12 @@ the normal equations, no penalty (or the separation ridge), a test on
 every step, and a search that accepts a step at most 1e-13 (relative)
 worse and gives up after 30 halvings (cause ``"no_progress"``).
 
-The solver works on the design's own sum-to-zero columns. Each step
-builds X'WX and X'Wz once over the solver columns (``FactoredGram.gram``,
-shared with the penalized solver; it sums the working weights per node
-pair and per block pair instead of forming a sparse product) and solves
-the normal equations by a direct Cholesky factorization, so a fit is
+The solver works on the design's own sum-to-zero columns, in its
+indices. Each step builds X'WX over every column into the fit's one
+buffer, and X'Wz (``DesignMatrix.gram``, which sums the working weights
+per node pair and per block pair instead of forming a sparse product),
+gathers the free columns' system when some column is held fixed, and
+solves the normal equations by a direct Cholesky factorization, so a fit is
 deterministic for a fixed input. The factorization is called from LAPACK
 directly (``potrf`` and ``potrs`` on the upper triangle), with the
 reciprocal condition number in the 1-norm estimated by ``pocon``.
@@ -25,7 +26,7 @@ array, so neither copies it: the factor is the only full-size array a
 solve allocates. A second one would push the allocator's heap past its
 trim threshold at every step, handing the memory back to the operating
 system only to fault it in again.
-Columns flagged inestimable by the encoder are held at zero. A system
+Inestimable columns are held at zero (``_free_columns``). A system
 that is not positive definite, or whose condition estimate is below
 machine epsilon (where ``scipy.linalg.solve(assume_a="pos")`` would
 raise or warn), gets an escalating diagonal jitter and, as a last
@@ -72,7 +73,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg.lapack import dlange, dpocon, dpotrf, dpotrs
 
-from .design import GROUP_BLOCK, GROUP_NODE, DesignMatrix, FactoredGram, effect_levels
+from .design import GROUP_BLOCK, GROUP_NODE, DesignMatrix, effect_levels
 from .graphs import _write_csv, _write_json
 
 __all__ = [
@@ -238,6 +239,30 @@ def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray,
     return np.linalg.lstsq(A, rhs, rcond=None)[0], None
 
 
+def _free_columns(design: DesignMatrix) -> np.ndarray:
+    """The mask of the columns that a fit estimates, all but the
+    inestimable ones, which it holds at zero. Refuses node effects and
+    covariates that cannot be estimated apart from the intercept."""
+    zero = [design.column_names[k] for k in design.group_indices(GROUP_NODE)
+            if design.inestimable[k]]
+    if zero:
+        # only with two nodes: their one dyad holds the last node,
+        # whose level is minus the sum of the others
+        raise ValueError(
+            f"node-effect column(s) {', '.join(zero)} cannot be estimated: every "
+            "dyad of the node also holds the last node, so the sum-to-zero "
+            "node effects cancel in its design row; node effects need at "
+            "least three nodes")
+    constant = [name for name, x in zip(design.spec.covariates, design.covariate_values.T)
+                if len(x) and x[0] != 0.0 and np.all(x == x[0])]
+    if constant:
+        raise ValueError(
+            f"covariate column(s) {', '.join(constant)} hold one nonzero value on "
+            "every dyad, a multiple of the intercept column, so their coefficients "
+            "cannot be estimated apart from the intercept")
+    return ~design.inestimable
+
+
 def _initial_beta(data: _CellData, cols: np.ndarray) -> np.ndarray:
     beta = np.zeros(data.design.n_columns)
     if not len(cols) or cols[0] != 0:  # no intercept
@@ -283,19 +308,19 @@ class _Solve:
     counts: dict[str, int]
 
 
-def _outer_loop(data: _CellData, factored: FactoredGram, beta: np.ndarray, *, penalty,
+def _outer_loop(data: _CellData, A: np.ndarray, beta: np.ndarray, *, penalty,
                 working_solve, stop, search: _LineSearch, max_iter: int) -> _Solve:
     """The Newton-type outer iteration of every fit: the MLE, the restricted
     fit and each penalized fit differ only in what they pass in.
 
     Each step builds the Gram ``A, b`` of the working problem at the
-    current coefficients, unless the last call of ``stop`` asked to keep
-    it: a chord step keeps ``A`` and takes the exact score here as its
-    gradient, ``b = A x + grad``, with ``x`` and ``grad`` the coefficients
-    and the score over the solver columns.
-    ``working_solve(A, b, x, grad, counts)`` returns the new solver
-    coefficients from the current ones ``x``; ``grad`` is None on a new
-    Gram; the other coefficients stay at zero. The step is then halved
+    current coefficients ``x``, over every column and into the caller's
+    buffer ``A``, unless the last call of ``stop`` asked to keep it: a
+    chord step keeps ``A`` and takes the exact score ``grad`` here as its
+    gradient, ``b = A x + grad``.
+    ``working_solve(A, b, x, grad, counts)`` returns the new coefficients
+    from a copy ``x`` of the current ones, which it may overwrite; ``grad``
+    is None on a new Gram. The step is then halved
     under ``search`` on the objective ``penalty(beta) - loglik(beta)``.
     ``stop(beta, score, objective, change, halved, fresh)`` sees the
     accepted point with its score over every column, the objective and
@@ -304,7 +329,7 @@ def _outer_loop(data: _CellData, factored: FactoredGram, beta: np.ndarray, *, pe
     None being convergence. A loop that reaches
     ``max_iter`` steps stops with cause ``"max_iterations"``.
     """
-    predictor, lyf, cols = data.design.predictor, data.log_y_factorial, factored.cols
+    predictor, lyf = data.design.predictor, data.log_y_factorial
     eta = predictor(beta)
     mu, kernel = data.evaluate(eta)
     objective = penalty(beta) - (kernel - lyf)
@@ -313,17 +338,15 @@ def _outer_loop(data: _CellData, factored: FactoredGram, beta: np.ndarray, *, pe
     converged, fresh = False, True
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        x = beta[cols]
         if fresh:
-            A, b = factored.gram(*data.working(eta, mu))
+            b = data.design.gram(*data.working(eta, mu), A)
             counts["gram_builds"] += 1
             grad = None
         else:
             # a chord step: the kept Gram with the exact score here
-            grad = score[cols]
-            b = A @ x + grad
-        candidate = np.zeros(len(beta))
-        candidate[cols] = working_solve(A, b, x, grad, counts)
+            grad = score
+            b = A @ beta + grad
+        candidate = working_solve(A, b, beta.copy(), grad, counts)
 
         for halvings in range(search.halvings + 1):
             if halvings:
@@ -354,21 +377,24 @@ def _outer_loop(data: _CellData, factored: FactoredGram, beta: np.ndarray, *, pe
                   converged=converged, cause=cause, counts=counts)
 
 
-def _irls(data: _CellData, factored: FactoredGram, score_bound: float, *,
+def _irls(data: _CellData, A: np.ndarray, cols: np.ndarray, score_bound: float, *,
           ridge: float = 0.0, max_iter: int) -> _Solve:
-    """IRLS on the columns of ``factored`` (all treated free) from the
-    intercept-only start, through :func:`_outer_loop` (see the module
-    docstring). It converges when the log-likelihood changes by at most
-    ``LL_TOL`` (relative) and the score over the columns is within
-    ``score_bound``."""
-    cols = factored.cols
+    """IRLS on the columns ``cols`` (the others stay at zero) from the
+    intercept-only start, in the Gram buffer ``A``, through
+    :func:`_outer_loop` (see the module docstring). It converges when the
+    log-likelihood changes by at most ``LL_TOL`` (relative) and the score
+    over ``cols`` is within ``score_bound``."""
     separable = ridge == 0.0 and data.family == "bernoulli_logit"
+    fixed = len(cols) < data.design.n_columns
 
     def working_solve(A, b, x, grad, counts):
+        if fixed:  # gathered in one pass, C-ordered, as the solve reads it
+            A, b = A[cols[:, None], cols], b[cols]
         if ridge:
             A[np.diag_indices_from(A)] += 2.0 * ridge
         counts["factorizations"] += 1
-        return _solve_normal_equations(A, b, counts)[0]
+        x[cols] = _solve_normal_equations(A, b, counts)[0]
+        return x
 
     def stop(beta, score, objective, change, halved, fresh):
         # ``change`` is that of -loglik (plus the ridge), so a climbing
@@ -380,7 +406,7 @@ def _irls(data: _CellData, factored: FactoredGram, score_bound: float, *,
         converged = abs(change) <= LL_TOL * (1.0 + abs(objective)) and score_max <= score_bound
         return converged, None, True
 
-    return _outer_loop(data, factored, _initial_beta(data, cols),
+    return _outer_loop(data, A, _initial_beta(data, cols),
                        penalty=lambda beta: ridge * float(beta @ beta),
                        working_solve=working_solve, stop=stop, search=_IRLS_SEARCH,
                        max_iter=max_iter)
@@ -535,10 +561,10 @@ def fit_mle(design: DesignMatrix, response) -> FitResult:
     reported through ``converged``/``diagnostics``, not an exception.
     """
     data = _CellData(design, response)
-    factored = FactoredGram(design, np.flatnonzero(~design.inestimable))
-    cols = factored.cols
+    cols = np.flatnonzero(_free_columns(design))
+    A = np.empty((design.n_columns,) * 2)
     score_bound = SCORE_TOL * (1.0 + float(np.abs(design.xt(data.y)[cols]).max(initial=0.0)))
-    result = _irls(data, factored, score_bound, max_iter=MAX_ITERATIONS)
+    result = _irls(data, A, cols, score_bound, max_iter=MAX_ITERATIONS)
     ridge_used = 0.0
     if result.cause == "separation":
         warnings.warn(
@@ -548,7 +574,7 @@ def fit_mle(design: DesignMatrix, response) -> FitResult:
             RuntimeWarning,
             stacklevel=2,
         )
-        stabilized = _irls(data, factored, score_bound, ridge=SEPARATION_RIDGE,
+        stabilized = _irls(data, A, cols, score_bound, ridge=SEPARATION_RIDGE,
                            max_iter=MAX_ITERATIONS)
         ridge_used = SEPARATION_RIDGE
         counts = {k: v + stabilized.counts[k] for k, v in result.counts.items()}

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +60,14 @@ class PartitionError(ValueError):
     """A block partition is inconsistent with its node set."""
 
 
+@lru_cache(maxsize=1)
 def _dyads(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The endpoints (i, j), i < j, of the node pairs of ``n`` nodes, in
-    the package's one dyad order: lexicographic."""
-    return np.triu_indices(n, k=1)
+    the package's one dyad order: lexicographic. The arrays of the last
+    ``n`` are kept, read-only, for every layer of a fit to share."""
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def _dyad_index(i, j, n: int):

@@ -11,7 +11,9 @@ column is refused before any fit.
 
 Solver: penalized IRLS on the cells of the design (dyads with identical
 design rows, weighted by their count; see ``glm``; designs with node
-effects have one cell per dyad), over the design's own columns. It runs
+effects have one cell per dyad), over the design's own columns and in
+its indices, with one X'WX buffer that the restricted fit shares; fixed
+columns (inestimable or infinitely weighted) stay at zero. It runs
 the outer loop of ``glm`` (``_outer_loop``), as the
 restricted fit does through ``glm._irls``, and passes in the working
 solve below, the penalty term, the KKT stopping test with its refresh
@@ -43,11 +45,11 @@ Chord steps: the outer steps of one solve are simplified-Newton steps
 (proximal Newton with an inexact Hessian; Lee, Sun & Saunders 2014,
 SIAM J. Optim. 24(3)). The first step builds A and b = X'Wz at the
 start; later steps keep A and take the exact score at the current
-coefficients as their gradient (b = A x + score, over the solver
-columns; the score is the one the KKT test computed). The Cholesky
-factor of the polish system is kept with its selection and reused while
-A and the active set stay; the solver keeps one factor, and only one
-that passed the condition test without jitter. The refresh rule is
+coefficients as their gradient (b = A x + score; the score is the one
+the KKT test computed). The Cholesky factor of the polish system is
+kept with its selection and reused while A and the active set stay;
+the solver keeps one factor, and only one that passed the condition
+test without jitter. The refresh rule is
 fixed: a new Gram after a step that halved, and after a chord step that
 cut the KKT violation less than tenfold. Each fit reports its Gram
 builds and factorizations in ``diagnostics`` (``gram_builds``,
@@ -74,16 +76,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .design import DesignMatrix, FactoredGram
+from .design import DesignMatrix
 from .glm import (
     ConvergenceError,
     FitResult,
     _CellData,
+    _free_columns,
     _irls,
     _LineSearch,
     _outer_loop,
@@ -199,30 +201,24 @@ class _PenalizedSolver:
             names = ", ".join(design.column_names[k] for k in unweighted)
             raise ValueError(f"zero penalty weight on penalized column(s) {names}; "
                              "a penalized weight must be positive, or inf to hold it at zero")
-        self.weights = weights
-
-        free = ~design.inestimable
-        frozen = np.isinf(weights) & design.penalized_mask
-        self.fixed_idx = np.flatnonzero(~free | frozen)
-        # the solver columns, and where the penalized ones sit among them
-        self.cols = np.flatnonzero(free & ~frozen)
-        self.pen_pos = np.flatnonzero(design.penalized_mask[self.cols])
-        self.unpen_pos = np.flatnonzero(~design.penalized_mask[self.cols])
-        self.pen_idx, self.unpen_idx = self.cols[self.pen_pos], self.cols[self.unpen_pos]
+        # fixed columns, inestimable or infinitely weighted, are never
+        # selected and get no threshold
+        free = _free_columns(design) & ~np.isinf(weights)
+        self.fixed_idx = np.flatnonzero(~free)
+        self.pen_idx = np.flatnonzero(free & design.penalized_mask)
+        self.unpen_idx = np.flatnonzero(free & ~design.penalized_mask)
         self.pen_weights = weights[self.pen_idx]
+        # X'WX over every column, which the restricted fit and each solve
+        # build into
+        self.gram = np.empty((design.n_columns,) * 2)
         # the one Cholesky factor kept, (selection key, factor), made from
         # the current Gram of ``solve`` without jitter
         self._factor: tuple[bytes, np.ndarray] | None = None
 
-    @cached_property
-    def factored(self) -> FactoredGram:
-        return FactoredGram(self.design, self.cols)
-
     # -- restricted problem (penalized block forced to zero) ------------
 
     def restricted_fit(self) -> _Solve:
-        return _irls(self.data, FactoredGram(self.design, self.unpen_idx), KKT_TOL,
-                     max_iter=MAX_OUTER)
+        return _irls(self.data, self.gram, self.unpen_idx, KKT_TOL, max_iter=MAX_OUTER)
 
     def lambda_max(self, beta_restricted: np.ndarray) -> float:
         score = self._score(beta_restricted)[self.pen_idx]
@@ -251,11 +247,11 @@ class _PenalizedSolver:
 
     # -- working problem in covariance mode --------------------------------
 
-    def _coordinate_pass(self, A, x, grad, thresholds, positions) -> None:
-        """One cyclic soft-thresholding pass over ``positions`` of ``x``,
+    def _coordinate_pass(self, A, x, grad, thresholds, columns) -> None:
+        """One cyclic soft-thresholding pass over ``columns`` of ``x``,
         keeping the gradient ``grad = b - Ax`` current with one row of A
         per move (both in place)."""
-        for k in positions:
+        for k in columns:
             old, diag = x[k], A[k, k]
             target = soft_threshold(grad[k] + diag * old, thresholds[k]) / diag
             if target != old:
@@ -265,8 +261,8 @@ class _PenalizedSolver:
     def _largest_move(self, A, x, grad, thresholds) -> float:
         """Largest score-unit move that a coordinate pass would start with
         at ``x``, from a vectorized soft threshold of every penalized
-        position; nothing is moved."""
-        pen = self.pen_pos
+        column; nothing is moved."""
+        pen = self.pen_idx
         diag, x_pen = A[pen, pen], x[pen]
         u = grad[pen] + diag * x_pen
         target = np.sign(u) * np.maximum(np.abs(u) - thresholds[pen], 0.0) / diag
@@ -289,7 +285,7 @@ class _PenalizedSolver:
 
     def _polish_active_set(self, A, b, x, grad, thresholds, counts: dict) -> None:
         """Sign-restricted direct solve over the unpenalized block plus
-        the active penalized positions, updating ``x`` and ``grad`` in
+        the active penalized columns, updating ``x`` and ``grad`` in
         place.
 
         The normal equations on ``A[sel, sel]`` carry the L1 subgradient
@@ -301,12 +297,12 @@ class _PenalizedSolver:
         ``MAX_DROPS`` times.
         """
         for _ in range(MAX_DROPS):
-            sel = np.concatenate([self.unpen_pos, self.pen_pos[x[self.pen_pos] != 0.0]])
+            sel = np.concatenate([self.unpen_idx, self.pen_idx[x[self.pen_idx] != 0.0]])
             if len(sel) == 0:
                 return
             old = x[sel]
             signs = np.sign(old)
-            signs[: len(self.unpen_pos)] = 0.0
+            signs[: len(self.unpen_idx)] = 0.0
             new = self._factored_solve(A, b[sel] - thresholds[sel] * signs, sel, counts)
             flips = (signs != 0.0) & (np.sign(new) != signs)
             if not flips.any():
@@ -331,7 +327,7 @@ class _PenalizedSolver:
         only while a vectorized soft threshold finds a score-significant
         move left. Zeros produced here are exact.
         """
-        pen = self.pen_pos
+        pen = self.pen_idx
         entering = pen[(x[pen] == 0.0) & (np.abs(grad[pen]) > thresholds[pen])]
         self._coordinate_pass(A, x, grad, thresholds, entering)
         for _ in range(40):
@@ -347,7 +343,8 @@ class _PenalizedSolver:
         ``beta_start``, through ``glm._outer_loop`` (see the module
         docstring)."""
         _check_lambda(lam)
-        thresholds = lam * self.weights[self.cols]
+        thresholds = np.zeros(self.design.n_columns)
+        thresholds[self.pen_idx] = lam * self.pen_weights
         beta = np.array(beta_start, dtype=np.float64)
         beta[self.fixed_idx] = 0.0
         kkt = best_kkt = np.inf
@@ -376,7 +373,7 @@ class _PenalizedSolver:
             # step that cut the KKT violation less than tenfold
             return False, None, halved or (not fresh and kkt > 0.1 * kkt_prev)
 
-        solve = _outer_loop(self.data, self.factored, beta,
+        solve = _outer_loop(self.data, self.gram, beta,
                             penalty=lambda beta: self.penalty(beta, lam),
                             working_solve=working_solve, stop=stop, search=_PATH_SEARCH,
                             max_iter=MAX_OUTER)

@@ -261,6 +261,38 @@ def test_two_node_degree_corrected_fit_names_the_inestimable_column(tmp_path, ca
     assert "node:a" in err and "cannot be estimated" in err and "three nodes" in err
 
 
+class TestConstantCovariate:
+    """A covariate with one value on every dyad: a nonzero one copies the
+    intercept and is refused by name, a zero one is inestimable and held
+    at zero."""
+
+    def fit(self, tmp_path, covariate):
+        rng = np.random.default_rng(8)
+        nodes = "abcdefgh"
+        edges = "".join(f"{u},{v},{w}\n" for k, u in enumerate(nodes) for v in nodes[k + 1:]
+                        if (w := rng.poisson(2.0)))
+        (tmp_path / "edges.csv").write_text(edges)
+        (tmp_path / "attributes.csv").write_text(
+            "node_id,block,constituency,age\n"
+            + "".join(f"{v},{'XY'[k % 2]},c00,40\n" for k, v in enumerate(nodes)))
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"mode": "weighted", "model": "covariate_adjusted", "covariates": [covariate]}))
+        return run("fit", "--edges", tmp_path / "edges.csv", "--attributes",
+                   tmp_path / "attributes.csv", "--partition-key", "block", "--config",
+                   tmp_path / "config.json", "--grid-size", 5, "--out", tmp_path / "out")
+
+    def test_constant_covariate_refused_by_name(self, tmp_path, capsys):
+        assert self.fit(tmp_path, {"kind": "same_value", "attribute": "constituency"}) == 3
+        err = capsys.readouterr().err
+        assert "same:constituency" in err and "intercept" in err
+
+    def test_zero_covariate_held_at_zero(self, tmp_path):
+        assert self.fit(tmp_path, {"kind": "abs_difference", "attribute": "age"}) == 0
+        mle = json.loads((tmp_path / "out" / "mle_fit.json").read_text())
+        assert mle["coefficients"]["absdiff:age"] == 0.0
+        assert mle["diagnostics"]["fixed_zero"] == ["absdiff:age"]
+
+
 class TestNoFiniteMle:
     """Graphs whose response is all zero, or all one under the Bernoulli
     family, are refused by name before the dyad table is built."""

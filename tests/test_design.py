@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blocklasso as bl
-from blocklasso.design import (GROUP_BLOCK, GROUP_INTERACTION, GROUP_NODE, FactoredGram,
-                               effect_levels, reconstruct_interactions)
+from blocklasso.design import (GROUP_BLOCK, GROUP_INTERACTION, GROUP_NODE, effect_levels,
+                               reconstruct_interactions)
 from blocklasso.glm import _CellData
 
 from helpers import bernoulli_instance, poisson_instance
@@ -241,14 +241,13 @@ class TestMatrixFreeProducts:
 
 
 def assert_products_match(design, rng):
-    """X·beta, X'v and X'WX over the estimable columns against the
-    reference matrix of the design."""
+    """X·beta, X'v and X'WX against the reference matrix of the design."""
     X = design.matrix[design.cells.first]
     beta = rng.normal(size=design.n_columns)
     v = rng.normal(size=X.shape[0])
     assert np.all(np.abs(design.predictor(beta) - X @ beta) <= 1e-12 * (abs(X) @ np.abs(beta)))
     assert np.all(np.abs(design.xt(v) - X.T @ v) <= 1e-12 * (abs(X).T @ np.abs(v)))
-    assert_gram_matches_oracle(design, np.flatnonzero(~design.inestimable), rng)
+    assert_gram_matches_oracle(design, rng)
 
 
 def interleaved_design(n, p, node_effects, k=0, seed=0):
@@ -268,7 +267,7 @@ def interleaved_design(n, p, node_effects, k=0, seed=0):
 
 class TestRunSums:
     """The run-length sums behind :meth:`DesignMatrix.xt` and
-    :meth:`FactoredGram.gram`, on keys that do not come in long runs, and
+    :meth:`DesignMatrix.gram`, on keys that do not come in long runs, and
     the interaction coding cached on the design."""
 
     @pytest.mark.parametrize("node_effects", [True, False])
@@ -300,7 +299,8 @@ class TestRunSums:
                         covariate_values=design.covariate_values[:0])
         assert empty.n_rows == 0 and empty.inestimable.all()
         assert np.array_equal(empty.xt(np.zeros(0)), np.zeros(empty.n_columns))
-        A, b = FactoredGram(empty, np.arange(empty.n_columns)).gram(np.zeros(0), np.zeros(0))
+        A = np.full((empty.n_columns,) * 2, np.nan)
+        b = empty.gram(np.zeros(0), np.zeros(0), A)
         assert not A.any() and not b.any()
 
     @pytest.mark.parametrize("node_effects", [True, False])
@@ -373,23 +373,25 @@ class TestFitLevelInvariance:
                       - fit2.block_interactions[np.ix_(order, order)]).max() < 1e-6
 
 
-def gram_oracle(design, cols, w, z):
-    """X'WX and X'Wz from the dense rows of the cells over ``cols``."""
-    X = design.matrix[design.cells.first][:, cols].toarray()
+def gram_oracle(design, w, z):
+    """X'WX and X'Wz from the dense rows of the cells."""
+    X = design.matrix[design.cells.first].toarray()
     return X.T @ (X * w[:, None]), X.T @ (w * z)
 
 
-def assert_gram_matches_oracle(design, cols, rng):
-    """The factored Gram over ``cols`` equals the dense oracle within
-    1e-12 and is exactly symmetric."""
-    gram = FactoredGram(design, cols)
+def assert_gram_matches_oracle(design, rng):
+    """X'WX over every column equals the dense oracle within 1e-12, is
+    exactly symmetric and has exactly zero rows and columns where the
+    design has inestimable columns."""
     cells = len(design.cells.counts)
     w, z = rng.random(cells) + 0.1, rng.normal(size=cells)
-    A, b = gram.gram(w, z)
-    A_oracle, b_oracle = gram_oracle(design, cols, w, z)
+    A = np.full((design.n_columns,) * 2, np.nan)  # every entry is written
+    b = design.gram(w, z, A)
+    A_oracle, b_oracle = gram_oracle(design, w, z)
     assert np.array_equal(A, A.T)
     assert np.abs(A - A_oracle).max(initial=0.0) < 1e-12
     assert np.abs(b - b_oracle).max(initial=0.0) < 1e-12
+    assert not A[design.inestimable].any() and not A[:, design.inestimable].any()
 
 
 def singleton_block_design(seed):
@@ -411,8 +413,8 @@ def covariate_degree_corrected_design(seed):
 
 
 class TestReferenceCoding:
-    """:class:`FactoredGram`, the solver's X'WX over the design's own
-    columns, against the dense design matrix."""
+    """:meth:`DesignMatrix.gram`, X'WX over every column of the design,
+    against the dense design matrix."""
 
     @pytest.mark.parametrize("maker,kwargs", [
         (bernoulli_instance, dict(n=9, p=3)),
@@ -420,24 +422,17 @@ class TestReferenceCoding:
     ], ids=["node_effects", "block_effects"])
     def test_gram_of_every_estimable_column(self, maker, kwargs):
         _, _, _, design = maker(3, **kwargs)
-        assert_gram_matches_oracle(design, np.flatnonzero(~design.inestimable),
-                                   np.random.default_rng(5))
+        assert_gram_matches_oracle(design, np.random.default_rng(5))
 
-    @pytest.mark.parametrize("make,drop", [
-        (covariate_degree_corrected_design, 0),
-        (lambda seed: bernoulli_instance(seed, n=10, p=4)[3], 3),
-        (singleton_block_design, 0),
-        (singleton_block_design, 2),
-    ], ids=["covariate", "interactions_dropped", "singleton_block",
-            "singleton_block_interactions_dropped"])
-    def test_factored_gram_matches_dense_oracle(self, make, drop):
+    @pytest.mark.parametrize("make", [
+        covariate_degree_corrected_design,
+        lambda seed: bernoulli_instance(seed, n=10, p=4)[3],
+        singleton_block_design,
+    ], ids=["covariate", "four_blocks", "singleton_block"])
+    def test_factored_gram_matches_dense_oracle(self, make):
         design = make(8)
-        cols = np.flatnonzero(~design.inestimable)
-        # drop interaction columns, as the path freezes infinitely weighted ones
-        dropped = design.group_indices(GROUP_INTERACTION)[1::2][:drop]
         assert len(design.cells.counts) == design.n_rows
-        assert_gram_matches_oracle(design, np.setdiff1d(cols, dropped),
-                                   np.random.default_rng(9))
+        assert_gram_matches_oracle(design, np.random.default_rng(9))
 
     @pytest.mark.parametrize("shape", ["degree_corrected", "covariate_adjusted", "replicates"])
     def test_working_gram_is_exactly_symmetric(self, shape):
@@ -450,25 +445,25 @@ class TestReferenceCoding:
             _, table, partition, _ = bernoulli_instance(6, n=40, p=4)
             design = bl.encode(table, partition, bl.ModelSpec(family="bernoulli_logit"))
         data = _CellData(design, table.response)
-        gram = FactoredGram(design, np.flatnonzero(~design.inestimable))
         eta = np.random.default_rng(6).normal(scale=0.5, size=len(data.n)) - 1.0
-        A, _ = gram.gram(*data.working(eta, data.evaluate(eta)[0]))
+        A = np.empty((design.n_columns,) * 2)
+        design.gram(*data.working(eta, data.evaluate(eta)[0]), A)
         assert np.array_equal(A, A.T)
 
     def test_gram_buffer_is_rebuilt_in_full(self):
         # node, block-pair and covariate parts of X'WX
         design = covariate_degree_corrected_design(7)
-        cols = np.flatnonzero(~design.inestimable)
         rng = np.random.default_rng(7)
         cells = len(design.cells.counts)
         (w1, z1), (w2, z2) = [(rng.random(cells) + 0.1, rng.normal(size=cells))
                               for _ in range(2)]
-        gram = FactoredGram(design, cols)
-        A, _ = gram.gram(w1, z1)
+        A = np.empty((design.n_columns,) * 2)
+        design.gram(w1, z1, A)
         A[np.diag_indices_from(A)] += 2e-8  # the separation ridge, in place
-        A_next, b_next = gram.gram(w2, z2)
-        A_fresh, b_fresh = FactoredGram(design, cols).gram(w2, z2)
-        assert np.array_equal(A_next, A_fresh) and np.array_equal(b_next, b_fresh)
+        b_next = design.gram(w2, z2, A)
+        A_fresh = np.empty_like(A)
+        b_fresh = design.gram(w2, z2, A_fresh)
+        assert np.array_equal(A, A_fresh) and np.array_equal(b_next, b_fresh)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(3, 9), data=st.data(),
@@ -491,18 +486,7 @@ class TestReferenceCoding:
                                 block_main_effects=data.draw(st.booleans()),
                                 covariates=table.covariate_names)
         design = bl.encode(table, partition, spec)
-        cols = np.flatnonzero(~design.inestimable)
-        # a random subset of interaction columns frozen out of the solver
-        interactions = design.group_indices(GROUP_INTERACTION)
-        dropped = interactions[data.draw(st.lists(st.booleans(), min_size=len(interactions),
-                                                  max_size=len(interactions)))]
-        cols = np.setdiff1d(cols, dropped)
-        assert_gram_matches_oracle(design, cols, np.random.default_rng(seed))
-        nodes = design.group_indices(GROUP_NODE)
-        if len(nodes):
-            missing = data.draw(st.sampled_from(list(nodes)))
-            with pytest.raises(ValueError, match="node-effect"):
-                FactoredGram(design, np.setdiff1d(cols, [missing]))
+        assert_gram_matches_oracle(design, np.random.default_rng(seed))
 
 
 class TestCells:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blocklasso as bl
+from blocklasso.cli import main
 from blocklasso.graphs import (AttributeTableError, EdgeListError, PartitionError, _dyad_index,
                                _dyads, _pair_key)
 
@@ -208,6 +209,30 @@ class TestDyadOrder:
         keys = _pair_key(r, s, 5)
         assert np.array_equal(keys, _pair_key(s, r, 5))
         assert len(set(keys[r <= s].tolist())) == 15
+
+    def test_endpoints_refuse_writes(self):
+        for ends in _dyads(6):
+            with pytest.raises(ValueError, match="read-only"):
+                ends[0] = 1
+
+    def test_one_fit_builds_the_endpoints_once(self, tmp_path, monkeypatch):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--n", "30", "--p", "3", "--seed", "4", "--out", str(sim)]) == 0
+        calls = []
+        triu_indices = np.triu_indices
+
+        def counting(n, *args, **kwargs):
+            calls.append(n)
+            return triu_indices(n, *args, **kwargs)
+
+        monkeypatch.setattr(np, "triu_indices", counting)
+        _dyads.cache_clear()
+        # validate, the dyad table, the design and the reduced graph all read them
+        assert main(["fit", "--edges", str(sim / "edges.csv"), "--attributes",
+                     str(sim / "attributes.csv"), "--partition-key", "block", "--model",
+                     "degree_corrected", "--threshold", "0.2", "--grid-size", "5",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls.count(30) == 1
 
 
 class TestLoadAttributes:

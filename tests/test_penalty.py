@@ -1,12 +1,14 @@
 import csv
 import re
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import blocklasso as bl
 from blocklasso import penalty
+from blocklasso.design import GROUP_INTERACTION, DesignMatrix
 from blocklasso.glm import ConvergenceError, _step_counts
 from blocklasso.penalty import _PenalizedSolver, soft_threshold
 
@@ -386,11 +388,14 @@ class TestChordSteps:
         beta = solver.restricted_fit().beta
         eta = design.predictor(beta)
         mu = solver.data.evaluate(eta)[0]
-        A, b = solver.factored.gram(*solver.data.working(eta, mu))
-        thresholds = 0.05 * solver.lambda_max(beta) * weights[solver.cols]
+        A = np.empty((design.n_columns,) * 2)
+        b = design.gram(*solver.data.working(eta, mu), A)
+        pen = solver.pen_idx
+        thresholds = np.zeros(design.n_columns)
+        thresholds[pen] = 0.05 * solver.lambda_max(beta) * weights[pen]
         # a poor active set: random penalized coefficients, half of them zero
         rng = np.random.default_rng(seed)
-        x, pen = beta[solver.cols], solver.pen_pos
+        x = beta.copy()
         x[pen] = rng.normal(size=len(pen)) * (rng.random(len(pen)) < 0.5)
         grad = b - A @ x
         solver._solve_working(A, b, x, grad, thresholds, _step_counts())
@@ -401,7 +406,57 @@ class TestChordSteps:
         assert max(moves) <= 0.05 * 1e-6
         assert solver._largest_move(A, x, grad, thresholds) == pytest.approx(max(moves),
                                                                               abs=1e-12)
-        assert np.abs(grad[solver.unpen_pos]).max() < 1e-9
+        assert np.abs(grad[solver.unpen_idx]).max() < 1e-9
+
+
+class TestOneColumnSpace:
+    """Every fit of a design works in the design's indices, on X'WX built
+    from index structures that the design makes once."""
+
+    def test_gram_index_is_built_once_per_design(self, monkeypatch):
+        built = []
+        build = DesignMatrix._gram_index.func
+
+        def counting(design):
+            built.append(design)
+            return build(design)
+
+        prop = cached_property(counting)
+        prop.__set_name__(DesignMatrix, "_gram_index")
+        monkeypatch.setattr(DesignMatrix, "_gram_index", prop)
+        _, table, partition, _ = bernoulli_instance(44, n=20, p=3, node_scale=0.5)
+        design = bl.encode(table, partition, bl.ModelSpec.degree_corrected())
+        assert not design.inestimable.any()
+        mle = bl.fit_mle(design, table.response)
+        weights = bl.adaptive_weights(mle, design.penalized_mask)
+        bl.restricted_fit(design, table.response)
+        path = bl.lambda_path(design, table.response, weights=weights, grid_size=10)
+        off_grid = float(np.sqrt(path.lambdas[3] * path.lambdas[4]))
+        assert bl.select(path, "fixed_lambda", fixed_lambda=off_grid).converged
+        assert len(built) == 1 and built[0] is design
+
+    def test_fixed_columns_stay_at_zero_along_the_path(self):
+        # an all-zero covariate (inestimable) and an infinitely weighted interaction
+        _, table, partition, _ = poisson_instance(36, n=14, p=3, n_covariates=2)
+        names = table.covariate_names
+        values = np.column_stack([np.zeros(table.dyad_count), table.column(names[1])])
+        table = bl.DyadTable(table.node_ids, table.response, values, names)
+        design = bl.encode(table, partition, bl.ModelSpec.covariate_adjusted(names))
+        zero = design.column_names.index(names[0])
+        frozen = design.group_indices(GROUP_INTERACTION)[1]
+        assert list(np.flatnonzero(design.inestimable)) == [zero]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no inf * 0, at lambda = 0 either
+            mle = bl.fit_mle(design, table.response)
+            weights = bl.adaptive_weights(mle, design.penalized_mask)
+            weights[frozen] = np.inf
+            path = bl.lambda_path(design, table.response, weights=weights, grid_size=20)
+            exact = bl.fit_penalized(design, table.response, weights=weights, lam=0.0)
+        assert mle.coefficients[zero] == 0.0 and np.isinf(weights[zero])
+        for lam, fit in [*zip(path.lambdas, path.fits), (0.0, exact)]:
+            assert fit.converged
+            assert fit.coefficients[zero] == 0.0 and fit.coefficients[frozen] == 0.0
+            assert kkt_violation(design, table.response, "poisson_log", weights, lam, fit) <= 1e-6
 
 
 class TestStopCauses:
