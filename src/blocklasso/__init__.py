@@ -15,10 +15,9 @@ from .covariates import (
     ScalingRecord,
     build_dyad_table,
     standardize,
-    unstandardize_coefficients,
 )
 from .design import DesignMatrix, ModelSpec, encode, reconstruct_interactions
-from .glm import ConvergenceError, FitResult, fit_mle, log_likelihood, read_fit_json
+from .glm import ConvergenceError, FitResult, fit_mle, read_fit_json
 from .graphs import (
     AttributeTable,
     AttributeTableError,
@@ -29,7 +28,6 @@ from .graphs import (
     ValidationReport,
     load_attributes,
     load_edge_list,
-    load_node_list,
     partition_from_attributes,
     validate,
 )
@@ -38,9 +36,7 @@ from .penalty import (
     PenaltySpec,
     adaptive_weights,
     fit_penalized,
-    lambda_max,
     lambda_path,
-    restricted_fit,
     select,
 )
 from .reduced import (
@@ -87,23 +83,18 @@ __all__ = [
     "export_reduced_graph",
     "fit_mle",
     "fit_penalized",
-    "lambda_max",
     "lambda_path",
     "load_attributes",
     "load_edge_list",
-    "load_node_list",
-    "log_likelihood",
     "partition_from_attributes",
     "read_fit_json",
     "reconstruct_interactions",
     "reduce_positive",
     "reduce_threshold",
-    "restricted_fit",
     "sample_graph",
     "select",
     "sparse_interactions",
     "standardize",
-    "unstandardize_coefficients",
     "validate",
     "write_dataset",
 ]

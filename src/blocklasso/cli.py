@@ -339,8 +339,7 @@ def cmd_fit(args) -> int:
         path = lambda_path(design, table.response, weights=weights,
                            grid_size=penalty.grid_size, grid_ratio=penalty.grid_ratio)
         path.write_csv(out_dir / "path_summary.csv")
-        rule = "bic" if penalty.fixed_lambda is None else "fixed_lambda"
-        selected = select(path, rule, fixed_lambda=penalty.fixed_lambda)
+        selected = select(path, fixed_lambda=penalty.fixed_lambda)
         selected.write_json(out_dir / "selected_fit.json")
         selected.write_coefficients_csv(out_dir / "selected_coefficients.csv")
         rg_sel = reduce_positive(selected.block_interactions, partition.block_labels)

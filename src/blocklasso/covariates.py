@@ -27,7 +27,6 @@ __all__ = [
     "ScalingRecord",
     "build_dyad_table",
     "standardize",
-    "unstandardize_coefficients",
 ]
 
 
@@ -174,6 +173,9 @@ def _numeric_values(graph: Graph, attrs: AttributeTable | None, attribute: str) 
             raise CovariateError(
                 f"attribute {attribute!r} of node {node!r} is not numeric: {value!r}"
             ) from None
+        if not np.isfinite(out[k]):
+            raise CovariateError(
+                f"attribute {attribute!r} of node {node!r} is not finite: {value!r}")
     return out
 
 
@@ -197,6 +199,8 @@ def _edge_table_column(graph: Graph, spec: CovariateSpec) -> np.ndarray:
             column[k] = float(value)
         except ValueError:
             raise CovariateError(f"{spec.path}: line {lineno}: non-numeric value {value!r}") from None
+        if not np.isfinite(column[k]):
+            raise CovariateError(f"{spec.path}: line {lineno}: non-finite value {value!r}")
     if fault is not None:
         raise fault
     return column
@@ -260,7 +264,10 @@ def build_dyad_table(graph: Graph, attributes: AttributeTable | None = None,
 
 @dataclass
 class ScalingRecord:
-    """Centering/scaling applied by :func:`standardize`, for exact undo."""
+    """Centering/scaling applied by :func:`standardize`: the mean and sample
+    sd of each rescaled column. A coefficient ``c`` fitted on the column
+    ``(x - mean) / sd`` is ``c / sd`` on ``x``, and the intercept absorbs
+    ``-c * mean / sd`` for each such column."""
 
     means: dict[str, float] = field(default_factory=dict)
     sds: dict[str, float] = field(default_factory=dict)
@@ -269,10 +276,9 @@ class ScalingRecord:
 def standardize(table: DyadTable, columns) -> tuple[DyadTable, ScalingRecord]:
     """Center and rescale the named covariate columns to unit sample sd.
 
-    Returns the new table and a :class:`ScalingRecord` that
-    :func:`unstandardize_coefficients` uses to map fitted coefficients
-    back to the original units. Columns with zero spread are rejected
-    (their coefficient would be inestimable).
+    Returns the new table and a :class:`ScalingRecord`, which maps fitted
+    coefficients back to the original units. Columns with zero spread
+    are rejected (their coefficient would be inestimable).
     """
     record = ScalingRecord()
     new = table.covariates.copy()
@@ -297,23 +303,3 @@ def standardize(table: DyadTable, columns) -> tuple[DyadTable, ScalingRecord]:
     )
     return rescaled, record
 
-
-def unstandardize_coefficients(column_names, coefficients, record: ScalingRecord,
-                               intercept_name: str = "intercept") -> np.ndarray:
-    """Map coefficients of a standardized fit back to original units.
-
-    A coefficient on (x - m)/s becomes coef/s on x, and the intercept
-    absorbs -sum(coef * m / s).
-    """
-    names = list(column_names)
-    out = np.array(coefficients, dtype=np.float64)
-    shift = 0.0
-    for name, sd in record.sds.items():
-        if name not in names:
-            continue
-        k = names.index(name)
-        shift += out[k] * record.means[name] / sd
-        out[k] = out[k] / sd
-    if intercept_name in names and record.sds:
-        out[names.index(intercept_name)] -= shift
-    return out

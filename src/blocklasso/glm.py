@@ -52,7 +52,9 @@ and ``DesignMatrix.xt``): no fit forms the design matrix. Outputs stay
 per dyad: the log-likelihood, the deviance and the fitted values are
 those of the dyads, with the response-only terms (sum of log y!, the
 saturated Poisson likelihood) computed once per fit over the distinct
-counts.
+counts. A fit reports the log-likelihood at its own coefficients; at
+any other coefficients it is the kernel of ``_CellData.evaluate`` at
+``design.predictor(beta)`` minus ``_CellData.log_y_factorial``.
 
 Quasi-separation is a realistic input for the Bernoulli family with node
 effects (a node adjacent to everything, or to nothing, drives its effect
@@ -80,7 +82,6 @@ __all__ = [
     "ConvergenceError",
     "FitResult",
     "fit_mle",
-    "log_likelihood",
     "read_fit_json",
 ]
 
@@ -179,30 +180,12 @@ class _CellData:
         return self.design.xt(self.y - self.n * mu)
 
 
-def log_likelihood(coefficients, design: DesignMatrix, response) -> float:
-    """Exact log-likelihood of a coefficient vector.
-
-    Bernoulli: sum of ``y*eta - log(1 + exp(eta))``; Poisson: sum of
-    ``y*eta - exp(eta) - log(y!)``, with ``eta`` the linear predictor.
-    """
-    coefficients = np.asarray(coefficients, dtype=np.float64)
-    if coefficients.shape != (design.n_columns,):
-        raise ValueError(f"expected {design.n_columns} coefficients")
-    data = _CellData(design, response)
-    return data.evaluate(design.predictor(coefficients))[1] - data.log_y_factorial
-
-
-def _fallback_counts() -> dict[str, int]:
-    """Zeroed counters of the numerical fallbacks a fit can take; they
-    are reported in ``FitResult.diagnostics``."""
-    return {"jitter_escalations": 0, "lstsq_fallbacks": 0, "step_halvings": 0}
-
-
 def _step_counts() -> dict[str, int]:
     """Zeroed counters of the work of a fit, Gram builds and Cholesky
-    factorizations (a jittered solve counts once), next to its fallback
-    counters; all are reported in ``FitResult.diagnostics``."""
-    return {"gram_builds": 0, "factorizations": 0, **_fallback_counts()}
+    factorizations (a jittered solve counts once), and of the numerical
+    fallbacks it took; all are reported in ``FitResult.diagnostics``."""
+    return {"gram_builds": 0, "factorizations": 0, "jitter_escalations": 0,
+            "lstsq_fallbacks": 0, "step_halvings": 0}
 
 
 def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray,

@@ -41,7 +41,6 @@ __all__ = [
     "AttributeTableError",
     "PartitionError",
     "load_edge_list",
-    "load_node_list",
     "load_attributes",
     "partition_from_attributes",
     "validate",
@@ -280,7 +279,8 @@ def load_edge_list(path, mode: str = "binary", *, extra_nodes=(), node_file=None
     extra_nodes : iterable of str
         Additional node ids to include (possibly isolated).
     node_file : str or Path, optional
-        Companion file with one node id per line, merged into the node set.
+        Companion file with one node id per line, merged into the node set;
+        blank lines are ignored.
     has_header : bool
         Skip the first line.
 
@@ -295,7 +295,7 @@ def load_edge_list(path, mode: str = "binary", *, extra_nodes=(), node_file=None
     weighted = mode == "weighted"
     nodes: set[str] = set(str(v) for v in extra_nodes)
     if node_file is not None:
-        nodes.update(load_node_list(node_file))
+        nodes.update(line.strip() for line in _read_lines(node_file) if line.strip())
     linenos, columns, fault = _read_columns(path, EdgeListError, 3 if weighted else 2,
                                             has_header)
     a, b = columns[0], columns[1]
@@ -337,11 +337,6 @@ def load_edge_list(path, mode: str = "binary", *, extra_nodes=(), node_file=None
     if fault is not None:
         raise fault
     return Graph(node_ids=node_ids, weights=weights)
-
-
-def load_node_list(path) -> tuple[str, ...]:
-    """Read one node id per line; blank lines are ignored."""
-    return tuple(line.strip() for line in _read_lines(path) if line.strip())
 
 
 def load_attributes(path) -> AttributeTable:

@@ -1,5 +1,13 @@
 """Adaptive-lasso penalized estimation over a regularization path.
 
+Three public functions: :func:`lambda_path` fits a decreasing penalty
+grid, whose first point is the restricted fit (every penalized column
+at zero) at the top penalty ``lambda_max``, so that
+``lambda_path(..., grid_size=1)`` returns those two alone;
+:func:`select` picks the BIC minimizer of a path, or the fit at a given
+penalty; :func:`fit_penalized` fits one penalty level from the
+restricted fit.
+
 The penalized objective is ``-loglik(beta) + lam * sum_j w_j |beta_j|``
 over the penalized columns (block interactions, plus covariates when the
 model spec asks for it); the intercept and node/block effects are never
@@ -100,11 +108,8 @@ __all__ = [
     "PathResult",
     "adaptive_weights",
     "fit_penalized",
-    "lambda_max",
     "lambda_path",
-    "restricted_fit",
     "select",
-    "soft_threshold",
 ]
 
 ZERO_REFERENCE = 1e-10
@@ -143,14 +148,6 @@ class PenaltySpec:
             _check_lambda(self.fixed_lambda)
 
 
-def soft_threshold(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
-
-
 def adaptive_weights(reference: FitResult, mask, gamma_w: float = 1.0) -> np.ndarray:
     """Per-column penalty weights from a converged reference fit.
 
@@ -186,9 +183,11 @@ def adaptive_weights(reference: FitResult, mask, gamma_w: float = 1.0) -> np.nda
 class _PenalizedSolver:
     """Shared machinery for one (design, response, weights) problem."""
 
-    def __init__(self, design: DesignMatrix, response, weights):
+    def __init__(self, design: DesignMatrix, response, weights=None):
         self.design = design
         self.data = _CellData(design, response)
+        if weights is None:
+            weights = np.where(design.penalized_mask, 1.0, 0.0)
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (design.n_columns,):
             raise ValueError(f"weights must have length {design.n_columns}")
@@ -252,8 +251,9 @@ class _PenalizedSolver:
         keeping the gradient ``grad = b - Ax`` current with one row of A
         per move (both in place)."""
         for k in columns:
-            old, diag = x[k], A[k, k]
-            target = soft_threshold(grad[k] + diag * old, thresholds[k]) / diag
+            old, diag, t = x[k], A[k, k], thresholds[k]
+            u = grad[k] + diag * old
+            target = (u - t if u > t else u + t if u < -t else 0.0) / diag
             if target != old:
                 grad -= A[k] * (target - old)
                 x[k] = target
@@ -393,46 +393,24 @@ class _PenalizedSolver:
         return assemble_fit(self.data, solve, diagnostics, fitted_values)
 
 
-def _solver(design: DesignMatrix, response, weights) -> _PenalizedSolver:
-    if weights is None:
-        weights = np.where(design.penalized_mask, 1.0, 0.0)
-    return _PenalizedSolver(design, response, weights)
-
-
-def restricted_fit(design: DesignMatrix, response) -> np.ndarray:
-    """Coefficients of the fit with every penalized column held at zero,
-    where each path starts; its unpenalized score is within ``KKT_TOL``
-    of zero when it converges."""
-    return _solver(design, response, None).restricted_fit().beta
-
-
-def lambda_max(design: DesignMatrix, response, weights, restricted) -> float:
-    """Smallest penalty at which every finitely weighted penalized
-    coefficient is zero, from the score at the coefficients
-    ``restricted`` of :func:`restricted_fit`."""
-    return _solver(design, response, weights).lambda_max(restricted)
-
-
-def fit_penalized(design: DesignMatrix, response, weights=None, lam: float = 0.0, *,
-                  beta_start: np.ndarray | None = None) -> FitResult:
+def fit_penalized(design: DesignMatrix, response, weights=None, lam: float = 0.0) -> FitResult:
     """Penalized fit at a single penalty level.
 
-    ``weights`` is the full-length vector from :func:`adaptive_weights`;
-    ``lam`` must be finite and nonnegative. At ``lam=0`` the solution
-    matches the maximum-likelihood fit; reported zeros among penalized
-    coefficients are exact. Without ``beta_start`` the solve starts from
-    the restricted fit, which is returned as it is at
-    ``lam >= lambda_max`` (as at the top of :func:`lambda_path`). The KKT
-    violation reached is recorded in ``diagnostics["kkt_max"]``.
+    ``weights`` is the full-length vector from :func:`adaptive_weights`
+    (unit weights on the penalized columns when None); ``lam`` must be
+    finite and nonnegative. At ``lam=0`` the solution matches the
+    maximum-likelihood fit; reported zeros among penalized coefficients
+    are exact. The solve starts from the restricted fit, which is
+    returned as it is when ``lam`` is at or above the top penalty of
+    :func:`lambda_path`, as at the top of the path. The KKT violation
+    reached is recorded in ``diagnostics["kkt_max"]``.
     """
     _check_lambda(lam)
-    solver = _solver(design, response, weights)
-    if beta_start is None:
-        restricted = solver.restricted_fit()
-        if lam >= solver.lambda_max(restricted.beta):
-            return solver.assemble(restricted, lam, fitted_values=True)
-        beta_start = restricted.beta
-    return solver.solve(lam, beta_start, fitted_values=True)
+    solver = _PenalizedSolver(design, response, weights)
+    restricted = solver.restricted_fit()
+    if lam >= solver.lambda_max(restricted.beta):
+        return solver.assemble(restricted, lam, fitted_values=True)
+    return solver.solve(lam, restricted.beta, fitted_values=True)
 
 
 @dataclass
@@ -505,7 +483,7 @@ def lambda_path(design: DesignMatrix, response, weights=None, grid_size: int = 1
         raise ValueError("grid_size must be at least 1")
     if not 0.0 < grid_ratio < 1.0:
         raise ValueError("grid_ratio must be in (0, 1)")
-    solver = _solver(design, response, weights)
+    solver = _PenalizedSolver(design, response, weights)
     m = design.n_rows
 
     restricted = solver.restricted_fit()
@@ -540,18 +518,19 @@ def lambda_path(design: DesignMatrix, response, weights=None, grid_size: int = 1
     return PathResult(lambdas=lambdas, fits=fits, dfs=dfs, bics=bics, _solver=solver)
 
 
-def select(path: PathResult, rule: str = "bic", fixed_lambda: float | None = None) -> FitResult:
+def select(path: PathResult, fixed_lambda: float | None = None) -> FitResult:
     """Pick a fit from the path.
 
-    ``bic`` returns the BIC minimizer among the converged fits, breaking
-    ties toward the larger (sparser) penalty; it warns when it skips
-    unconverged fits and raises :class:`ConvergenceError` when none has
-    converged. ``fixed_lambda`` returns the matching grid point,
-    refitting at exactly the requested penalty when it is off-grid.
+    Without ``fixed_lambda`` it returns the BIC minimizer among the
+    converged fits, breaking ties toward the larger (sparser) penalty; it
+    warns when it skips unconverged fits and raises
+    :class:`ConvergenceError` when none has converged. With
+    ``fixed_lambda`` it returns the grid point at that penalty, refitting
+    at exactly that penalty when it is off the grid.
     """
     if len(path) == 0:
         raise ValueError("empty path")
-    if rule == "bic":
+    if fixed_lambda is None:
         candidates = [k for k, fit in enumerate(path.fits) if fit.converged]
         if not candidates:
             raise ConvergenceError("no point of the path has converged; "
@@ -566,10 +545,6 @@ def select(path: PathResult, rule: str = "bic", fixed_lambda: float | None = Non
                 best = k
         path.selected_index = best
         return path.fits[best]
-    if rule != "fixed_lambda":
-        raise ValueError(f"unknown selection rule {rule!r}")
-    if fixed_lambda is None:
-        raise ValueError("fixed_lambda selection needs a lambda value")
     lam = float(fixed_lambda)
     matches = np.flatnonzero(np.isclose(path.lambdas, lam, rtol=1e-12, atol=0.0))
     if len(matches):
@@ -578,6 +553,5 @@ def select(path: PathResult, rule: str = "bic", fixed_lambda: float | None = Non
     if path._solver is None:
         raise ValueError("path cannot refit off-grid penalties")
     nearest = int(np.argmin(np.abs(path.lambdas - lam)))
-    solver = path._solver
     path.selected_index = None
-    return solver.solve(lam, path.fits[nearest].coefficients)
+    return path._solver.solve(lam, path.fits[nearest].coefficients)

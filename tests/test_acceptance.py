@@ -136,8 +136,9 @@ def test_criterion_04_penalized_correctness():
             zero = bl.fit_penalized(design, table.response, weights=weights, lam=0.0)
             assert np.abs(zero.coefficients - mle.coefficients).max() <= 1e-6
 
-            beta_r = bl.restricted_fit(design, table.response)
-            lam_max = bl.lambda_max(design, table.response, weights, beta_r)
+            top = bl.lambda_path(design, table.response, weights=weights, grid_size=1)
+            lam_max = float(top.lambdas[0])
+            assert np.count_nonzero(top.fits[0].coefficients[design.penalized_mask]) == 0
             above = bl.fit_penalized(design, table.response, weights=weights,
                                      lam=1.01 * lam_max)
             assert np.count_nonzero(above.coefficients[design.penalized_mask]) == 0
@@ -166,7 +167,7 @@ def test_criterion_05_support_recovery():
         assert mle.converged
         weights = bl.adaptive_weights(mle, design.penalized_mask)
         path = bl.lambda_path(design, table.response, weights=weights)
-        selected = bl.select(path, "bic")
+        selected = bl.select(path)
         iu, ju = np.triu_indices(4, k=1)
         true_support = truth[iu, ju] != 0
         found = selected.coefficients[design.group_indices("interaction")] != 0
@@ -225,7 +226,7 @@ def test_criterion_07_school_reproduction():
 
     weights = bl.adaptive_weights(mle, design.penalized_mask)
     path = bl.lambda_path(design, table.response, weights=weights)
-    selected = bl.select(path, "bic")
+    selected = bl.select(path)
     lasso = bl.reduce_positive(selected.block_interactions, partition.block_labels).sign_summary
     for observed, target in zip(lasso.as_tuple(), (52, 88, 91)):
         assert abs(observed - target) <= 0.1 * target
@@ -275,7 +276,7 @@ def test_criterion_08_parliament_reproduction():
 
     weights = bl.adaptive_weights(mle, design.penalized_mask)
     path = bl.lambda_path(design, table.response, weights=weights)
-    selected = bl.select(path, "bic")
+    selected = bl.select(path)
     assert selected.coefficient("absdiff:age") == 0.0
     signs = bl.reduce_positive(selected.block_interactions, partition.block_labels).sign_summary
     assert signs.total == 55

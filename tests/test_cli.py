@@ -293,6 +293,39 @@ class TestConstantCovariate:
         assert mle["diagnostics"]["fixed_zero"] == ["absdiff:age"]
 
 
+class TestNonFiniteCovariate:
+    """A non-finite covariate value exits 3 naming the line, or the node
+    and the attribute, that holds it, as every other bad value does."""
+
+    def fit(self, tmp_path, covariate, value="0.5", age="40"):
+        (tmp_path / "edges.csv").write_text("a,b,1\na,c,2\nb,d,1\nc,d,3\n")
+        (tmp_path / "attributes.csv").write_text(
+            f"node_id,block,age\na,X,30\nb,X,{age}\nc,Y,50\nd,Y,60\n")
+        (tmp_path / "values.csv").write_text(f"a,b,1.5\nb,c,{value}\n")
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"mode": "weighted", "model": "covariate_adjusted", "covariates": [covariate]}))
+        return run("fit", "--edges", tmp_path / "edges.csv", "--attributes",
+                   tmp_path / "attributes.csv", "--partition-key", "block", "--config",
+                   tmp_path / "config.json", "--grid-size", 5, "--out", tmp_path / "out")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_edge_table_value_names_the_line(self, tmp_path, capsys, value):
+        path = tmp_path / "values.csv"
+        covariate = {"kind": "edge_table", "path": str(path)}
+        assert self.fit(tmp_path, covariate, value=value) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: line 2: non-finite value '{value}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("age", ["nan", "inf"])
+    def test_attribute_value_names_the_node(self, tmp_path, capsys, age):
+        covariate = {"kind": "abs_difference", "attribute": "age"}
+        assert self.fit(tmp_path, covariate, age=age) == 3
+        err = capsys.readouterr().err
+        assert f"attribute 'age' of node 'b' is not finite: '{age}'" in err
+        assert "Traceback" not in err
+
+
 class TestNoFiniteMle:
     """Graphs whose response is all zero, or all one under the Bernoulli
     family, are refused by name before the dyad table is built."""

@@ -110,8 +110,10 @@ class TestLoadEdgeList:
         assert graph.node_ids == ("v00", "v01", "v02")
 
     def test_node_list_byte_order_mark_ignored(self, tmp_path):
-        path = write(tmp_path / "n.txt", "\ufeffa\nb\n")
-        assert bl.load_node_list(path) == ("a", "b")
+        nodes = write(tmp_path / "n.txt", "\ufeffa\n\nc\n")
+        edges = write(tmp_path / "e.csv", "b,c\n")
+        graph = bl.load_edge_list(edges, node_file=nodes)
+        assert graph.node_ids == ("a", "b", "c")
 
     @settings(max_examples=25, deadline=None)
     @given(rows=st.permutations(["a,b", "b,c", "c,d", "a,d", "b,d"]), weighted=st.booleans())

@@ -10,9 +10,22 @@ import blocklasso as bl
 from blocklasso import penalty
 from blocklasso.design import GROUP_INTERACTION, DesignMatrix
 from blocklasso.glm import ConvergenceError, _step_counts
-from blocklasso.penalty import _PenalizedSolver, soft_threshold
+from blocklasso.penalty import _PenalizedSolver
 
 from helpers import bernoulli_instance, poisson_instance
+from oracles import naive_log_likelihood
+
+
+def path_top(design, response, weights):
+    """The top penalty of the path and the coefficients of the restricted
+    fit there: the one point of a one-point path."""
+    path = bl.lambda_path(design, response, weights=weights, grid_size=1)
+    return float(path.lambdas[0]), path.fits[0].coefficients
+
+
+def soft_threshold(x, t):
+    """The scalar soft threshold, a reference for the solver's moves."""
+    return x - t if x > t else x + t if x < -t else 0.0
 
 
 def kkt_violation(design, response, family, weights, lam, fit):
@@ -91,11 +104,19 @@ class TestAdaptiveWeights:
 
 
 class TestSoftThreshold:
+    """The soft threshold of a coordinate move: one cyclic pass over a
+    one-column working problem with diagonal 2, from zero."""
+
     @pytest.mark.parametrize("x,t,expected", [(3.0, 1.0, 2.0), (-3.0, 1.0, -2.0),
                                               (0.5, 1.0, 0.0), (-0.5, 1.0, 0.0),
                                               (1.0, 1.0, 0.0)])
     def test_values(self, x, t, expected):
-        assert soft_threshold(x, t) == expected
+        _, table, _, design = bernoulli_instance(37, n=8, p=2)
+        solver = _PenalizedSolver(design, table.response)
+        coef, grad = np.zeros(1), np.array([x])
+        solver._coordinate_pass(np.array([[2.0]]), coef, grad, np.array([t]), [0])
+        assert coef[0] == expected / 2.0
+        assert grad[0] == x - expected
 
 
 class TestFitPenalized:
@@ -113,8 +134,7 @@ class TestFitPenalized:
         _, table, _, design = bernoulli_instance(32, n=14, p=3)
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        beta_r = bl.restricted_fit(design, table.response)
-        lam_max = bl.lambda_max(design, table.response, weights, beta_r)
+        lam_max, beta_r = path_top(design, table.response, weights)
         fit = bl.fit_penalized(design, table.response, weights=weights, lam=1.01 * lam_max)
         pen = design.penalized_mask
         assert np.all(fit.coefficients[pen] == 0.0)
@@ -126,8 +146,7 @@ class TestFitPenalized:
         _, table, _, design = bernoulli_instance(43, n=30, p=3, node_scale=0.5)
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        beta_r = bl.restricted_fit(design, table.response)
-        lam_max = bl.lambda_max(design, table.response, weights, beta_r)
+        lam_max, beta_r = path_top(design, table.response, weights)
         fit = bl.fit_penalized(design, table.response, weights=weights, lam=lam_max)
         assert np.array_equal(fit.coefficients, beta_r)
         assert np.all(fit.coefficients[design.penalized_mask] == 0.0)
@@ -139,8 +158,7 @@ class TestFitPenalized:
             _, table, _, design = bernoulli_instance(seed, n=14, p=3)
             mle = bl.fit_mle(design, table.response)
             weights = bl.adaptive_weights(mle, design.penalized_mask)
-            beta_r = bl.restricted_fit(design, table.response)
-            lam_max = bl.lambda_max(design, table.response, weights, beta_r)
+            lam_max = path_top(design, table.response, weights)[0]
             above = bl.fit_penalized(design, table.response, weights=weights, lam=1.01 * lam_max)
             below = bl.fit_penalized(design, table.response, weights=weights, lam=0.99 * lam_max)
             pen = design.penalized_mask
@@ -151,8 +169,7 @@ class TestFitPenalized:
         _, table, _, design = poisson_instance(36, n=14, p=3, n_covariates=2)
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        beta_r = bl.restricted_fit(design, table.response)
-        lam = 0.3 * bl.lambda_max(design, table.response, weights, beta_r)
+        lam = 0.3 * path_top(design, table.response, weights)[0]
         fit = bl.fit_penalized(design, table.response, weights=weights, lam=lam)
         assert fit.converged
         gap = kkt_violation(design, table.response, design.spec.family, weights, lam, fit)
@@ -167,8 +184,7 @@ class TestFitPenalized:
         _, table, _, design = poisson_instance(36, n=14, p=3, n_covariates=2)
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        beta_r = bl.restricted_fit(design, table.response)
-        lam = 0.3 * bl.lambda_max(design, table.response, weights, beta_r)
+        lam = 0.3 * path_top(design, table.response, weights)[0]
         fit = bl.fit_penalized(design, table.response, weights=weights, lam=lam)
         solver = _PenalizedSolver(design, table.response, weights)
         for other in (fit, mle):
@@ -183,10 +199,10 @@ class TestFitPenalized:
         weights = np.where(design.penalized_mask, 1.0, 0.0)
         j = design.group_indices("interaction")[1]
         weights[j] = 0.0
-        response, beta_r = table.response, bl.restricted_fit(design, table.response)
+        response = table.response
         for call in (lambda: bl.lambda_path(design, response, weights=weights, grid_size=5),
                      lambda: bl.fit_penalized(design, response, weights=weights, lam=0.1),
-                     lambda: bl.lambda_max(design, response, weights, beta_r)):
+                     lambda: _PenalizedSolver(design, response, weights)):
             with pytest.raises(ValueError, match=re.escape(design.column_names[j])):
                 call()
 
@@ -207,14 +223,15 @@ class TestFitPenalized:
         _, table, _, design = bernoulli_instance(38, n=12, p=3)
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        beta_r = bl.restricted_fit(design, table.response)
-        lam_max = bl.lambda_max(design, table.response, weights, beta_r)
+        lam_max, beta_r = path_top(design, table.response, weights)
+        X = design.matrix.toarray()
 
         finite = design.penalized_mask & np.isfinite(weights)
 
         def objective(coefficients, lam):
             penalty = lam * np.sum(weights[finite] * np.abs(coefficients[finite]))
-            return penalty - bl.log_likelihood(coefficients, design, table.response)
+            return penalty - naive_log_likelihood(X, table.response, coefficients,
+                                                  design.spec.family)
 
         for frac in (0.5, 0.1, 0.01):
             lam = frac * lam_max
@@ -263,7 +280,7 @@ class TestLambdaPath:
         design, table, mle, weights, path = self.build(grid_size=10)
         assert all(fit.fitted_values is None for fit in path.fits)
         off_grid = float(np.sqrt(path.lambdas[3] * path.lambdas[4]))
-        selected = [bl.select(path, "bic"), bl.select(path, "fixed_lambda", fixed_lambda=off_grid)]
+        selected = [bl.select(path), bl.select(path, fixed_lambda=off_grid)]
         assert all(fit.fitted_values is None for fit in selected)
         partition = bernoulli_instance(40, n=14, p=3)[2]
         with pytest.raises(ValueError, match="lambda_path"):
@@ -295,10 +312,10 @@ class TestLambdaPath:
             assert np.array_equal(np.sign(fit.coefficients[pen]), np.sign(single.coefficients[pen]))
             assert np.abs(fit.coefficients - single.coefficients).max() < 1e-6
         # the plain warm start: each point from the previous point's fit
+        solver = _PenalizedSolver(design, response, weights)
         chained, previous = 0, path.fits[0].coefficients
         for lam in path.lambdas[1:]:
-            fit = bl.fit_penalized(design, response, weights=weights, lam=float(lam),
-                                   beta_start=previous)
+            fit = solver.solve(float(lam), previous)
             chained, previous = chained + fit.iterations, fit.coefficients
         assert sum(fit.iterations for fit in path.fits[1:]) <= chained
 
@@ -429,10 +446,10 @@ class TestOneColumnSpace:
         assert not design.inestimable.any()
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        bl.restricted_fit(design, table.response)
+        bl.fit_penalized(design, table.response, weights=weights, lam=0.0)
         path = bl.lambda_path(design, table.response, weights=weights, grid_size=10)
         off_grid = float(np.sqrt(path.lambdas[3] * path.lambdas[4]))
-        assert bl.select(path, "fixed_lambda", fixed_lambda=off_grid).converged
+        assert bl.select(path, fixed_lambda=off_grid).converged
         assert len(built) == 1 and built[0] is design
 
     def test_fixed_columns_stay_at_zero_along_the_path(self):
@@ -460,21 +477,20 @@ class TestOneColumnSpace:
 
 
 class TestStopCauses:
-    """Each way a penalized solve stops short of convergence, forced
-    through the public entry point."""
+    """Each way a penalized solve stops short of convergence."""
 
     def problem(self):
         _, table, _, design = bernoulli_instance(38, n=12, p=3)
         weights = np.where(design.penalized_mask, 1.0, 0.0)
-        beta_r = bl.restricted_fit(design, table.response)
-        lam = 0.3 * bl.lambda_max(design, table.response, weights, beta_r)
+        lam = 0.3 * path_top(design, table.response, weights)[0]
         return design, table.response, weights, lam
 
     def test_max_iterations(self, monkeypatch):
         design, response, weights, lam = self.problem()
         monkeypatch.setattr(penalty, "MAX_OUTER", 2)
-        fit = bl.fit_penalized(design, response, weights=weights, lam=lam,
-                               beta_start=np.zeros(design.n_columns))
+        # from a poor start, through the solver that fit_penalized and
+        # lambda_path run
+        fit = _PenalizedSolver(design, response, weights).solve(lam, np.zeros(design.n_columns))
         assert fit.converged is False
         assert fit.diagnostics["cause"] == "max_iterations"
         assert fit.iterations == 2
@@ -536,7 +552,7 @@ class TestSelect:
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
         path = bl.lambda_path(design, table.response, weights=weights, grid_size=1)
-        fit = bl.select(path, "bic")
+        fit = bl.select(path)
         assert fit is path.fits[0]
         assert path.selected_index == 0
 
@@ -546,7 +562,7 @@ class TestSelect:
         weights = bl.adaptive_weights(mle, design.penalized_mask)
         path = bl.lambda_path(design, table.response, weights=weights, grid_size=5)
         path.bics = np.array([5.0, 3.0, 3.0, 4.0, 6.0])
-        bl.select(path, "bic")
+        bl.select(path)
         assert path.selected_index == 1
 
     def test_bic_skips_unconverged_points(self):
@@ -557,7 +573,7 @@ class TestSelect:
         path.bics = np.array([5.0, 3.0, 2.0, 4.0, 6.0])
         path.fits[2].converged = False
         with pytest.warns(RuntimeWarning, match="skipped 1 unconverged"):
-            fit = bl.select(path, "bic")
+            fit = bl.select(path)
         assert path.selected_index == 1
         assert fit is path.fits[1]
 
@@ -569,14 +585,14 @@ class TestSelect:
         for fit in path.fits:
             fit.converged = False
         with pytest.raises(ConvergenceError, match="no point of the path has converged"):
-            bl.select(path, "bic")
+            bl.select(path)
 
     def test_fixed_lambda_on_grid(self):
         _, table, _, design = bernoulli_instance(44, n=10, p=2)
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
         path = bl.lambda_path(design, table.response, weights=weights, grid_size=8)
-        fit = bl.select(path, "fixed_lambda", fixed_lambda=float(path.lambdas[3]))
+        fit = bl.select(path, fixed_lambda=float(path.lambdas[3]))
         assert path.selected_index == 3
         assert fit is path.fits[3]
 
@@ -586,18 +602,25 @@ class TestSelect:
         weights = bl.adaptive_weights(mle, design.penalized_mask)
         path = bl.lambda_path(design, table.response, weights=weights, grid_size=8)
         lam = float(np.sqrt(path.lambdas[2] * path.lambdas[3]))  # strictly between
-        fit = bl.select(path, "fixed_lambda", fixed_lambda=lam)
+        fit = bl.select(path, fixed_lambda=lam)
         assert fit.diagnostics["lambda"] == pytest.approx(lam)
         gap = kkt_violation(design, table.response, design.spec.family, weights, lam, fit)
         assert gap <= 1e-5
 
-    def test_unknown_rule(self):
-        _, table, _, design = bernoulli_instance(46, n=8, p=2)
+    def test_fixed_lambda_is_not_ignored(self):
+        # a penalty given alone picks the fit at that penalty, not the BIC
+        # minimizer (here at 5.01)
+        _, table, _, design = bernoulli_instance(43, n=20, p=3)
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        path = bl.lambda_path(design, table.response, weights=weights, grid_size=2)
-        with pytest.raises(ValueError, match="selection rule"):
-            bl.select(path, "aic")
+        path = bl.lambda_path(design, table.response, weights=weights, grid_size=10)
+        bic = bl.select(path)
+        fit = bl.select(path, fixed_lambda=0.030)
+        assert fit.diagnostics["lambda"] == 0.030 and path.selected_index is None
+        assert bic.diagnostics["lambda"] > 1.0
+        assert fit.converged and fit.diagnostics["active_set_size"] > 0
+        gap = kkt_violation(design, table.response, design.spec.family, weights, 0.030, fit)
+        assert gap <= 1e-5
 
     @pytest.mark.parametrize("lam", [np.inf, np.nan])
     def test_non_finite_fixed_lambda_rejected(self, lam):
@@ -606,7 +629,7 @@ class TestSelect:
         weights = bl.adaptive_weights(mle, design.penalized_mask)
         path = bl.lambda_path(design, table.response, weights=weights, grid_size=2)
         with pytest.raises(ValueError, match="finite"):
-            bl.select(path, "fixed_lambda", fixed_lambda=lam)
+            bl.select(path, fixed_lambda=lam)
 
 
 class TestPenaltySpec:
