@@ -19,25 +19,29 @@ is +1 at f_rs and f_sr and -1 at f_rr and f_ss (``F``, over f flattened
 row-major). The row of a dyad (i, j) with i in block r and j in block s
 is ``[1, x_ij, N[i] + N[j], G[r] + G[s], F[r·p + s]]``.
 
-A design keeps those factors, never the rows. The fits work on cells
-(:attr:`DesignMatrix.cells`), the dyads grouped by identical row, where
-X·beta (:meth:`DesignMatrix.predictor`) gathers the block pairs' values
-and the node levels of :func:`effect_levels`, X'v (:meth:`DesignMatrix.xt`)
-sums v per block pair and per node, and X'WX (:meth:`DesignMatrix.gram`)
-sums the working weights per node pair, node, block pair and (block
-pair, node) into a buffer that its caller owns, over every column, so
-that a fit and its solvers work in one column space, the design's.
-:attr:`DesignMatrix.matrix` builds the scipy.sparse matrix of the
-design, the reference for tests and output checks; no fit reads it.
+A design keeps those factors once per distinct row, never the rows:
+:func:`encode` groups the dyads by row, numbering the rows by their
+first dyad. With node effects the rows are the dyads; without them a row
+is a block pair and a covariate pattern, and the design also keeps each
+dyad's row and each row's dyad count. :meth:`DesignMatrix.row_sums` and
+:meth:`DesignMatrix.dyad_values` move vectors between dyads and rows.
+Over the rows, X·beta (:meth:`DesignMatrix.predictor`) gathers the block
+pairs' values and the node levels of :func:`effect_levels`, X'v
+(:meth:`DesignMatrix.xt`) sums v per block pair and per node, and X'WX
+(:meth:`DesignMatrix.gram`) sums the working weights per node pair,
+node, block pair and (block pair, node) into a buffer that its caller
+owns, over every column, so that a fit and its solvers work in one
+column space, the design's. :attr:`DesignMatrix.matrix`, one row per
+dyad, is the reference for tests and output checks; no fit reads it.
 
 Sums over a sorted key are taken run by run (:class:`_Runs`): the dyads
 come in the order of their first endpoint and, when the nodes are
 numbered block by block, of their block pair, so each run of equal keys
 is added up with ``np.add.reduceat`` and only the run totals go through
 ``np.bincount``. Whatever a design can compute once is cached on it on
-first use: the cells, the runs of the pair keys, the index structures
-of X'WX, the interaction coding (the tail columns of ``pair_coding``),
-the group of every column and the names of the inestimable columns.
+first use: the runs of the pair keys and of the first endpoints, the
+index structures of X'WX, the interaction coding (the tail columns of
+``pair_coding``) and the names of the inestimable columns.
 """
 
 from __future__ import annotations
@@ -48,12 +52,11 @@ from functools import cached_property
 import numpy as np
 
 from .covariates import DyadTable
-from .graphs import Partition, _pair_key
+from .graphs import Partition, _dyads, _pair_key
 
 __all__ = [
     "ModelSpec",
     "DesignMatrix",
-    "DyadCells",
     "effect_levels",
     "encode",
     "reconstruct_interactions",
@@ -114,14 +117,17 @@ class ModelSpec:
 
 @dataclass
 class DesignMatrix:
-    """A dyad-by-coefficient design, held as the factors of its rows.
+    """A dyad-by-coefficient design, held as the factors of its distinct rows.
 
     Column order is: intercept, covariates, node effects (n-1), block
     main effects (p-1), block interactions (one per unordered pair,
     lexicographic). ``penalized_mask`` marks the interaction columns and,
-    when requested, the covariates. Dyad t's row is ``covariate_values[t]``,
-    the node codings of ``dyad_nodes[t]`` and, over :attr:`pair_columns`,
-    the row ``pair_coding[dyad_pairs[t]]`` of its block-pair key (``graphs._pair_key``).
+    when requested, the covariates. Row t is ``covariate_values[t]``, the
+    node codings of its endpoints ``row_nodes[0][t]`` and ``row_nodes[1][t]``
+    (node effects only) and, over :attr:`pair_columns`, the row
+    ``pair_coding[row_pairs[t]]`` of its block-pair key (``graphs._pair_key``).
+    Dyad d's row is ``dyad_rows[d]`` and row t holds ``row_counts[t]``
+    dyads; with node effects both are None, the rows being the dyads.
     """
 
     column_names: tuple[str, ...]
@@ -130,14 +136,16 @@ class DesignMatrix:
     spec: ModelSpec
     node_ids: tuple[str, ...]
     block_labels: tuple[str, ...]
-    dyad_pairs: np.ndarray = field(repr=False)        # (m,) block-pair key
-    dyad_nodes: np.ndarray = field(repr=False)        # (m, 2) node index of each endpoint
-    covariate_values: np.ndarray = field(repr=False)  # (m, k)
     pair_coding: np.ndarray = field(repr=False)       # (p², len(pair_columns))
+    row_pairs: np.ndarray = field(repr=False)         # (r,) block-pair key
+    covariate_values: np.ndarray = field(repr=False)  # (r, k)
+    row_nodes: tuple | None = field(default=None, repr=False)        # (i, j), each (r,)
+    dyad_rows: np.ndarray | None = field(default=None, repr=False)   # (m,) row of each dyad
+    row_counts: np.ndarray | None = field(default=None, repr=False)  # (r,) dyads per row
 
     @property
-    def n_rows(self) -> int:
-        return len(self.dyad_nodes)
+    def n_dyads(self) -> int:
+        return len(self.row_pairs if self.dyad_rows is None else self.dyad_rows)
 
     @property
     def n_columns(self) -> int:
@@ -162,12 +170,8 @@ class DesignMatrix:
         """
         return self.n_columns
 
-    @cached_property
-    def _group_array(self) -> np.ndarray:
-        return np.array(self.groups)
-
     def group_indices(self, group: str) -> np.ndarray:
-        return np.flatnonzero(self._group_array == group)
+        return np.flatnonzero(np.array(self.groups) == group)
 
     @cached_property
     def _interactions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +198,7 @@ class DesignMatrix:
     def inestimable(self) -> np.ndarray:
         """The columns with no nonzero entry, those where X'X has a zero
         diagonal; fitters hold their coefficients at zero."""
-        counts = self.cells.counts.astype(np.float64)
+        counts = self.row_sums(np.ones(self.n_dyads))
         A = np.empty((self.n_columns,) * 2)
         self.gram(counts, counts, A)
         return np.diag(A) == 0.0
@@ -207,88 +211,69 @@ class DesignMatrix:
     @cached_property
     def matrix(self):
         """This design as a canonical ``scipy.sparse.csr_array`` (sorted
-        indices, no stored zeros), built on first access, the one use of
-        scipy.sparse. No fit reads it: tests and output checks compare
-        against it."""
+        indices, no stored zeros), one row per dyad in the dyad order,
+        built on first access, the one use of scipy.sparse. No fit reads
+        it: tests and output checks compare against it."""
         import scipy.sparse as sp
 
-        pairs = sp.csr_array(self.pair_coding)[self.dyad_pairs]
+        pairs = sp.csr_array(self.pair_coding)[self.row_pairs]
         parts = [pairs[:, :1], sp.csr_array(self.covariate_values)]
         if self.spec.node_effects:
             N = sp.csr_array(_sum_to_zero(self.n_nodes))
-            parts.append(N[self.dyad_nodes[:, 0]] + N[self.dyad_nodes[:, 1]])
+            parts.append(N[self.row_nodes[0]] + N[self.row_nodes[1]])
         matrix = sp.hstack([*parts, pairs[:, 1:]], format="csr")
         # +1 and the fold's -1 cancel in column i of N[i] + N[j] when j is the
         # last node: no explicit zero may stay
         matrix.eliminate_zeros()
-        return matrix
+        return matrix if self.dyad_rows is None else matrix[self.dyad_rows]
+
+    def row_sums(self, v: np.ndarray) -> np.ndarray:
+        """A per-dyad vector summed per row; ``v`` itself when the rows
+        are the dyads."""
+        return v if self.dyad_rows is None else np.bincount(self.dyad_rows, v, len(self.row_pairs))
+
+    def dyad_values(self, v: np.ndarray) -> np.ndarray:
+        """A per-row vector expanded to the dyads, in the dyad order;
+        ``v`` itself when the rows are the dyads."""
+        return v if self.dyad_rows is None else v[self.dyad_rows]
 
     @cached_property
-    def cells(self) -> "DyadCells":
-        """The dyads grouped by identical design row (see :class:`DyadCells`):
-        with node effects every dyad is its own cell, without them the key
-        is the unordered block pair and the covariate values."""
-        # each covariate's values are numbered and folded into one integer
-        # key, renumbered after each fold so that it stays below m**2
-        key = np.arange(self.n_rows) if self.spec.node_effects else self.dyad_pairs
-        for column in self.covariate_values.T:
-            levels, code = np.unique(column, return_inverse=True)
-            key = np.unique(key * len(levels) + code, return_inverse=True)[1]
-        _, first, inverse, counts = np.unique(key, return_index=True,
-                                              return_inverse=True, return_counts=True)
-        # cells numbered by their first dyad
-        order = np.argsort(first)
-        return DyadCells(np.argsort(order)[inverse], counts[order], first[order])
-
-    @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per cell its row of ``pair_coding`` and its covariate values."""
-        return self.dyad_pairs[self.cells.first], self.covariate_values[self.cells.first]
-
-    @cached_property
-    def _pair_runs(self) -> "_Runs":
-        """Sums over the cells per row of ``pair_coding``."""
-        return _Runs(self._factors[0], len(self.pair_coding))
-
-    @cached_property
-    def _node_runs(self) -> tuple["_Runs", np.ndarray]:
-        """Sums over the dyads per first endpoint, which come sorted, and
-        the second endpoints as one contiguous array."""
-        first, second = self.dyad_nodes.T
-        return _Runs(first, self.n_nodes), np.ascontiguousarray(second)
+    def _runs(self) -> tuple["_Runs", "_Runs | None"]:
+        """Sums over the rows per row of ``pair_coding`` and, with node
+        effects, per first endpoint, which come sorted."""
+        nodes = _Runs(self.row_nodes[0], self.n_nodes) if self.spec.node_effects else None
+        return _Runs(self.row_pairs, len(self.pair_coding)), nodes
 
     def predictor(self, coefficients: np.ndarray) -> np.ndarray:
-        """X·beta over the cells (:attr:`cells`): the block pairs' values,
-        plus x·b, plus the node levels of both endpoints."""
-        pair, covariates = self._factors
-        k = covariates.shape[1]
-        eta = (self.pair_coding @ coefficients[self.pair_columns])[pair]
+        """X·beta over the rows: the block pairs' values, plus x·b, plus
+        the node levels of both endpoints."""
+        k = self.covariate_values.shape[1]
+        eta = (self.pair_coding @ coefficients[self.pair_columns])[self.row_pairs]
         if k:  # an empty product costs as much as a small one
-            eta += covariates @ coefficients[1:1 + k]
-        if self.spec.node_effects:  # one cell per dyad
+            eta += self.covariate_values @ coefficients[1:1 + k]
+        if self.spec.node_effects:
             a = effect_levels(coefficients[1 + k:k + self.n_nodes])
-            eta += a[self.dyad_nodes[:, 0]] + a[self.dyad_nodes[:, 1]]
+            eta += a[self.row_nodes[0]] + a[self.row_nodes[1]]
         return eta
 
     def xt(self, v: np.ndarray) -> np.ndarray:
-        """X'v over every column, for ``v`` over the cells: v summed per
+        """X'v over every column, for ``v`` over the rows: v summed per
         block pair through the pair rows, C'v, and v summed per node and
         folded onto the node columns."""
+        pairs, nodes = self._runs
         node_sums = None
-        if self.spec.node_effects:  # one cell per dyad
-            first, second = self._node_runs
-            node_sums = first.sum(v) + np.bincount(second, v, self.n_nodes)
-        return self._xt(v, self._pair_runs.sum(v), node_sums)
+        if nodes is not None:
+            node_sums = nodes.sum(v) + np.bincount(self.row_nodes[1], v, self.n_nodes)
+        return self._xt(v, pairs.sum(v), node_sums)
 
     def _xt(self, v, pair_sums, node_sums) -> np.ndarray:
         """X'v from the sums of v per row of ``pair_coding`` and per node
         (None without node effects), which the caller has."""
-        covariates = self._factors[1]
-        k = covariates.shape[1]
+        k = self.covariate_values.shape[1]
         out = np.empty(self.n_columns)
         out[self.pair_columns] = self.pair_coding.T @ pair_sums
         if k:  # an empty product costs as much as a small one
-            out[1:1 + k] = covariates.T @ v
+            out[1:1 + k] = self.covariate_values.T @ v
         if node_sums is not None:
             out[1 + k:k + self.n_nodes] = _fold(node_sums)
         return out
@@ -297,8 +282,8 @@ class DesignMatrix:
     def _gram_index(self) -> tuple:
         """What :meth:`gram` reads besides the weights: the term products
         of the pair rows R (``pair_coding`` without the intercept) and,
-        with node effects, each dyad's node pair, the (block pair, node)
-        end runs and the node terms."""
+        with node effects, the (block pair, node) end runs and the node
+        terms."""
         R = self.pair_coding[:, 1:]
         q = R.shape[1]
         # R'diag(s)R: each pair (a, b) of nonzeros of R[k] adds R[k, a] R[k, b] s_k
@@ -307,21 +292,20 @@ class DesignMatrix:
         pair_terms = (k[entry], a[entry] * q + b, R[k, a][entry] * R[k[entry], b])
         if not self.spec.node_effects:
             return pair_terms, None
-        # node effects make the cells the dyads
-        n, (i, j) = self.n_nodes, self.dyad_nodes.T
+        n, (i, j) = self.n_nodes, self.row_nodes
         # R'S, S[k, u] the weight of the dyads of pair k at node u: each
         # (k, u) that occurs adds R[k, c] S[k, u] at (u, c); the first
         # endpoints come in runs, the second ones do not
-        ends = np.concatenate([self.dyad_pairs * n + i, self.dyad_pairs * n + j])
+        ends = np.concatenate([self.row_pairs * n + i, self.row_pairs * n + j])
         occurring = np.unique(ends)
         first, second = np.split(np.searchsorted(occurring, ends), 2)
         entry, c = np.nonzero((R != 0)[occurring // n])
         node_terms = (entry, occurring[entry] % n * q + c, R[occurring[entry] // n, c])
-        return pair_terms, (i * n + j, _Runs(first, len(occurring)), second, node_terms)
+        return pair_terms, (_Runs(first, len(occurring)), second, node_terms)
 
     def gram(self, w: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         """X'WX over every column, exactly symmetric, written over all of
-        ``out``, which the caller owns, and X'Wz, returned, for per-cell
+        ``out``, which the caller owns, and X'Wz, returned, for per-row
         working weights ``w`` and working response ``z``. The row of the
         intercept is X'w, put together from the weight sums per block pair
         and per node that the other blocks use; the row of a covariate x
@@ -332,13 +316,15 @@ class DesignMatrix:
         # block effects, interactions
         nodes = slice(1 + self.covariate_values.shape[1], self.n_columns - q)
         pairs = slice(nodes.stop, self.n_columns)
-        pair_w = self._pair_runs.sum(w)
+        pair_w = self._runs[0].sum(w)
         out[pairs, pairs] = _add_terms(pair_terms, pair_w, (q, q))
         node_w = None
         if node_index is not None:
-            node_pair, first, second, node_terms = node_index
+            first, second, node_terms = node_index
             n = self.n_nodes
-            G = np.bincount(node_pair, w, n * n).reshape(n, n)
+            # every row is its own node pair i < j
+            G = np.zeros((n, n))
+            G[self.row_nodes] = w
             G += G.T
             node_w = G.sum(axis=1)
             G[np.diag_indices(n)] = node_w
@@ -350,7 +336,7 @@ class DesignMatrix:
             out[nodes, pairs] = _fold(_add_terms(node_terms, end_w, (n, q)))
             out[pairs, nodes] = out[nodes, pairs].T
         out[0] = out[:, 0] = self._xt(w, pair_w, node_w)
-        for t, x in enumerate(self._factors[1].T, 1):
+        for t, x in enumerate(self.covariate_values.T, 1):
             out[t] = out[:, t] = self.xt(w * x)
         return self.xt(w * z)
 
@@ -374,18 +360,6 @@ class _Runs:
         if self.starts is not None:
             v = np.add.reduceat(v, self.starts)
         return np.bincount(self.keys, v, self.size)
-
-
-@dataclass(frozen=True)
-class DyadCells:
-    """Dyads grouped into cells by their design row: ``inverse`` holds the
-    cell of every dyad, ``counts`` the dyads per cell and ``first`` the
-    first dyad of every cell. Cells are numbered in the order of ``first``.
-    """
-
-    inverse: np.ndarray
-    counts: np.ndarray
-    first: np.ndarray
 
 
 def encode(table: DyadTable, partition: Partition, spec: ModelSpec) -> DesignMatrix:
@@ -428,6 +402,26 @@ def encode(table: DyadTable, partition: Partition, spec: ModelSpec) -> DesignMat
 
     penalized = [GROUP_INTERACTION] + [GROUP_COVARIATE] * spec.penalizes_covariates
 
+    ends = _dyads(n)
+    blocks = partition.indices_for(table.node_ids)
+    pairs = _pair_key(blocks[ends[0]], blocks[ends[1]], p)
+    values = np.column_stack([np.empty((table.dyad_count, 0)), *covariates])
+    rows = dict(row_pairs=pairs, covariate_values=values, row_nodes=ends)  # one row per dyad
+    if not spec.node_effects:
+        # the row key is the block pair and the covariate values: each
+        # covariate's values are numbered and folded into one integer key,
+        # renumbered after each fold so that it stays below m**2
+        key = pairs
+        for column in values.T:
+            levels, code = np.unique(column, return_inverse=True)
+            key = np.unique(key * len(levels) + code, return_inverse=True)[1]
+        _, first_dyad, inverse, counts = np.unique(key, return_index=True,
+                                                   return_inverse=True, return_counts=True)
+        order = np.argsort(first_dyad)  # rows numbered by their first dyad
+        first_dyad = first_dyad[order]
+        rows = dict(row_pairs=pairs[first_dyad], covariate_values=values[first_dyad],
+                    dyad_rows=np.argsort(order)[inverse], row_counts=counts[order].astype(float))
+
     return DesignMatrix(
         column_names=tuple(names),
         groups=tuple(groups),
@@ -435,10 +429,8 @@ def encode(table: DyadTable, partition: Partition, spec: ModelSpec) -> DesignMat
         spec=spec,
         node_ids=table.node_ids,
         block_labels=labels,
-        dyad_pairs=_pair_key(*partition.indices_for(table.node_ids)[table.dyads.T], p),
-        dyad_nodes=table.dyads,
-        covariate_values=np.column_stack([np.empty((table.dyad_count, 0)), *covariates]),
         pair_coding=np.hstack(pair_coding),
+        **rows,
     )
 
 

@@ -16,45 +16,45 @@ indices. Each step builds X'WX over every column into the fit's one
 buffer, and X'Wz (``DesignMatrix.gram``, which sums the working weights
 per node pair and per block pair instead of forming a sparse product),
 gathers the free columns' system when some column is held fixed, and
-solves the normal equations by a direct Cholesky factorization, so a fit is
-deterministic for a fixed input. The factorization is called from LAPACK
-directly (``potrf`` and ``potrs`` on the upper triangle), with the
-reciprocal condition number in the 1-norm estimated by ``pocon``.
+solves the normal equations by a direct Cholesky factorization, so a fit
+is deterministic for a fixed input. The factorization is called from
+LAPACK directly (``potrf`` and ``potrs`` on the upper triangle), with
+the reciprocal condition number in the 1-norm estimated by ``pocon``.
 The factorization and the 1-norm (``lange``) read the exactly symmetric
 system through its transpose, the Fortran-ordered view of the C-ordered
 array, so neither copies it: the factor is the only full-size array a
 solve allocates. A second one would push the allocator's heap past its
 trim threshold at every step, handing the memory back to the operating
-system only to fault it in again.
-Inestimable columns are held at zero (``_free_columns``). A system
-that is not positive definite, or whose condition estimate is below
-machine epsilon (where ``scipy.linalg.solve(assume_a="pos")`` would
-raise or warn), gets an escalating diagonal jitter and, as a last
-resort, a least-squares solve; these fallbacks and the line search's
-step halvings are counted in ``FitResult.diagnostics``
-(``jitter_escalations``, ``lstsq_fallbacks``, ``step_halvings``), next
-to the work done (``gram_builds``, ``factorizations``). The solve hands
-back the Cholesky factor it certified, unless it needed a jitter or the
-least-squares fallback, so that the penalized solver can reuse it for
-the chord steps of one penalty level (see ``penalty``). The mean and the
-log-likelihood kernel at a linear predictor come from one evaluation
-(``_CellData.evaluate``), which the line search, the score test and the
-next working weights share; the Bernoulli mean and log-partition
-function are both evaluated from ``exp(-|eta|)``, which cannot overflow.
+system only to fault it in again. Inestimable columns are held at zero
+(``_free_columns``), and designs that cannot be identified are refused
+there. A system that is not positive definite, or whose condition
+estimate is below machine epsilon (where
+``scipy.linalg.solve(assume_a="pos")`` would raise or warn), gets an
+escalating diagonal jitter and, as a last resort, a least-squares solve;
+these fallbacks and the line search's step halvings are counted in
+``FitResult.diagnostics`` (``jitter_escalations``, ``lstsq_fallbacks``,
+``step_halvings``), next to the work done (``gram_builds``,
+``factorizations``). The solve hands back the Cholesky factor it
+certified, unless it needed a jitter or the least-squares fallback, so
+that the penalized solver can reuse it for the chord steps of one
+penalty level (see ``penalty``). The mean and the log-likelihood kernel
+at a linear predictor come from one evaluation (``_CellData.evaluate``),
+which the line search, the score test and the next working weights
+share; the Bernoulli mean and log-partition function are both evaluated
+from ``exp(-|eta|)``, which cannot overflow.
 
-The solver evaluates one row per cell of the design (``DesignMatrix.cells``:
-dyads with identical design rows), with the cell's response total and
-dyad count as a row weight. Without node effects this collapses the m
-dyads to one cell per block pair and covariate pattern; designs with
-node effects are not collapsed. The linear predictor and the score
-X'(y - n*mu) come from the design's factors (``DesignMatrix.predictor``
-and ``DesignMatrix.xt``): no fit forms the design matrix. Outputs stay
-per dyad: the log-likelihood, the deviance and the fitted values are
-those of the dyads, with the response-only terms (sum of log y!, the
-saturated Poisson likelihood) computed once per fit over the distinct
-counts. A fit reports the log-likelihood at its own coefficients; at
-any other coefficients it is the kernel of ``_CellData.evaluate`` at
-``design.predictor(beta)`` minus ``_CellData.log_y_factorial``.
+The solver evaluates one term per design row (``design.encode`` groups
+the dyads into rows) from the row's response total
+(``DesignMatrix.row_sums``) and dyad count, which is 1 when the rows are
+the dyads. X·beta and X'v come from the design's factors
+(``DesignMatrix.predictor`` and ``DesignMatrix.xt``): no fit forms the
+design matrix. Outputs stay per dyad: the log-likelihood, the deviance
+and the fitted values (``DesignMatrix.dyad_values``), with the
+response-only terms (sum of log y!, the saturated Poisson likelihood)
+computed once per fit over the distinct counts. At coefficients other
+than a fit's own, the log-likelihood is the kernel of
+``_CellData.evaluate`` at ``design.predictor(beta)`` minus
+``_CellData.log_y_factorial``.
 
 Quasi-separation is a realistic input for the Bernoulli family with node
 effects (a node adjacent to everything, or to nothing, drives its effect
@@ -104,12 +104,10 @@ def _validate_response(response, family: str, m: int) -> np.ndarray:
         raise ValueError(f"response must have length {m}, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("response contains non-finite values")
-    if family == "bernoulli_logit":
-        if not np.all((y == 0.0) | (y == 1.0)):
-            raise ValueError("Bernoulli responses must be 0 or 1")
-    else:
-        if np.any(y < 0) or np.any(y != np.round(y)):
-            raise ValueError("Poisson responses must be nonnegative integers")
+    if family == "bernoulli_logit" and not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("Bernoulli responses must be 0 or 1")
+    if family == "poisson_log" and (np.any(y < 0) or np.any(y != np.round(y))):
+        raise ValueError("Poisson responses must be nonnegative integers")
     return y
 
 
@@ -124,13 +122,13 @@ def _logistic(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _CellData:
-    """A response summed over the cells of its design (``DesignMatrix.cells``).
+    """A response summed over the rows of its design.
 
-    Dyads in one cell share a design row, so every likelihood quantity
-    is a row-weighted sum over cells with cell totals ``y`` and dyad
-    counts ``n``: the kernel ``sum(y*eta - n*A(eta))``, the working
-    weights ``n * max(v(mu), WEIGHT_FLOOR)`` (the floor is per dyad) and
-    the score ``X'(y - n*mu)``. The terms that depend on the response
+    The dyads of one row share it, so every likelihood quantity is a
+    row-weighted sum over rows with row totals ``y`` and dyad counts ``n``
+    (1 when the rows are the dyads): the kernel ``sum(y*eta - n*A(eta))``,
+    the working weights ``n * max(v(mu), WEIGHT_FLOOR)`` (the floor is per
+    dyad) and the score ``X'(y - n*mu)``. The terms that depend on the response
     alone, sum(log y!) and the saturated kernel, are dyad-level constants
     (zero for Bernoulli), computed once over the distinct counts.
     """
@@ -138,10 +136,9 @@ class _CellData:
     def __init__(self, design: DesignMatrix, response):
         self.design = design
         self.family = design.spec.family
-        y = _validate_response(response, self.family, design.n_rows)
-        cells = design.cells
-        self.n = cells.counts.astype(np.float64)
-        self.y = np.bincount(cells.inverse, weights=y, minlength=len(self.n))
+        y = _validate_response(response, self.family, design.n_dyads)
+        self.n = 1.0 if design.row_counts is None else design.row_counts
+        self.y = design.row_sums(y)
         self.log_y_factorial = self.saturated = 0.0
         if self.family == "poisson_log":
             values, counts = np.unique(y, return_counts=True)
@@ -150,7 +147,7 @@ class _CellData:
             self.saturated = float(counts @ (values * np.log(np.maximum(values, 1.0)) - values))
 
     def evaluate(self, eta: np.ndarray) -> tuple[np.ndarray, float]:
-        """The cell means and the log-likelihood kernel at ``eta``, from one
+        """The row means and the log-likelihood kernel at ``eta``, from one
         evaluation; callers pass the mean on to :meth:`working` and
         :meth:`score` instead of recomputing it."""
         kernel = self.y * eta
@@ -170,13 +167,13 @@ class _CellData:
 
     def working(self, eta: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Working weights and working response of one IRLS step at
-        ``eta``, whose cell means are ``mu``."""
+        ``eta``, whose row means are ``mu``."""
         variance = mu * (1.0 - mu) if self.family == "bernoulli_logit" else mu
         w = self.n * np.maximum(variance, WEIGHT_FLOOR)
         return w, eta + (self.y - self.n * mu) / w
 
     def score(self, mu: np.ndarray) -> np.ndarray:
-        """The score X'(y - n*mu) over every column, for cell means ``mu``."""
+        """The score X'(y - n*mu) over every column, for row means ``mu``."""
         return self.design.xt(self.y - self.n * mu)
 
 
@@ -224,25 +221,34 @@ def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray,
 
 def _free_columns(design: DesignMatrix) -> np.ndarray:
     """The mask of the columns that a fit estimates, all but the
-    inestimable ones, which it holds at zero. Refuses node effects and
-    covariates that cannot be estimated apart from the intercept."""
+    inestimable ones, which it holds at zero. Refuses the designs that
+    cannot be identified, naming what makes them so."""
+    spec, p = design.spec, design.block_count
     zero = [design.column_names[k] for k in design.group_indices(GROUP_NODE)
             if design.inestimable[k]]
     if zero:
-        # only with two nodes: their one dyad holds the last node,
-        # whose level is minus the sum of the others
-        raise ValueError(
-            f"node-effect column(s) {', '.join(zero)} cannot be estimated: every "
-            "dyad of the node also holds the last node, so the sum-to-zero "
-            "node effects cancel in its design row; node effects need at "
-            "least three nodes")
-    constant = [name for name, x in zip(design.spec.covariates, design.covariate_values.T)
+        # only with two nodes: their one dyad holds the last node, whose
+        # level is minus the sum of the others
+        raise ValueError(f"node-effect column(s) {', '.join(zero)} cannot be estimated: every "
+                         "dyad of the node also holds the last node, so the sum-to-zero node "
+                         "effects cancel in its design row; node effects need at least three nodes")
+    if spec.node_effects and spec.block_main_effects:
+        raise ValueError("node_effects and block_main_effects cannot be fitted together: "
+                         "every block main effect is a sum of node effects")
+    # a block whose within-block pair has no dyad, a one-node block, costs
+    # a design with node effects one rank
+    within = np.bincount(design.row_pairs, minlength=p * p)[::p + 1]
+    lonely = [design.block_labels[r] for r in np.flatnonzero(within == 0)]
+    if spec.node_effects and lonely:
+        raise ValueError(f"block(s) {', '.join(lonely)} hold one node each, so no dyad lies "
+                         "within them and their interactions cannot be estimated apart from the "
+                         "node effects; merge each into another block or drop node_effects")
+    constant = [name for name, x in zip(spec.covariates, design.covariate_values.T)
                 if len(x) and x[0] != 0.0 and np.all(x == x[0])]
     if constant:
-        raise ValueError(
-            f"covariate column(s) {', '.join(constant)} hold one nonzero value on "
-            "every dyad, a multiple of the intercept column, so their coefficients "
-            "cannot be estimated apart from the intercept")
+        raise ValueError(f"covariate column(s) {', '.join(constant)} hold one nonzero value on "
+                         "every dyad, a multiple of the intercept column, so their coefficients "
+                         "cannot be estimated apart from the intercept")
     return ~design.inestimable
 
 
@@ -250,7 +256,7 @@ def _initial_beta(data: _CellData, cols: np.ndarray) -> np.ndarray:
     beta = np.zeros(data.design.n_columns)
     if not len(cols) or cols[0] != 0:  # no intercept
         return beta
-    m = data.design.n_rows
+    m = data.design.n_dyads
     mean = float(np.sum(data.y)) / m if m else 0.5
     if data.family == "bernoulli_logit":
         mean = min(max(mean, 1.0 / (m + 2.0)), 1.0 - 1.0 / (m + 2.0))
@@ -278,7 +284,7 @@ _IRLS_SEARCH = _LineSearch(slack=1e-13, halvings=30, give_up=True)
 
 @dataclass
 class _Solve:
-    """The end of an outer loop: the coefficients with their cell means,
+    """The end of an outer loop: the coefficients with their row means,
     log-likelihood kernel and score, and how the loop got there."""
 
     beta: np.ndarray
@@ -470,22 +476,23 @@ class FitResult:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FitResult":
-        names = tuple(data.get("column_names") or data["coefficients"])
-        return cls(
-            family=data["family"],
-            column_names=names,
-            coefficients=np.array([data["coefficients"][k] for k in names]),
-            log_likelihood=float(data["log_likelihood"]),
-            deviance=float(data["deviance"]),
-            converged=bool(data["converged"]),
-            iterations=int(data["iterations"]),
-            fitted_values=None,
-            block_interactions=np.array(data["block_interactions"], dtype=np.float64),
-            block_labels=tuple(data["block_labels"]),
-            node_ids=tuple(data["node_ids"]),
-            groups=tuple(data["groups"]),
-            diagnostics=dict(data.get("diagnostics", {})),
-        )
+        """The fit that :meth:`to_json_dict` wrote; a malformed document raises a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a fit document must be a JSON object, got {type(data).__name__}")
+        try:
+            names = tuple(data.get("column_names") or data["coefficients"])
+            return cls(family=data["family"], column_names=names,
+                       coefficients=np.array([data["coefficients"][k] for k in names]),
+                       log_likelihood=float(data["log_likelihood"]),
+                       deviance=float(data["deviance"]), converged=bool(data["converged"]),
+                       iterations=int(data["iterations"]), fitted_values=None,
+                       block_interactions=np.array(data["block_interactions"], dtype=np.float64),
+                       block_labels=tuple(data["block_labels"]), node_ids=tuple(data["node_ids"]),
+                       groups=tuple(data["groups"]), diagnostics=dict(data.get("diagnostics", {})))
+        except KeyError as exc:
+            raise ValueError(f"the fit document has no key {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"the fit document holds a value of the wrong type: {exc}") from None
 
 
 def _json_safe(value):
@@ -506,14 +513,18 @@ def _json_safe(value):
 
 
 def read_fit_json(path) -> FitResult:
-    return FitResult.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The fit in the JSON file ``path``; a malformed one raises a ValueError naming it."""
+    try:
+        return FitResult.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def assemble_fit(data: _CellData, solve: _Solve, diagnostics: dict,
                  fitted_values: bool = True) -> FitResult:
     """Build a :class:`FitResult` from the end of an outer loop; the
     diagnostics gain the loop's counters and its cause. The fitted
-    values, when kept, are expanded from the cells back to the dyads."""
+    values, when kept, are expanded from the rows back to the dyads."""
     design = data.design
     diagnostics = {**diagnostics, **solve.counts}
     if solve.cause:
@@ -527,7 +538,7 @@ def assemble_fit(data: _CellData, solve: _Solve, diagnostics: dict,
         deviance=2.0 * (data.saturated - solve.kernel),
         converged=solve.converged,
         iterations=solve.iterations,
-        fitted_values=solve.mu[design.cells.inverse] if fitted_values else None,
+        fitted_values=design.dyad_values(solve.mu) if fitted_values else None,
         block_interactions=design.interaction_matrix(solve.beta),
         block_labels=design.block_labels,
         node_ids=design.node_ids,
@@ -548,8 +559,8 @@ def fit_mle(design: DesignMatrix, response) -> FitResult:
     A = np.empty((design.n_columns,) * 2)
     score_bound = SCORE_TOL * (1.0 + float(np.abs(design.xt(data.y)[cols]).max(initial=0.0)))
     result = _irls(data, A, cols, score_bound, max_iter=MAX_ITERATIONS)
-    ridge_used = 0.0
-    if result.cause == "separation":
+    separated = result.cause == "separation"
+    if separated:
         warnings.warn(
             "quasi-separation detected (a coefficient passed "
             f"{SEPARATION_BOUND:g} with the likelihood still climbing); "
@@ -559,14 +570,10 @@ def fit_mle(design: DesignMatrix, response) -> FitResult:
         )
         stabilized = _irls(data, A, cols, score_bound, ridge=SEPARATION_RIDGE,
                            max_iter=MAX_ITERATIONS)
-        ridge_used = SEPARATION_RIDGE
         counts = {k: v + stabilized.counts[k] for k, v in result.counts.items()}
         result = replace(stabilized, iterations=result.iterations + stabilized.iterations,
                          converged=False, cause="separation", counts=counts)
 
-    diagnostics = {
-        "score_max": float(np.abs(result.score[cols]).max(initial=0.0)),
-        "score_bound": score_bound,
-        "ridge": ridge_used,
-    }
-    return assemble_fit(data, result, diagnostics)
+    score_max = float(np.abs(result.score[cols]).max(initial=0.0))
+    return assemble_fit(data, result, {"score_max": score_max, "score_bound": score_bound,
+                                       "ridge": SEPARATION_RIDGE if separated else 0.0})

@@ -17,9 +17,9 @@ reference coefficient below 1e-10 in magnitude gets an infinite weight,
 freezing that coefficient at zero. A weight of zero on a penalized
 column is refused before any fit.
 
-Solver: penalized IRLS on the cells of the design (dyads with identical
-design rows, weighted by their count; see ``glm``; designs with node
-effects have one cell per dyad), over the design's own columns and in
+Solver: penalized IRLS on the rows of the design (the dyads grouped by
+identical design row, weighted by their count; see ``glm``; with node
+effects every dyad is its own row), over the design's own columns and in
 its indices, with one X'WX buffer that the restricted fit shares; fixed
 columns (inestimable or infinitely weighted) stay at zero. It runs
 the outer loop of ``glm`` (``_outer_loop``), as the
@@ -484,7 +484,7 @@ def lambda_path(design: DesignMatrix, response, weights=None, grid_size: int = 1
     if not 0.0 < grid_ratio < 1.0:
         raise ValueError("grid_ratio must be in (0, 1)")
     solver = _PenalizedSolver(design, response, weights)
-    m = design.n_rows
+    m = design.n_dyads
 
     restricted = solver.restricted_fit()
     degenerate = len(solver.pen_idx) == 0

@@ -261,6 +261,36 @@ def test_two_node_degree_corrected_fit_names_the_inestimable_column(tmp_path, ca
     assert "node:a" in err and "cannot be estimated" in err and "three nodes" in err
 
 
+class TestUnidentifiedDesigns:
+    """A design whose columns cannot all be estimated exits 3 before any
+    fit, naming the settings or the blocks that make it so."""
+
+    def fit(self, tmp_path, config, blocks="XXXXXYYYYYZZZZZ"):
+        rng = np.random.default_rng(9)
+        nodes = [f"n{k:02d}" for k in range(len(blocks))]
+        edges = "".join(f"{u},{v}\n" for k, u in enumerate(nodes) for v in nodes[k + 1:]
+                        if rng.random() < 0.4)
+        (tmp_path / "edges.csv").write_text(edges)
+        (tmp_path / "attributes.csv").write_text(
+            "node_id,block\n" + "".join(f"{v},{b}\n" for v, b in zip(nodes, blocks)))
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        return run("fit", "--edges", tmp_path / "edges.csv", "--attributes",
+                   tmp_path / "attributes.csv", "--partition-key", "block", "--config",
+                   tmp_path / "config.json", "--grid-size", 5, "--out", tmp_path / "out")
+
+    def test_node_and_block_effects_refused(self, tmp_path, capsys):
+        config = {"model": "custom", "family": "bernoulli_logit", "node_effects": True,
+                  "block_main_effects": True}
+        assert self.fit(tmp_path, config) == 3
+        assert "node_effects and block_main_effects" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "mle_fit.json").exists()
+
+    def test_one_node_block_refused_by_name(self, tmp_path, capsys):
+        assert self.fit(tmp_path, {"model": "degree_corrected"}, blocks="SXXXXXYYYYYZZZZ") == 3
+        assert "block(s) S hold one node" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "mle_fit.json").exists()
+
+
 class TestConstantCovariate:
     """A covariate with one value on every dyad: a nonzero one copies the
     intercept and is refused by name, a zero one is inestimable and held
@@ -430,6 +460,15 @@ class TestCompare:
         report = json.loads(report_path.read_text())
         sign_b = report["sign_summary"]["b"]
         assert report["pairs_zeroed"] == sign_b["zero"] - report["sign_summary"]["a"]["zero"]
+
+    @pytest.mark.parametrize("document,message", [({}, "no key 'coefficients'"),
+                                                  ([1, 2], "must be a JSON object")])
+    def test_malformed_fit_document_is_data_error(self, tmp_path, capsys, document, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        assert run("compare", bad, bad) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
 
     def test_mismatched_designs_rejected(self, dataset, tmp_path, capsys):
         out = tmp_path / "base"

@@ -194,11 +194,19 @@ class TestPredictorEquivalence:
             assert np.array_equal(getattr(design.matrix, attr), getattr(canonical, attr))
 
 
+def row_matrix(design):
+    """The per-dyad reference matrix :attr:`DesignMatrix.matrix` reduced to
+    the design's rows through its dyad→row map: each row's first dyad."""
+    if design.dyad_rows is None:
+        return design.matrix
+    return design.matrix[np.unique(design.dyad_rows, return_index=True)[1]]
+
+
 class TestMatrixFreeProducts:
     """The fits' products, :meth:`DesignMatrix.predictor` (X·beta over the
-    cells) and :meth:`DesignMatrix.xt` (X'v), and the ``inestimable``
-    flags, against the reference matrix that :attr:`DesignMatrix.matrix`
-    assembles."""
+    rows) and :meth:`DesignMatrix.xt` (X'v), the map between rows and
+    dyads and the ``inestimable`` flags, against the reference matrix that
+    :attr:`DesignMatrix.matrix` assembles."""
 
     @settings(max_examples=80, deadline=None)
     @given(blocks=st.lists(st.integers(0, 3), min_size=2, max_size=10),
@@ -229,25 +237,40 @@ class TestMatrixFreeProducts:
         spec = bl.ModelSpec(family="bernoulli_logit", node_effects=node_effects,
                             block_main_effects=block_effects, covariates=names)
         design = bl.encode(table, partition, spec)
-        X = design.matrix[design.cells.first]
         beta = rng.normal(size=design.n_columns)
-        v = rng.normal(size=X.shape[0])
-        # relative to the sum of the terms' magnitudes, row by row
-        assert np.all(np.abs(design.predictor(beta) - X @ beta)
-                      <= 1e-12 * (abs(X) @ np.abs(beta)))
-        assert np.all(np.abs(design.xt(v) - X.T @ v) <= 1e-12 * (abs(X).T @ np.abs(v)))
+        assert_products_match(design, rng)
+        # per dyad: X·beta expanded to the dyads, and X'u from u summed per row
+        D, u = design.matrix, rng.normal(size=m)
+        assert np.all(np.abs(design.dyad_values(design.predictor(beta)) - D @ beta)
+                      <= 1e-12 * (abs(D) @ np.abs(beta)))
+        assert np.all(np.abs(design.xt(design.row_sums(u)) - D.T @ u)
+                      <= 1e-12 * (abs(D).T @ np.abs(u)))
         assert np.array_equal(design.inestimable,
                               np.bincount(design.matrix.indices, minlength=design.n_columns) == 0)
 
 
 def assert_products_match(design, rng):
-    """X·beta, X'v and X'WX against the reference matrix of the design."""
-    X = design.matrix[design.cells.first]
+    """X·beta, X'v and X'WX over the rows against the reference matrix of
+    the design, relative to the sum of the terms' magnitudes."""
+    X = row_matrix(design)
+    assert X.shape[0] == len(design.row_pairs)
     beta = rng.normal(size=design.n_columns)
     v = rng.normal(size=X.shape[0])
     assert np.all(np.abs(design.predictor(beta) - X @ beta) <= 1e-12 * (abs(X) @ np.abs(beta)))
     assert np.all(np.abs(design.xt(v) - X.T @ v) <= 1e-12 * (abs(X).T @ np.abs(v)))
     assert_gram_matches_oracle(design, rng)
+
+
+def keep_rows(design, keep):
+    """The design restricted to the rows ``keep`` and their dyads."""
+    rows = dict(row_pairs=design.row_pairs[keep], covariate_values=design.covariate_values[keep])
+    if design.dyad_rows is None:
+        rows["row_nodes"] = tuple(ends[keep] for ends in design.row_nodes)
+    else:
+        kept = keep[design.dyad_rows]
+        rows["dyad_rows"] = (np.cumsum(keep) - 1)[design.dyad_rows[kept]]
+        rows["row_counts"] = design.row_counts[keep]
+    return replace(design, **rows)
 
 
 def interleaved_design(n, p, node_effects, k=0, seed=0):
@@ -274,30 +297,28 @@ class TestRunSums:
     @pytest.mark.parametrize("k", [0, 2])
     def test_interleaved_blocks(self, node_effects, k):
         design = interleaved_design(12, 3, node_effects, k, seed=k)
-        if node_effects:  # the cells are the dyads, whose block pair changes at each step
-            assert len(design._pair_runs.keys) > len(np.unique(design._factors[0]))
+        if node_effects:  # the rows are the dyads, whose block pair changes at each step
+            assert len(design._runs[0].keys) > len(np.unique(design.row_pairs))
         assert_products_match(design, np.random.default_rng(4))
 
     @pytest.mark.parametrize("node_effects", [True, False])
     def test_missing_dyads(self, node_effects):
-        # DyadTable holds every pair, so dyads are dropped from the design:
-        # some keys lose runs, one first endpoint loses all of its dyads
+        # DyadTable holds every pair, so rows and their dyads are dropped
+        # from the design: some keys lose runs and, with node effects, one
+        # first endpoint loses all of its dyads
         design = interleaved_design(10, 3, node_effects, k=1)
-        i = design.dyad_nodes[:, 0]
-        keep = (np.arange(design.n_rows) % 3 != 1) & (i != 4)
-        dropped = replace(design, dyad_pairs=design.dyad_pairs[keep],
-                          dyad_nodes=design.dyad_nodes[keep],
-                          covariate_values=design.covariate_values[keep])
-        assert dropped.n_rows < design.n_rows
+        keep = np.arange(len(design.row_pairs)) % 3 != 1
+        if node_effects:
+            keep &= design.row_nodes[0] != 4
+        dropped = keep_rows(design, keep)
+        assert dropped.n_dyads < design.n_dyads
         assert_products_match(dropped, np.random.default_rng(5))
 
     @pytest.mark.parametrize("node_effects", [True, False])
     def test_no_dyads(self, node_effects):
         design = interleaved_design(6, 2, node_effects, k=1)
-        empty = replace(design, dyad_pairs=design.dyad_pairs[:0],
-                        dyad_nodes=design.dyad_nodes[:0],
-                        covariate_values=design.covariate_values[:0])
-        assert empty.n_rows == 0 and empty.inestimable.all()
+        empty = keep_rows(design, np.zeros(len(design.row_pairs), dtype=bool))
+        assert empty.n_dyads == 0 and empty.inestimable.all()
         assert np.array_equal(empty.xt(np.zeros(0)), np.zeros(empty.n_columns))
         A = np.full((empty.n_columns,) * 2, np.nan)
         b = empty.gram(np.zeros(0), np.zeros(0), A)
@@ -374,8 +395,8 @@ class TestFitLevelInvariance:
 
 
 def gram_oracle(design, w, z):
-    """X'WX and X'Wz from the dense rows of the cells."""
-    X = design.matrix[design.cells.first].toarray()
+    """X'WX and X'Wz from the dense rows of the design."""
+    X = row_matrix(design).toarray()
     return X.T @ (X * w[:, None]), X.T @ (w * z)
 
 
@@ -383,8 +404,8 @@ def assert_gram_matches_oracle(design, rng):
     """X'WX over every column equals the dense oracle within 1e-12, is
     exactly symmetric and has exactly zero rows and columns where the
     design has inestimable columns."""
-    cells = len(design.cells.counts)
-    w, z = rng.random(cells) + 0.1, rng.normal(size=cells)
+    rows = len(design.row_pairs)
+    w, z = rng.random(rows) + 0.1, rng.normal(size=rows)
     A = np.full((design.n_columns,) * 2, np.nan)  # every entry is written
     b = design.gram(w, z, A)
     A_oracle, b_oracle = gram_oracle(design, w, z)
@@ -431,7 +452,7 @@ class TestReferenceCoding:
     ], ids=["covariate", "four_blocks", "singleton_block"])
     def test_factored_gram_matches_dense_oracle(self, make):
         design = make(8)
-        assert len(design.cells.counts) == design.n_rows
+        assert design.dyad_rows is None and len(design.row_pairs) == design.n_dyads
         assert_gram_matches_oracle(design, np.random.default_rng(9))
 
     @pytest.mark.parametrize("shape", ["degree_corrected", "covariate_adjusted", "replicates"])
@@ -445,7 +466,7 @@ class TestReferenceCoding:
             _, table, partition, _ = bernoulli_instance(6, n=40, p=4)
             design = bl.encode(table, partition, bl.ModelSpec(family="bernoulli_logit"))
         data = _CellData(design, table.response)
-        eta = np.random.default_rng(6).normal(scale=0.5, size=len(data.n)) - 1.0
+        eta = np.random.default_rng(6).normal(scale=0.5, size=len(data.y)) - 1.0
         A = np.empty((design.n_columns,) * 2)
         design.gram(*data.working(eta, data.evaluate(eta)[0]), A)
         assert np.array_equal(A, A.T)
@@ -454,8 +475,8 @@ class TestReferenceCoding:
         # node, block-pair and covariate parts of X'WX
         design = covariate_degree_corrected_design(7)
         rng = np.random.default_rng(7)
-        cells = len(design.cells.counts)
-        (w1, z1), (w2, z2) = [(rng.random(cells) + 0.1, rng.normal(size=cells))
+        rows = len(design.row_pairs)
+        (w1, z1), (w2, z2) = [(rng.random(rows) + 0.1, rng.normal(size=rows))
                               for _ in range(2)]
         A = np.empty((design.n_columns,) * 2)
         design.gram(w1, z1, A)
@@ -490,12 +511,26 @@ class TestReferenceCoding:
 
 
 class TestCells:
+    """The rows that :func:`encode` groups the dyads into: with node
+    effects the dyads themselves, without them the distinct rows."""
+
     def test_node_effects_make_every_dyad_a_cell(self):
-        _, _, _, design = bernoulli_instance(12, n=9, p=3)
-        cells = design.cells
-        assert np.array_equal(cells.first, np.arange(design.n_rows))
-        assert np.array_equal(cells.inverse, np.arange(design.n_rows))
-        assert np.array_equal(cells.counts, np.ones(design.n_rows))
+        _, table, _, design = bernoulli_instance(12, n=9, p=3)
+        assert len(design.row_pairs) == design.n_dyads == table.dyad_count
+        assert np.array_equal(np.column_stack(design.row_nodes), table.dyads)
+
+    @pytest.mark.parametrize("make", [
+        lambda: bernoulli_instance(12, n=9, p=3)[3],
+        lambda: covariate_degree_corrected_design(12),
+    ], ids=["degree_corrected", "covariate"])
+    def test_node_effect_design_keeps_no_map_and_no_counts(self, make):
+        design = make()
+        assert design.dyad_rows is None and design.row_counts is None
+        v = np.random.default_rng(12).normal(size=design.n_dyads)
+        assert design.row_sums(v) is v and design.dyad_values(v) is v
+        response = (v > 0).astype(float)
+        data = _CellData(design, response)
+        assert data.n == 1.0 and np.array_equal(data.y, response)
 
     @pytest.mark.parametrize("make", [
         lambda: poisson_instance(12, n=14, p=3, n_covariates=2, covariate_levels=2)[3],
@@ -503,15 +538,20 @@ class TestCells:
     ], ids=["covariate_adjusted_discrete", "custom_without_effects"])
     def test_every_dyad_row_is_its_cell_row(self, make):
         design = make()
-        X, cells = design.matrix, design.cells
-        assert len(cells.counts) < design.n_rows
-        assert (X - X[cells.first][cells.inverse]).nnz == 0
-        assert cells.counts.sum() == design.n_rows
-        assert np.array_equal(np.bincount(cells.inverse), cells.counts)
+        X, rows = design.matrix.toarray(), row_matrix(design).toarray()
+        assert design.row_nodes is None
+        assert len(rows) < design.n_dyads
+        # the rows are distinct, and each dyad's row is the row of its dyad
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert np.array_equal(X, rows[design.dyad_rows])
+        assert design.row_counts.sum() == design.n_dyads
+        assert np.array_equal(np.bincount(design.dyad_rows), design.row_counts)
+        y = np.arange(design.n_dyads, dtype=float)
+        assert np.array_equal(design.row_sums(y), np.bincount(design.dyad_rows, y))
 
     def test_blocks_without_effects_give_one_cell_per_block_pair(self):
         design = custom_design(13, n=16, p=4)
-        assert len(design.cells.counts) == 4 * 5 // 2
+        assert len(design.row_pairs) == 4 * 5 // 2
 
     @pytest.mark.parametrize("distinct", [False, True], ids=["repeated_values", "all_distinct"])
     def test_mixed_covariates_group_as_unique_rows(self, distinct):
@@ -519,14 +559,12 @@ class TestCells:
         X = design.matrix.toarray()
         _, first, inverse, counts = np.unique(X, axis=0, return_index=True,
                                               return_inverse=True, return_counts=True)
-        order = np.argsort(first)  # cells numbered by their first dyad
+        order = np.argsort(first)  # rows numbered by their first dyad
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        cells = design.cells
-        assert np.array_equal(cells.inverse, rank[inverse.reshape(-1)])
-        assert np.array_equal(cells.counts, counts[order])
-        assert np.array_equal(cells.first, first[order])
-        assert np.array_equal(design.matrix[cells.first].toarray(), X[first[order]])
+        assert np.array_equal(design.dyad_rows, rank[inverse.reshape(-1)])
+        assert np.array_equal(design.row_counts, counts[order])
+        assert np.array_equal(row_matrix(design).toarray(), X[first[order]])
 
 
 def custom_design(seed, n, p):

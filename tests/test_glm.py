@@ -292,18 +292,25 @@ class TestLeanKernels:
 
 
 class TestCellFits:
-    """Fits made on collapsed cells report the dyad-level values."""
+    """Fits made on the design's rows, collapsed or (with node effects)
+    the dyads themselves, report the dyad-level values."""
 
-    @pytest.mark.parametrize("family", ["bernoulli_logit", "poisson_log"])
+    @pytest.mark.parametrize("family", ["bernoulli_logit", "poisson_log", "degree_corrected"])
     @pytest.mark.parametrize("lam", [None, 0.5])
     def test_outputs_match_dyad_level(self, family, lam):
         if family == "bernoulli_logit":
             _, table, partition, _ = bernoulli_instance(30, n=16, p=3)
             design = bl.encode(table, partition, bl.ModelSpec(family=family))
-        else:
+        elif family == "poisson_log":
             _, table, _, design = poisson_instance(31, n=16, p=3, n_covariates=1,
                                                    covariate_levels=3)
-        assert len(design.cells.counts) < design.n_rows
+        else:
+            _, table, _, design = bernoulli_instance(34, n=16, p=3, node_scale=0.3)
+            family = "bernoulli_logit"
+        if design.spec.node_effects:
+            assert design.dyad_rows is None and len(design.row_pairs) == design.n_dyads
+        else:
+            assert len(design.row_pairs) < design.n_dyads
         if lam is None:
             fit = bl.fit_mle(design, table.response)
         else:
@@ -319,11 +326,55 @@ class TestCellFits:
         loglik = naive_log_likelihood(X, y, fit.coefficients, family)
         assert fit.log_likelihood == pytest.approx(loglik, rel=1e-10, abs=0)
         assert fit.deviance == pytest.approx(deviance, rel=1e-10, abs=0)
-        assert fit.fitted_values.shape == (design.n_rows,)
+        assert fit.fitted_values.shape == (design.n_dyads,)
         assert np.allclose(fit.fitted_values, mu, rtol=1e-10, atol=0)
         if lam is None:
             oracle = damped_newton(X, y, family, free=~design.inestimable)
             assert np.abs(fit.coefficients - oracle).max() < 1e-6
+
+
+def sized_blocks(sizes, seed=0):
+    """A Bernoulli dyad table and a partition into blocks of ``sizes``
+    nodes, numbered block by block."""
+    node_ids = tuple(f"v{t:02d}" for t in range(sum(sizes)))
+    block_of = dict(zip(node_ids, np.repeat(np.arange(len(sizes)), sizes).tolist()))
+    m = len(node_ids) * (len(node_ids) - 1) // 2
+    response = np.random.default_rng(seed).random(m) < 0.3
+    table = bl.DyadTable(node_ids, response, np.zeros((m, 0)), ())
+    return table, bl.Partition(tuple(f"B{b}" for b in range(len(sizes))), block_of)
+
+
+class TestIdentifiability:
+    """Designs whose columns cannot all be estimated are refused by name
+    before any fit; the designs themselves can still be encoded."""
+
+    def test_node_and_block_effects_refused(self):
+        _, table, partition, _ = bernoulli_instance(40, n=40, p=3)
+        spec = bl.ModelSpec(family="bernoulli_logit", node_effects=True, block_main_effects=True)
+        design = bl.encode(table, partition, spec)
+        # the p - 1 block-effect columns lie in the span of the node effects
+        assert np.linalg.matrix_rank(design.matrix.toarray()) == 43 == design.n_columns - 2
+        for fit in (bl.fit_mle, bl.lambda_path):
+            with pytest.raises(ValueError, match="node_effects and block_main_effects"):
+                fit(design, table.response)
+
+    @pytest.mark.parametrize("sizes", [(1, 10, 10), (1, 5, 5, 5), (1, 1, 6, 6, 6), (1, 12)])
+    def test_one_node_blocks_refused_by_name(self, sizes):
+        table, partition = sized_blocks(sizes)
+        design = bl.encode(table, partition, bl.ModelSpec.degree_corrected())
+        lonely = [label for label, size in zip(partition.block_labels, sizes) if size == 1]
+        # each one-node block costs one rank
+        rank = np.linalg.matrix_rank(design.matrix.toarray())
+        assert rank == design.n_columns - len(lonely)
+        for fit in (bl.fit_mle, bl.lambda_path):
+            with pytest.raises(ValueError, match=f"block\\(s\\) {', '.join(lonely)} hold one node"):
+                fit(design, table.response)
+
+    def test_two_node_blocks_are_full_rank(self):
+        table, partition = sized_blocks((2, 5, 5, 5))
+        design = bl.encode(table, partition, bl.ModelSpec.degree_corrected())
+        assert np.linalg.matrix_rank(design.matrix.toarray()) == design.n_columns
+        assert glm._free_columns(design).all()
 
 
 class TestSerialization:
@@ -339,6 +390,25 @@ class TestSerialization:
         assert loaded.converged == fit.converged
         assert np.array_equal(loaded.block_interactions, fit.block_interactions)
         assert loaded.fitted_values is None
+
+    @pytest.mark.parametrize("document,message", [
+        ({}, "no key 'coefficients'"),
+        ([1, 2], "must be a JSON object, got list"),
+        ("dropped", "no key 'deviance'"),
+        ({"coefficients": 5}, "wrong type"),
+    ])
+    def test_malformed_document_names_file_and_key(self, tmp_path, document, message):
+        if document == "dropped":
+            _, table, _, design = poisson_instance(20, n=8, p=2)
+            document = bl.fit_mle(design, table.response).to_json_dict()
+            del document["deviance"]
+        with pytest.raises(ValueError, match=message):
+            bl.FitResult.from_json_dict(document)
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=message) as raised:
+            bl.read_fit_json(path)
+        assert str(path) in str(raised.value)
 
     def test_non_finite_diagnostics_are_standard_json(self):
         _, table, _, design = bernoulli_instance(23, n=8, p=2)

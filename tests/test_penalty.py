@@ -151,7 +151,7 @@ class TestFitPenalized:
         assert np.array_equal(fit.coefficients, beta_r)
         assert np.all(fit.coefficients[design.penalized_mask] == 0.0)
         assert fit.converged and fit.diagnostics["active_set_size"] == 0
-        assert fit.fitted_values.shape == (design.n_rows,)
+        assert fit.fitted_values.shape == (design.n_dyads,)
 
     def test_lambda_max_is_the_activation_boundary(self):
         for seed in (33, 34, 35):
@@ -288,7 +288,7 @@ class TestLambdaPath:
         # single fits keep theirs
         single = bl.fit_penalized(design, table.response, weights=weights,
                                   lam=float(path.lambdas[4]))
-        assert mle.fitted_values.shape == single.fitted_values.shape == (design.n_rows,)
+        assert mle.fitted_values.shape == single.fitted_values.shape == (design.n_dyads,)
 
     @pytest.mark.parametrize("degree_corrected", [True, False],
                              ids=["degree_corrected", "replicate_shaped"])

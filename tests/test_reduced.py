@@ -21,13 +21,15 @@ def random_interactions(seed, p):
 
 def singleton_threshold_graph(threshold=0.5):
     """Threshold graph over two singleton blocks and one larger block:
-    both singletons' within-pairs have no dyads and are flagged."""
-    graph, table, _, _ = bernoulli_instance(54, n=6, p=2)
+    both singletons' within-pairs have no dyads and are flagged. The
+    probabilities come from a fit over the graph's own two blocks: a fit
+    with node effects over one-node blocks is refused."""
+    graph, table, partition, _ = bernoulli_instance(54, n=6, p=2)
     single = bl.Partition(
         ("a", "b", "rest"),
         {v: (0 if k == 0 else 1 if k == 1 else 2) for k, v in enumerate(graph.node_ids)},
     )
-    design = bl.encode(table, single, bl.ModelSpec.degree_corrected())
+    design = bl.encode(table, partition, bl.ModelSpec(family="bernoulli_logit"))
     fit = bl.fit_mle(design, table.response)
     return bl.reduce_threshold(fit, single, threshold)
 
