@@ -43,6 +43,8 @@ EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
 
 MODELS = ("degree_corrected", "covariate_adjusted", "custom")
+# the settings of a ModelSpec that the two presets fix
+MODEL_SETTINGS = ("family", "node_effects", "block_main_effects", "penalize_covariates")
 FORMATS = ("json", "dot", "graphml")
 
 
@@ -63,8 +65,8 @@ FIT_SETTINGS = {
     "partition.overrides": (dict, {}),            # --override NODE=LABEL (repeatable)
     "model": (str, "degree_corrected"),           # --model
     "family": (str, None),                        # --family
-    "node_effects": (bool, False),
-    "block_main_effects": (bool, False),
+    "node_effects": (bool, None),
+    "block_main_effects": (bool, None),
     "covariates": (list, []),
     "penalize_covariates": (bool, None),
     "standardize": (list, []),
@@ -177,13 +179,26 @@ def _resolve_fit_config(args) -> tuple[dict, list[CovariateSpec], PenaltySpec | 
                          f"got {cfg['formats']!r}")
     if cfg["edges"] is None:
         raise ValueError("no edge file given (use --edges or the config)")
-    if cfg["model"] not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {cfg['model']!r}")
+    model = cfg["model"]
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    if model == "custom" and not cfg["family"]:
+        raise ValueError("custom model needs a family")
+    if model == "degree_corrected" and covariates:
+        raise ValueError("the degree_corrected preset takes no covariates; use custom")
+    # a preset (the ModelSpec constructor of the same name) fixes the
+    # model settings, which the config then records; a custom model has
+    # no effect group that it does not ask for
+    preset = ModelSpec(cfg["family"]) if model == "custom" else getattr(ModelSpec, model)()
+    for key in MODEL_SETTINGS:
+        if model != "custom" and cfg[key] not in (None, getattr(preset, key)):
+            raise ValueError(f"setting {key!r} is {cfg[key]!r}, but the {model} preset fits "
+                             f"{getattr(preset, key)!r}; leave it out, or use the custom model")
+        cfg[key] = getattr(preset, key) if cfg[key] is None else cfg[key]
     if cfg["threshold"] is not None:
         if not 0.0 <= cfg["threshold"] <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {cfg['threshold']}")
-        # the family does not depend on the covariates
-        if _build_model_spec(cfg, ()).family != "bernoulli_logit":
+        if cfg["family"] != "bernoulli_logit":
             raise ValueError("the threshold rule needs fitted probabilities; "
                              "it is undefined for rate (Poisson) fits")
     penalty = cfg["penalty"]
@@ -240,25 +255,6 @@ def _manifest(command: str, cfg: dict, inputs: list, timings: dict, out_dir: Pat
 # fit
 
 
-def _build_model_spec(cfg: dict, covariate_names) -> ModelSpec:
-    model = cfg["model"]
-    if model == "degree_corrected":
-        if covariate_names:
-            raise ValueError("the degree_corrected preset takes no covariates; use custom")
-        return ModelSpec.degree_corrected()
-    if model == "covariate_adjusted":
-        return ModelSpec.covariate_adjusted(covariate_names)
-    if not cfg["family"]:
-        raise ValueError("custom model needs a family")
-    return ModelSpec(
-        family=cfg["family"],
-        node_effects=cfg["node_effects"],
-        block_main_effects=cfg["block_main_effects"],
-        covariates=tuple(covariate_names),
-        penalize_covariates=cfg["penalize_covariates"],
-    )
-
-
 def _load_inputs(cfg: dict):
     attrs = load_attributes(cfg["attributes"]) if cfg["attributes"] else None
     extra_nodes = attrs.node_ids if attrs else ()
@@ -290,7 +286,7 @@ def cmd_fit(args) -> int:
     edges = graph.edge_count
     if edges == 0:
         raise ValueError("the graph has no edges, so no maximum-likelihood estimate is finite")
-    if edges == len(graph.weights) and _build_model_spec(cfg, ()).family == "bernoulli_logit":
+    if edges == len(graph.weights) and cfg["family"] == "bernoulli_logit":
         raise ValueError("every dyad is an edge, so no Bernoulli maximum-likelihood "
                          "estimate is finite")
 
@@ -298,7 +294,7 @@ def cmd_fit(args) -> int:
     scaling = None
     if cfg["standardize"]:
         table, scaling = standardize(table, cfg["standardize"])
-    spec = _build_model_spec(cfg, table.covariate_names)
+    spec = ModelSpec(covariates=table.covariate_names, **{key: cfg[key] for key in MODEL_SETTINGS})
     design = encode(table, partition, spec)
 
     t_fit = time.perf_counter()

@@ -41,7 +41,9 @@ is added up with ``np.add.reduceat`` and only the run totals go through
 ``np.bincount``. Whatever a design can compute once is cached on it on
 first use: the runs of the pair keys and of the first endpoints, the
 index structures of X'WX, the interaction coding (the tail columns of
-``pair_coding``) and the names of the inestimable columns.
+``pair_coding``) and the rank certificate
+(:attr:`DesignMatrix.identification`, one pivoted Cholesky factorization
+per design), which also names the inestimable columns.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dpstrf, dtrtrs
 
 from .covariates import DyadTable
 from .graphs import Partition, _dyads, _pair_key
@@ -71,6 +74,17 @@ GROUP_BLOCK = "block_effect"
 GROUP_INTERACTION = "interaction"
 # the groups whose columns depend on the block pair alone
 PAIR_GROUPS = (GROUP_INTERCEPT, GROUP_BLOCK, GROUP_INTERACTION)
+# the rank tolerance of the certificate's pivoted Cholesky on the unit
+# diagonal: a column stops it when the share of it that the columns
+# pivoted before leave unexplained is at most sqrt(eps), 1.5e-8. Rounding
+# leaves up to 5e-14 in a null direction of the designs measured (node
+# and block effects at n=242, p=21), which LAPACK's default q·eps does
+# not always clear (6.9e-15 against 1e-14 at q=45); the last pivot of a
+# full-rank design measured is at least 0.08
+RANK_TOL = float(np.sqrt(np.finfo(np.float64).eps))
+# on that scale a null vector's largest entry is at least 1, and its
+# entries that are zero in exact arithmetic come out near eps
+NULL_ENTRY_TOL = 1e-8
 
 
 @dataclass
@@ -195,18 +209,43 @@ class DesignMatrix:
         return np.flatnonzero(np.isin(self.groups, PAIR_GROUPS))
 
     @cached_property
-    def inestimable(self) -> np.ndarray:
-        """The columns with no nonzero entry, those where X'X has a zero
-        diagonal; fitters hold their coefficients at zero."""
+    def identification(self) -> tuple[np.ndarray, int, tuple[str, ...]]:
+        """The design's rank certificate, from the unit-weight X'X: the
+        :attr:`inestimable` columns, the rank of the others, and the names
+        of the columns that their null space involves, largest entries
+        first.
+
+        The estimable columns' X'X, scaled to a unit diagonal in place,
+        is factored by a pivoted Cholesky (LAPACK ``dpstrf``; Higham 1990)
+        as P'AP = R'R with R = [R11 R12; 0 0]; each pivoted column past
+        the rank gives a null vector from ``R11^-1 R12``, whose entries
+        above ``NULL_ENTRY_TOL`` name the dependent columns. One
+        factorization per design, and no q-by-q array is kept."""
         counts = self.row_sums(np.ones(self.n_dyads))
         A = np.empty((self.n_columns,) * 2)
         self.gram(counts, counts, A)
-        return np.diag(A) == 0.0
+        scale = np.sqrt(np.diag(A))
+        inestimable = scale == 0.0
+        if inestimable.any():
+            A, scale = A[np.ix_(~inestimable, ~inestimable)], scale[~inestimable]
+        A /= scale
+        A /= scale[:, None]
+        # through the Fortran-ordered view, which the factor overwrites
+        R, pivots, rank, _ = dpstrf(A.T, tol=RANK_TOL, overwrite_a=1)
+        # each column's largest entry over the null vectors: 1 for the
+        # columns past the rank, max |R11^-1 R12| over the row of the others
+        weight = np.zeros(len(scale))
+        if rank < len(scale):  # then rank >= 1, the first pivot being 1
+            head = np.abs(dtrtrs(R[:rank, :rank], R[:rank, rank:])[0]).max(axis=1)
+            weight[pivots - 1] = np.concatenate([head, np.ones(len(scale) - rank)])
+        order = np.argsort(-weight, kind="stable")[:np.count_nonzero(weight > NULL_ENTRY_TOL)]
+        return inestimable, rank, tuple(np.array(self.column_names)[~inestimable][order].tolist())
 
-    @cached_property
-    def inestimable_names(self) -> tuple[str, ...]:
-        """The names of the :attr:`inestimable` columns."""
-        return tuple(self.column_names[k] for k in np.flatnonzero(self.inestimable))
+    @property
+    def inestimable(self) -> np.ndarray:
+        """The columns with no nonzero entry, those where X'X has a zero
+        diagonal; fitters hold their coefficients at zero."""
+        return self.identification[0]
 
     @cached_property
     def matrix(self):

@@ -25,12 +25,18 @@ system through its transpose, the Fortran-ordered view of the C-ordered
 array, so neither copies it: the factor is the only full-size array a
 solve allocates. A second one would push the allocator's heap past its
 trim threshold at every step, handing the memory back to the operating
-system only to fault it in again. Inestimable columns are held at zero
-(``_free_columns``), and designs that cannot be identified are refused
-there. A system that is not positive definite, or whose condition
-estimate is below machine epsilon (where
-``scipy.linalg.solve(assume_a="pos")`` would raise or warn), gets an
-escalating diagonal jitter and, as a last resort, a least-squares solve;
+system only to fault it in again. Inestimable columns, those with no
+nonzero entry, are held at zero (``_free_columns``), and a design whose
+other columns are linearly dependent is refused there, with one message
+naming the dependent columns. One test decides it: the design's rank
+certificate (``DesignMatrix.identification``), a pivoted Cholesky
+factorization of its unit-weight X'X, computed once per design. The
+only other refusal is the node column of a two-node design, which is
+zero and so never reaches the certificate. A system that is not
+positive definite, or whose condition estimate is below machine
+epsilon (where ``scipy.linalg.solve(assume_a="pos")`` would raise or
+warn), gets an escalating diagonal jitter and, as a last resort, a
+least-squares solve;
 these fallbacks and the line search's step halvings are counted in
 ``FitResult.diagnostics`` (``jitter_escalations``, ``lstsq_fallbacks``,
 ``step_halvings``), next to the work done (``gram_builds``,
@@ -221,9 +227,9 @@ def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray,
 
 def _free_columns(design: DesignMatrix) -> np.ndarray:
     """The mask of the columns that a fit estimates, all but the
-    inestimable ones, which it holds at zero. Refuses the designs that
-    cannot be identified, naming what makes them so."""
-    spec, p = design.spec, design.block_count
+    inestimable ones, which it holds at zero. Refuses a design whose
+    other columns are linearly dependent, naming them from its rank
+    certificate (``DesignMatrix.identification``)."""
     zero = [design.column_names[k] for k in design.group_indices(GROUP_NODE)
             if design.inestimable[k]]
     if zero:
@@ -232,24 +238,13 @@ def _free_columns(design: DesignMatrix) -> np.ndarray:
         raise ValueError(f"node-effect column(s) {', '.join(zero)} cannot be estimated: every "
                          "dyad of the node also holds the last node, so the sum-to-zero node "
                          "effects cancel in its design row; node effects need at least three nodes")
-    if spec.node_effects and spec.block_main_effects:
-        raise ValueError("node_effects and block_main_effects cannot be fitted together: "
-                         "every block main effect is a sum of node effects")
-    # a block whose within-block pair has no dyad, a one-node block, costs
-    # a design with node effects one rank
-    within = np.bincount(design.row_pairs, minlength=p * p)[::p + 1]
-    lonely = [design.block_labels[r] for r in np.flatnonzero(within == 0)]
-    if spec.node_effects and lonely:
-        raise ValueError(f"block(s) {', '.join(lonely)} hold one node each, so no dyad lies "
-                         "within them and their interactions cannot be estimated apart from the "
-                         "node effects; merge each into another block or drop node_effects")
-    constant = [name for name, x in zip(spec.covariates, design.covariate_values.T)
-                if len(x) and x[0] != 0.0 and np.all(x == x[0])]
-    if constant:
-        raise ValueError(f"covariate column(s) {', '.join(constant)} hold one nonzero value on "
-                         "every dyad, a multiple of the intercept column, so their coefficients "
-                         "cannot be estimated apart from the intercept")
-    return ~design.inestimable
+    inestimable, rank, dependent = design.identification
+    if dependent:
+        # the first five columns named, the largest null-vector entries first
+        raise ValueError(f"columns {', '.join(dependent[:5])} ({len(dependent)} in all; rank "
+                         f"{rank} of {np.count_nonzero(~inestimable)}) are linearly dependent; "
+                         "drop an effect or covariate among them, or merge one-node blocks")
+    return ~inestimable
 
 
 def _initial_beta(data: _CellData, cols: np.ndarray) -> np.ndarray:
@@ -529,7 +524,8 @@ def assemble_fit(data: _CellData, solve: _Solve, diagnostics: dict,
     diagnostics = {**diagnostics, **solve.counts}
     if solve.cause:
         diagnostics["cause"] = solve.cause
-    diagnostics.setdefault("fixed_zero", list(design.inestimable_names))
+    diagnostics.setdefault("fixed_zero", [design.column_names[k]
+                                          for k in np.flatnonzero(design.inestimable)])
     return FitResult(
         family=data.family,
         column_names=design.column_names,

@@ -263,7 +263,7 @@ def test_two_node_degree_corrected_fit_names_the_inestimable_column(tmp_path, ca
 
 class TestUnidentifiedDesigns:
     """A design whose columns cannot all be estimated exits 3 before any
-    fit, naming the settings or the blocks that make it so."""
+    fit with a one-line message that names its dependent columns."""
 
     def fit(self, tmp_path, config, blocks="XXXXXYYYYYZZZZZ"):
         rng = np.random.default_rng(9)
@@ -271,24 +271,86 @@ class TestUnidentifiedDesigns:
         edges = "".join(f"{u},{v}\n" for k, u in enumerate(nodes) for v in nodes[k + 1:]
                         if rng.random() < 0.4)
         (tmp_path / "edges.csv").write_text(edges)
-        (tmp_path / "attributes.csv").write_text(
-            "node_id,block\n" + "".join(f"{v},{b}\n" for v, b in zip(nodes, blocks)))
+        # age2 holds twice age
+        (tmp_path / "attributes.csv").write_text("node_id,block,age,age2\n" + "".join(
+            f"{v},{b},{30 + 3 * k % 17},{2 * (30 + 3 * k % 17)}\n"
+            for k, (v, b) in enumerate(zip(nodes, blocks))))
         (tmp_path / "config.json").write_text(json.dumps(config))
         return run("fit", "--edges", tmp_path / "edges.csv", "--attributes",
                    tmp_path / "attributes.csv", "--partition-key", "block", "--config",
                    tmp_path / "config.json", "--grid-size", 5, "--out", tmp_path / "out")
 
+    def refusal(self, tmp_path, capsys):
+        """The names in the one-line refusal, which no fit follows."""
+        err = capsys.readouterr().err
+        assert err.startswith("error (data): columns ") and err.count("\n") == 1
+        assert "are linearly dependent" in err
+        assert not (tmp_path / "out" / "mle_fit.json").exists()
+        return err.removeprefix("error (data): columns ").split(" (")[0].split(", ")
+
     def test_node_and_block_effects_refused(self, tmp_path, capsys):
         config = {"model": "custom", "family": "bernoulli_logit", "node_effects": True,
                   "block_main_effects": True}
         assert self.fit(tmp_path, config) == 3
-        assert "node_effects and block_main_effects" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "mle_fit.json").exists()
+        # block effects and node effects, the two settings that collide
+        named = self.refusal(tmp_path, capsys)
+        assert any(name.startswith("block:") for name in named)
+        assert any(name.startswith("node:") for name in named)
 
     def test_one_node_block_refused_by_name(self, tmp_path, capsys):
         assert self.fit(tmp_path, {"model": "degree_corrected"}, blocks="SXXXXXYYYYYZZZZ") == 3
-        assert "block(s) S hold one node" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "mle_fit.json").exists()
+        named = self.refusal(tmp_path, capsys)
+        assert "node:n00" in named and any(name.startswith("interaction:S|") for name in named)
+
+    def test_one_node_block_refused_under_block_effects(self, tmp_path, capsys):
+        config = {"model": "covariate_adjusted"}
+        assert self.fit(tmp_path, config, blocks="SXXXXXYYYYYZZZZ") == 3
+        assert self.refusal(tmp_path, capsys)[0] == "block:S"
+
+    def test_doubled_covariate_refused_by_name(self, tmp_path, capsys):
+        config = {"model": "custom", "family": "bernoulli_logit", "covariates": [
+            {"kind": "abs_difference", "attribute": "age"},
+            {"kind": "abs_difference", "attribute": "age2"}]}
+        assert self.fit(tmp_path, config) == 3
+        assert sorted(self.refusal(tmp_path, capsys)) == ["absdiff:age", "absdiff:age2"]
+
+
+class TestPresetConflicts:
+    """A preset fixes the family and the effect groups: an explicit setting
+    that differs exits 3 naming it, and the manifest records the settings
+    of the model that was fitted."""
+
+    @pytest.mark.parametrize("extra,config,key", [
+        (("--model", "degree_corrected", "--family", "poisson_log"), {}, "family"),
+        (("--model", "degree_corrected"), {"node_effects": False}, "node_effects"),
+        (("--model", "degree_corrected"), {"penalize_covariates": True}, "penalize_covariates"),
+        (("--model", "covariate_adjusted", "--family", "bernoulli_logit"), {}, "family"),
+        (("--model", "covariate_adjusted"), {"block_main_effects": False}, "block_main_effects"),
+        (("--model", "covariate_adjusted"), {"node_effects": True}, "node_effects"),
+    ], ids=["dc_family", "dc_node_effects", "dc_penalize_covariates", "ca_family",
+            "ca_block_main_effects", "ca_node_effects"])
+    def test_conflicting_setting_refused(self, dataset, tmp_path, capsys, extra, config, key):
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run("fit", "--edges", dataset / "edges.csv", "--attributes",
+                   dataset / "attributes.csv", "--partition-key", "block", "--config",
+                   tmp_path / "config.json", *extra, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error (data): setting {key!r} is ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_manifest_records_the_fitted_model(self, dataset, tmp_path):
+        out = tmp_path / "out"
+        assert run("fit", "--edges", dataset / "edges.csv", "--attributes",
+                   dataset / "attributes.csv", "--partition-key", "block", "--model",
+                   "degree_corrected", "--family", "bernoulli_logit", "--grid-size", 5,
+                   "--out", out) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert {key: config[key] for key in ("family", "node_effects", "block_main_effects",
+                                             "penalize_covariates")} == {
+            "family": "bernoulli_logit", "node_effects": True, "block_main_effects": False,
+            "penalize_covariates": False}
+        assert json.loads((out / "summary.json").read_text())["family"] == "bernoulli_logit"
 
 
 class TestConstantCovariate:

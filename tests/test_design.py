@@ -349,6 +349,70 @@ class TestRunSums:
         assert cached.tobytes() == reconstruct_interactions(beta[idx], p).tobytes()
 
 
+class TestRankCertificate:
+    """The design's rank certificate (:attr:`DesignMatrix.identification`)
+    against the rank of the dense reference matrix, on small designs with
+    planted deficiencies and on full-rank controls."""
+
+    MODELS = {
+        "degree_corrected": dict(node_effects=True),
+        "covariate_adjusted": dict(block_main_effects=True),
+        "node_and_block": dict(node_effects=True, block_main_effects=True),
+        "pairs_only": dict(),
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           model=st.sampled_from(sorted(MODELS)),
+           planted=st.lists(st.sampled_from(["random", "constant", "zero", "copy", "scaled",
+                                             "sum"]), max_size=3),
+           seed=st.integers(0, 10_000))
+    @example(sizes=[2, 5, 5, 5], model="degree_corrected", planted=[], seed=0)
+    @example(sizes=[2, 5, 5, 5], model="covariate_adjusted", planted=["random"], seed=0)
+    @example(sizes=[1, 4, 4], model="covariate_adjusted", planted=[], seed=0)
+    @example(sizes=[1, 4, 4], model="degree_corrected", planted=[], seed=0)
+    @example(sizes=[1, 1], model="degree_corrected", planted=[], seed=0)
+    @example(sizes=[3, 3], model="pairs_only", planted=["random", "scaled", "sum"], seed=0)
+    def test_rank_matches_dense_reference(self, sizes, model, planted, seed):
+        n = sum(sizes)
+        if n < 2:
+            sizes, n = [*sizes, 1], n + 1
+        node_ids = tuple(f"v{t:02d}" for t in range(n))
+        partition = bl.Partition(tuple(f"B{b}" for b in range(len(sizes))),
+                                 dict(zip(node_ids, np.repeat(np.arange(len(sizes)),
+                                                              sizes).tolist())))
+        rng = np.random.default_rng(seed)
+        m = n * (n - 1) // 2
+        columns = []
+        for kind in planted:
+            if kind == "constant":
+                columns.append(np.full(m, 1.5))
+            elif kind == "zero":
+                columns.append(np.zeros(m))
+            elif kind in ("copy", "scaled") and columns:
+                columns.append(columns[-1] * (1.0 if kind == "copy" else -2.5))
+            elif kind == "sum" and len(columns) > 1:
+                columns.append(columns[0] + columns[-1])
+            else:
+                columns.append(rng.integers(0, 3, size=m).astype(float))
+        names = tuple(f"x{c}" for c in range(len(columns)))
+        table = bl.DyadTable(node_ids, np.zeros(m), np.column_stack([np.zeros((m, 0)), *columns]),
+                             names)
+        spec = bl.ModelSpec(family="poisson_log", covariates=names, **self.MODELS[model])
+        design = bl.encode(table, partition, spec)
+
+        inestimable, rank, dependent = design.identification
+        X = design.matrix.toarray()
+        assert rank == np.linalg.matrix_rank(X)
+        assert np.array_equal(inestimable, ~X.any(axis=0))
+        # the named columns are dependent, and the other estimable ones are not
+        named = [design.column_names.index(name) for name in dependent]
+        rest = [k for k in np.flatnonzero(~inestimable) if k not in named]
+        assert bool(named) == (rank < len(rest) + len(named))
+        assert np.linalg.matrix_rank(X[:, named]) < len(named) or not named
+        assert np.linalg.matrix_rank(X[:, rest]) == len(rest)
+
+
 class TestReconstructInteractions:
     def test_two_blocks(self):
         out = reconstruct_interactions(np.array([0.5]), 2)

@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dpstrf
 from scipy.special import expit, xlogy
 
 import blocklasso as bl
+from blocklasso import design as design_module
 from blocklasso import glm
 from blocklasso.glm import SEPARATION_RIDGE, _CellData, _solve_normal_equations, _step_counts
 from helpers import (bernoulli_instance, edge_weight, graph_from_weights, one_block_partition,
@@ -345,8 +347,20 @@ def sized_blocks(sizes, seed=0):
 
 
 class TestIdentifiability:
-    """Designs whose columns cannot all be estimated are refused by name
-    before any fit; the designs themselves can still be encoded."""
+    """Designs whose columns cannot all be estimated are refused before any
+    fit by the design's rank certificate, whose message names the dependent
+    columns; the designs themselves can still be encoded."""
+
+    def refusal(self, design, response):
+        """The one-line message with which both fits refuse ``design``."""
+        messages = set()
+        for fit in (bl.fit_mle, bl.lambda_path):
+            with pytest.raises(ValueError, match="are linearly dependent") as raised:
+                fit(design, response)
+            messages.add(str(raised.value))
+        (message,) = messages
+        assert "\n" not in message
+        return message
 
     def test_node_and_block_effects_refused(self):
         _, table, partition, _ = bernoulli_instance(40, n=40, p=3)
@@ -354,9 +368,9 @@ class TestIdentifiability:
         design = bl.encode(table, partition, spec)
         # the p - 1 block-effect columns lie in the span of the node effects
         assert np.linalg.matrix_rank(design.matrix.toarray()) == 43 == design.n_columns - 2
-        for fit in (bl.fit_mle, bl.lambda_path):
-            with pytest.raises(ValueError, match="node_effects and block_main_effects"):
-                fit(design, table.response)
+        message = self.refusal(design, table.response)
+        assert "block:B01" in message and "block:B02" in message and "node:" in message
+        assert "rank 43 of 45" in message
 
     @pytest.mark.parametrize("sizes", [(1, 10, 10), (1, 5, 5, 5), (1, 1, 6, 6, 6), (1, 12)])
     def test_one_node_blocks_refused_by_name(self, sizes):
@@ -366,15 +380,57 @@ class TestIdentifiability:
         # each one-node block costs one rank
         rank = np.linalg.matrix_rank(design.matrix.toarray())
         assert rank == design.n_columns - len(lonely)
-        for fit in (bl.fit_mle, bl.lambda_path):
-            with pytest.raises(ValueError, match=f"block\\(s\\) {', '.join(lonely)} hold one node"):
-                fit(design, table.response)
+        message = self.refusal(design, table.response)
+        assert f"rank {rank} of {design.n_columns}" in message
+        # the largest null-vector entries come first: each one-node block's
+        # node, and the first block's interactions
+        named = message.removeprefix("columns ").split(" (")[0].split(", ")
+        nodes = [f"node:v{sum(sizes[:b]):02d}" for b, size in enumerate(sizes) if size == 1]
+        assert set(nodes) <= set(named)
+        assert any(name.startswith(f"interaction:{lonely[0]}|") for name in named[:2])
+
+    @pytest.mark.parametrize("sizes", [(1, 10, 10), (1, 5, 5, 5), (6, 6, 1, 6), (1, 12)])
+    def test_one_node_blocks_refused_under_block_effects(self, sizes):
+        # the covariate-adjusted preset: a one-node block's main effect and
+        # interactions move together, its within-block pair having no dyad
+        table, partition = sized_blocks(sizes)
+        design = bl.encode(table, partition, bl.ModelSpec.covariate_adjusted())
+        lonely = partition.block_labels[sizes.index(1)]
+        assert np.linalg.matrix_rank(design.matrix.toarray()) == design.n_columns - 1
+        message = self.refusal(design, table.response)
+        assert message.startswith(f"columns block:{lonely}, ")
+        assert f"rank {design.n_columns - 1} of {design.n_columns}" in message
+
+    def test_collinear_covariates_refused_by_name(self):
+        # x and 2x: the design is one rank short and nothing else is
+        table, partition = sized_blocks((5, 5, 5))
+        x = np.random.default_rng(1).integers(0, 5, table.dyad_count).astype(float)
+        table = bl.DyadTable(table.node_ids, table.response, np.column_stack([x, 2 * x]),
+                             ("x", "twice_x"))
+        design = bl.encode(table, partition, bl.ModelSpec.covariate_adjusted(("x", "twice_x")))
+        message = self.refusal(design, table.response)
+        assert message.startswith("columns x, twice_x (2 in all; rank 7 of 8)")
+
+    def test_one_certificate_per_design(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return dpstrf(*args, **kwargs)
+
+        monkeypatch.setattr(design_module, "dpstrf", counted)
+        _, table, _, design = bernoulli_instance(40, n=14, p=3)
+        mle = bl.fit_mle(design, table.response)
+        weights = bl.adaptive_weights(mle, design.penalized_mask)
+        bl.lambda_path(design, table.response, weights=weights, grid_size=5)
+        assert calls == [(design.n_columns,) * 2]
 
     def test_two_node_blocks_are_full_rank(self):
         table, partition = sized_blocks((2, 5, 5, 5))
         design = bl.encode(table, partition, bl.ModelSpec.degree_corrected())
         assert np.linalg.matrix_rank(design.matrix.toarray()) == design.n_columns
         assert glm._free_columns(design).all()
+        assert design.identification[1:] == (design.n_columns, ())
 
 
 class TestSerialization:
