@@ -35,7 +35,6 @@ from .penalty import (
     PathResult,
     PenaltySpec,
     adaptive_weights,
-    fit_penalized,
     lambda_path,
     select,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "encode",
     "export_reduced_graph",
     "fit_mle",
-    "fit_penalized",
     "lambda_path",
     "load_attributes",
     "load_edge_list",

@@ -304,7 +304,7 @@ def cmd_fit(args) -> int:
     rg_mle = reduce_positive(mle.block_interactions, partition.block_labels)
     _reduced_outputs(out_dir, "reduced_mle", rg_mle, cfg["formats"], cfg["styling"])
     if cfg["threshold"] is not None:
-        rg_thresh = reduce_threshold(mle, partition, cfg["threshold"])
+        rg_thresh = reduce_threshold(mle, design, cfg["threshold"])
         _reduced_outputs(out_dir, "reduced_mle_threshold", rg_thresh,
                          cfg["formats"], cfg["styling"])
 

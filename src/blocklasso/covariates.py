@@ -12,7 +12,6 @@ passthrough kind that reads per-dyad values from a file.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -107,8 +106,8 @@ class DyadTable:
     """All n(n-1)/2 unordered node pairs with responses and covariates.
 
     Dyads are the node pairs i < j in the package's one dyad order,
-    lexicographic (``graphs._dyads``), on which every downstream operation
-    relies; :attr:`dyads` derives their endpoints from the node count.
+    lexicographic (``graphs._dyads``, which gives their endpoints from the
+    node count), on which every downstream operation relies.
     ``response`` holds the edge weight of each dyad and ``covariates`` one
     named column per constructed covariate.
     """
@@ -131,11 +130,6 @@ class DyadTable:
             raise ValueError("covariate matrix does not match covariate names")
         if self.covariates.size and not np.all(np.isfinite(self.covariates)):
             raise ValueError("covariate values must be finite")
-
-    @cached_property
-    def dyads(self) -> np.ndarray:
-        """(m, 2) node indices i < j of every dyad, in the dyad order."""
-        return np.column_stack(_dyads(len(self.node_ids)))
 
     @property
     def dyad_count(self) -> int:

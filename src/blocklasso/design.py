@@ -94,15 +94,15 @@ class ModelSpec:
     The two tested presets are :meth:`degree_corrected` (Bernoulli with
     node effects) and :meth:`covariate_adjusted` (Poisson with block main
     effects and covariates); arbitrary combinations are permitted.
-    ``penalize_covariates`` defaults to penalizing covariates whenever
-    any are included, which matches the covariate-adjusted preset.
+    ``penalize_covariates`` puts the covariates under the penalty, as the
+    covariate-adjusted preset does; it has no effect without covariates.
     """
 
     family: str
     node_effects: bool = False
     block_main_effects: bool = False
     covariates: tuple[str, ...] = ()
-    penalize_covariates: bool | None = None
+    penalize_covariates: bool = True
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -121,12 +121,6 @@ class ModelSpec:
         return cls(family="poisson_log", node_effects=False,
                    block_main_effects=True, covariates=tuple(covariates),
                    penalize_covariates=True)
-
-    @property
-    def penalizes_covariates(self) -> bool:
-        if self.penalize_covariates is None:
-            return bool(self.covariates)
-        return self.penalize_covariates
 
 
 @dataclass
@@ -439,7 +433,7 @@ def encode(table: DyadTable, partition: Partition, spec: ModelSpec) -> DesignMat
     names.extend(f"interaction:{labels[r]}|{labels[s]}" for r, s in zip(*np.triu_indices(p, k=1)))
     groups.extend([GROUP_INTERACTION] * (p * (p - 1) // 2))
 
-    penalized = [GROUP_INTERACTION] + [GROUP_COVARIATE] * spec.penalizes_covariates
+    penalized = [GROUP_INTERACTION] + [GROUP_COVARIATE] * spec.penalize_covariates
 
     ends = _dyads(n)
     blocks = partition.indices_for(table.node_ids)

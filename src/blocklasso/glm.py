@@ -54,10 +54,12 @@ the dyads into rows) from the row's response total
 (``DesignMatrix.row_sums``) and dyad count, which is 1 when the rows are
 the dyads. X·beta and X'v come from the design's factors
 (``DesignMatrix.predictor`` and ``DesignMatrix.xt``): no fit forms the
-design matrix. Outputs stay per dyad: the log-likelihood, the deviance
-and the fitted values (``DesignMatrix.dyad_values``), with the
-response-only terms (sum of log y!, the saturated Poisson likelihood)
-computed once per fit over the distinct counts. At coefficients other
+design matrix. Outputs stay per dyad: the log-likelihood and the
+deviance, with the response-only terms (sum of log y!, the saturated
+Poisson likelihood) computed once per fit over the distinct counts. A
+fit keeps no per-dyad means: a reader that needs them evaluates
+``design.predictor(fit.coefficients)``, as ``reduced.reduce_threshold``
+does. At coefficients other
 than a fit's own, the log-likelihood is the kernel of
 ``_CellData.evaluate`` at ``design.predictor(beta)`` minus
 ``_CellData.log_y_factorial``.
@@ -279,11 +281,10 @@ _IRLS_SEARCH = _LineSearch(slack=1e-13, halvings=30, give_up=True)
 
 @dataclass
 class _Solve:
-    """The end of an outer loop: the coefficients with their row means,
+    """The end of an outer loop: the coefficients with their
     log-likelihood kernel and score, and how the loop got there."""
 
     beta: np.ndarray
-    mu: np.ndarray
     kernel: float
     score: np.ndarray
     iterations: int
@@ -356,7 +357,7 @@ def _outer_loop(data: _CellData, A: np.ndarray, beta: np.ndarray, *, penalty,
     else:
         cause = "max_iterations"
 
-    return _Solve(beta=beta, mu=mu, kernel=kernel,
+    return _Solve(beta=beta, kernel=kernel,
                   score=data.score(mu) if score is None else score, iterations=iteration,
                   converged=converged, cause=cause, counts=counts)
 
@@ -402,9 +403,6 @@ class FitResult:
 
     ``block_interactions`` is the full symmetric block-interaction matrix
     with the constrained diagonal filled in (every row sums to zero).
-    ``fitted_values`` holds the per-dyad mean; it is dropped by JSON
-    serialization and not kept by the fits of a penalty path (it is
-    recomputable from the coefficients).
     """
 
     family: str
@@ -414,7 +412,6 @@ class FitResult:
     deviance: float
     converged: bool
     iterations: int
-    fitted_values: np.ndarray | None
     block_interactions: np.ndarray
     block_labels: tuple[str, ...]
     node_ids: tuple[str, ...]
@@ -480,7 +477,7 @@ class FitResult:
                        coefficients=np.array([data["coefficients"][k] for k in names]),
                        log_likelihood=float(data["log_likelihood"]),
                        deviance=float(data["deviance"]), converged=bool(data["converged"]),
-                       iterations=int(data["iterations"]), fitted_values=None,
+                       iterations=int(data["iterations"]),
                        block_interactions=np.array(data["block_interactions"], dtype=np.float64),
                        block_labels=tuple(data["block_labels"]), node_ids=tuple(data["node_ids"]),
                        groups=tuple(data["groups"]), diagnostics=dict(data.get("diagnostics", {})))
@@ -515,11 +512,9 @@ def read_fit_json(path) -> FitResult:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def assemble_fit(data: _CellData, solve: _Solve, diagnostics: dict,
-                 fitted_values: bool = True) -> FitResult:
+def assemble_fit(data: _CellData, solve: _Solve, diagnostics: dict) -> FitResult:
     """Build a :class:`FitResult` from the end of an outer loop; the
-    diagnostics gain the loop's counters and its cause. The fitted
-    values, when kept, are expanded from the rows back to the dyads."""
+    diagnostics gain the loop's counters and its cause."""
     design = data.design
     diagnostics = {**diagnostics, **solve.counts}
     if solve.cause:
@@ -534,7 +529,6 @@ def assemble_fit(data: _CellData, solve: _Solve, diagnostics: dict,
         deviance=2.0 * (data.saturated - solve.kernel),
         converged=solve.converged,
         iterations=solve.iterations,
-        fitted_values=design.dyad_values(solve.mu) if fitted_values else None,
         block_interactions=design.interaction_matrix(solve.beta),
         block_labels=design.block_labels,
         node_ids=design.node_ids,

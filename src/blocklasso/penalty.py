@@ -1,12 +1,14 @@
 """Adaptive-lasso penalized estimation over a regularization path.
 
-Three public functions: :func:`lambda_path` fits a decreasing penalty
-grid, whose first point is the restricted fit (every penalized column
-at zero) at the top penalty ``lambda_max``, so that
+Two functions fit: :func:`lambda_path` fits a decreasing penalty grid,
+whose first point is the restricted fit (every penalized column at
+zero) at the top penalty ``lambda_max``, so that
 ``lambda_path(..., grid_size=1)`` returns those two alone;
 :func:`select` picks the BIC minimizer of a path, or the fit at a given
-penalty; :func:`fit_penalized` fits one penalty level from the
-restricted fit.
+penalty, refitting exactly at a penalty off the grid from the nearest
+grid point (as Friedman, Hastie & Tibshirani 2010 do). One penalty level
+is ``select(lambda_path(..., grid_size=1), fixed_lambda=lam)``: below
+``lambda_max`` it is solved from the restricted fit.
 
 The penalized objective is ``-loglik(beta) + lam * sum_j w_j |beta_j|``
 over the penalized columns (block interactions, plus covariates when the
@@ -66,9 +68,8 @@ builds and factorizations in ``diagnostics`` (``gram_builds``,
 are evaluated once and shared by the line search, the KKT test, the
 next working weights and the chord gradient.
 
-The fits of a path keep no per-dyad fitted values (:func:`fit_penalized`
-does), are assembled from the solver's last evaluation, and report the
-fallback counts of their solve as ``fit_mle`` does.
+The fits of a path are assembled from the solver's last evaluation, and
+report the fallback counts of their solve as ``fit_mle`` does.
 
 Path following: from the third grid point on, each point starts from a
 first-order predictor (Park & Hastie 2007, JRSS-B 69(4)), the linear
@@ -107,7 +108,6 @@ __all__ = [
     "PenaltySpec",
     "PathResult",
     "adaptive_weights",
-    "fit_penalized",
     "lambda_path",
     "select",
 ]
@@ -183,11 +183,9 @@ def adaptive_weights(reference: FitResult, mask, gamma_w: float = 1.0) -> np.nda
 class _PenalizedSolver:
     """Shared machinery for one (design, response, weights) problem."""
 
-    def __init__(self, design: DesignMatrix, response, weights=None):
+    def __init__(self, design: DesignMatrix, response, weights):
         self.design = design
         self.data = _CellData(design, response)
-        if weights is None:
-            weights = np.where(design.penalized_mask, 1.0, 0.0)
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (design.n_columns,):
             raise ValueError(f"weights must have length {design.n_columns}")
@@ -213,15 +211,6 @@ class _PenalizedSolver:
         # the one Cholesky factor kept, (selection key, factor), made from
         # the current Gram of ``solve`` without jitter
         self._factor: tuple[bytes, np.ndarray] | None = None
-
-    # -- restricted problem (penalized block forced to zero) ------------
-
-    def restricted_fit(self) -> _Solve:
-        return _irls(self.data, self.gram, self.unpen_idx, KKT_TOL, max_iter=MAX_OUTER)
-
-    def lambda_max(self, beta_restricted: np.ndarray) -> float:
-        score = self._score(beta_restricted)[self.pen_idx]
-        return float((np.abs(score) / self.pen_weights).max(initial=0.0))
 
     # -- penalized objective and optimality ------------------------------
 
@@ -338,7 +327,7 @@ class _PenalizedSolver:
 
     # -- main solve -------------------------------------------------------
 
-    def solve(self, lam: float, beta_start: np.ndarray, fitted_values: bool = False) -> FitResult:
+    def solve(self, lam: float, beta_start: np.ndarray) -> FitResult:
         """The fit at ``lam`` by penalized IRLS with chord steps from
         ``beta_start``, through ``glm._outer_loop`` (see the module
         docstring)."""
@@ -378,39 +367,18 @@ class _PenalizedSolver:
                             working_solve=working_solve, stop=stop, search=_PATH_SEARCH,
                             max_iter=MAX_OUTER)
         # every step ends in ``stop``, so ``kkt`` is that of the last point
-        return self.assemble(solve, lam, fitted_values, kkt)
+        return self.assemble(solve, lam, kkt)
 
-    def assemble(self, solve: _Solve, lam: float, fitted_values: bool = False,
-                 kkt: float | None = None) -> FitResult:
+    def assemble(self, solve: _Solve, lam: float, kkt: float | None = None) -> FitResult:
         """The fit at ``lam`` that ``solve`` (or the restricted fit, at
         ``lam >= lambda_max``) ended in, with ``kkt`` its KKT violation
-        when the caller has it; path fits keep no per-dyad fitted values."""
+        when the caller has it."""
         if kkt is None:
             kkt = self.kkt_violation(solve.beta, lam, solve.score)
         active = int(np.count_nonzero(solve.beta[self.pen_idx]))
         diagnostics = {"lambda": float(lam), "kkt_max": float(kkt), "kkt_tol": KKT_TOL,
                        "active_set_size": active, "df": active + len(self.unpen_idx)}
-        return assemble_fit(self.data, solve, diagnostics, fitted_values)
-
-
-def fit_penalized(design: DesignMatrix, response, weights=None, lam: float = 0.0) -> FitResult:
-    """Penalized fit at a single penalty level.
-
-    ``weights`` is the full-length vector from :func:`adaptive_weights`
-    (unit weights on the penalized columns when None); ``lam`` must be
-    finite and nonnegative. At ``lam=0`` the solution matches the
-    maximum-likelihood fit; reported zeros among penalized coefficients
-    are exact. The solve starts from the restricted fit, which is
-    returned as it is when ``lam`` is at or above the top penalty of
-    :func:`lambda_path`, as at the top of the path. The KKT violation
-    reached is recorded in ``diagnostics["kkt_max"]``.
-    """
-    _check_lambda(lam)
-    solver = _PenalizedSolver(design, response, weights)
-    restricted = solver.restricted_fit()
-    if lam >= solver.lambda_max(restricted.beta):
-        return solver.assemble(restricted, lam, fitted_values=True)
-    return solver.solve(lam, restricted.beta, fitted_values=True)
+        return assemble_fit(self.data, solve, diagnostics)
 
 
 @dataclass
@@ -463,11 +431,13 @@ def _predicted_start(beta: np.ndarray, beta_prev: np.ndarray, step: float,
     return start
 
 
-def lambda_path(design: DesignMatrix, response, weights=None, grid_size: int = 100,
+def lambda_path(design: DesignMatrix, response, weights, grid_size: int = 100,
                 grid_ratio: float = 1e-4) -> PathResult:
     """Fit the penalized model along a log-spaced penalty grid.
 
-    The grid runs from ``lambda_max`` (the smallest penalty at which
+    ``weights`` is the full-length vector of :func:`adaptive_weights`:
+    positive, or inf to hold a column at zero, on the penalized columns
+    and 0 on the others. The grid runs from ``lambda_max`` (the smallest penalty at which
     every finitely-weighted penalized coefficient is zero, computed from
     the score of the unpenalized-columns-only fit) down to
     ``lambda_max * grid_ratio``. The top-of-grid point reuses the
@@ -486,14 +456,15 @@ def lambda_path(design: DesignMatrix, response, weights=None, grid_size: int = 1
     solver = _PenalizedSolver(design, response, weights)
     m = design.n_dyads
 
-    restricted = solver.restricted_fit()
-    degenerate = len(solver.pen_idx) == 0
-    lam_max = 0.0 if degenerate else solver.lambda_max(restricted.beta)
-    if degenerate:
+    # the fit with every penalized column at zero, the top point
+    restricted = _irls(solver.data, solver.gram, solver.unpen_idx, KKT_TOL, max_iter=MAX_OUTER)
+    if not len(solver.pen_idx):
         warnings.warn("all penalized weights are infinite; the path degenerates to "
                       "the unpenalized fit", RuntimeWarning, stacklevel=2)
-    # the restricted fit is the top point
-    if degenerate or lam_max <= 0.0:
+    # the restricted fit's score is over every column
+    score = np.abs(restricted.score[solver.pen_idx])
+    lam_max = float((score / solver.pen_weights).max(initial=0.0))
+    if lam_max <= 0.0:
         fit = solver.assemble(restricted, 0.0)
         df = len(solver.unpen_idx)
         return PathResult(lambdas=np.array([0.0]), fits=[fit],

@@ -5,7 +5,10 @@ an edge between blocks r and s (including self-loops) exactly when the
 fitted block-interaction value is positive, so exact zeros from a
 penalized fit produce no edge and are tallied separately. The threshold
 rule, for Bernoulli fits only, averages the fitted dyad probabilities
-within each block pair and draws an edge when the mean exceeds a cutoff.
+within each block pair and draws an edge when the mean exceeds a cutoff;
+it computes them from the fit's coefficients over the fit's design, so
+it takes any fit over that design: the MLE, a point of a penalty path,
+the selected fit, or a fit read back from JSON.
 Both rules reduce to a p×p value matrix with a mask of present pairs and
 one of flagged pairs, from which one builder reads the graph.
 
@@ -26,8 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .glm import FitResult
-from .graphs import Partition, _dyads, _pair_key, _write_json
+from .design import DesignMatrix
+from .glm import FitResult, _logistic
+from .graphs import _write_json
 
 __all__ = [
     "SignSummary",
@@ -151,29 +155,30 @@ def reduce_positive(interactions: np.ndarray, block_labels=None) -> ReducedGraph
                         "positive_interaction")
 
 
-def reduce_threshold(fit: FitResult, partition: Partition, threshold: float) -> ReducedGraph:
+def reduce_threshold(fit: FitResult, design: DesignMatrix, threshold: float) -> ReducedGraph:
     """Reduced graph by thresholding mean fitted probabilities.
 
-    Defined for Bernoulli fits only: the fitted probability is averaged
-    over all dyads in each block pair and an edge is drawn when the mean
-    exceeds ``threshold``. Pairs with no dyads are flagged and carry no
-    edge. The sign summary counts edges as positive, below-threshold
-    pairs as negative and flagged pairs as zero.
+    Defined for Bernoulli fits only, over the design that they were fitted
+    on (a fit over other columns is refused): the fitted probability of
+    each dyad, the logistic of ``design.predictor(fit.coefficients)``, is
+    averaged over all dyads in each block pair and an edge is drawn when
+    the mean exceeds ``threshold``. Pairs with no dyads are flagged and
+    carry no edge. The sign summary counts edges as positive,
+    below-threshold pairs as negative and flagged pairs as zero.
     """
     if fit.family != "bernoulli_logit":
         raise ValueError("the threshold rule needs fitted probabilities; "
                          "it is undefined for rate (Poisson) fits")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-    if fit.fitted_values is None:
-        raise ValueError("fit has no fitted values: fits loaded from JSON and the fits "
-                         "of a lambda_path do not keep them; refit with fit_mle or "
-                         "fit_penalized")
-    blocks_of = partition.indices_for(fit.node_ids)
-    p = partition.block_count
-    i, j = _dyads(len(fit.node_ids))
-    pair = _pair_key(blocks_of[i], blocks_of[j], p)
-    totals = np.bincount(pair, weights=fit.fitted_values, minlength=p * p).reshape(p, p)
+    if fit.column_names != design.column_names:
+        raise ValueError("the fit's columns differ from the design's; the threshold rule "
+                         "needs the design that the fit was fitted on")
+    p = design.block_count
+    # the block-pair key and the fitted probability of each dyad, in the dyad order
+    pair = design.dyad_values(design.row_pairs)
+    mu = design.dyad_values(_logistic(design.predictor(fit.coefficients))[0])
+    totals = np.bincount(pair, weights=mu, minlength=p * p).reshape(p, p)
     counts = np.bincount(pair, minlength=p * p).reshape(p, p)
     flagged = counts == 0
     means = totals / np.where(flagged, 1, counts)
@@ -183,7 +188,7 @@ def reduce_threshold(fit: FitResult, partition: Partition, threshold: float) -> 
     zero = int(np.count_nonzero(flagged & upper))
     summary = SignSummary(positive=positive, zero=zero,
                           negative=p * (p + 1) // 2 - positive - zero)
-    return _from_values(partition.block_labels, means, present, flagged, summary,
+    return _from_values(design.block_labels, means, present, flagged, summary,
                         "threshold", float(threshold))
 
 

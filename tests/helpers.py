@@ -29,6 +29,12 @@ def one_block_partition(graph: bl.Graph) -> bl.Partition:
     return bl.Partition(("all",), {v: 0 for v in graph.node_ids})
 
 
+def unit_weights(design: bl.DesignMatrix) -> np.ndarray:
+    """Penalty weights of 1 on the penalized columns of ``design`` and 0
+    on the others."""
+    return np.where(design.penalized_mask, 1.0, 0.0)
+
+
 def bernoulli_instance(seed: int, n: int = 12, p: int = 3, *, intercept: float = -0.3,
                        fraction_zero: float = 0.3, magnitude: float = 0.8,
                        node_scale: float = 0.0):

@@ -133,14 +133,14 @@ def test_criterion_04_penalized_correctness():
             assert mle.converged
             weights = bl.adaptive_weights(mle, design.penalized_mask)
 
-            zero = bl.fit_penalized(design, table.response, weights=weights, lam=0.0)
+            # one penalty level: select refits the one-point path there
+            top = bl.lambda_path(design, table.response, weights=weights, grid_size=1)
+            zero = bl.select(top, fixed_lambda=0.0)
             assert np.abs(zero.coefficients - mle.coefficients).max() <= 1e-6
 
-            top = bl.lambda_path(design, table.response, weights=weights, grid_size=1)
             lam_max = float(top.lambdas[0])
             assert np.count_nonzero(top.fits[0].coefficients[design.penalized_mask]) == 0
-            above = bl.fit_penalized(design, table.response, weights=weights,
-                                     lam=1.01 * lam_max)
+            above = bl.select(top, fixed_lambda=1.01 * lam_max)
             assert np.count_nonzero(above.coefficients[design.penalized_mask]) == 0
 
             path = bl.lambda_path(design, table.response, weights=weights, grid_size=30)
@@ -186,11 +186,11 @@ def test_criterion_06_reduced_graph_rules():
         assert set(rg.edges) == brute_force_positive_pairs(phi)
         assert rg.sign_summary.total == p * (p + 1) // 2
 
-    _, table, partition, design = bernoulli_instance(660, n=14, p=3)
+    _, table, _, design = bernoulli_instance(660, n=14, p=3)
     fit = bl.fit_mle(design, table.response)
     previous = None
     for t in np.linspace(0.0, 1.0, 11):
-        edges = set(bl.reduce_threshold(fit, partition, float(t)).edges)
+        edges = set(bl.reduce_threshold(fit, design, float(t)).edges)
         if previous is not None:
             assert edges.issubset(previous)
         previous = edges

@@ -10,6 +10,7 @@ import blocklasso as bl
 from blocklasso.design import (GROUP_BLOCK, GROUP_INTERACTION, GROUP_NODE, effect_levels,
                                reconstruct_interactions)
 from blocklasso.glm import _CellData
+from blocklasso.graphs import _dyads
 
 from helpers import bernoulli_instance, poisson_instance
 
@@ -81,7 +82,7 @@ class TestCoding:
         int_cols = design.group_indices(GROUP_INTERACTION)
         assert [design.column_names[c].split(":")[1] for c in int_cols] == [
             "B01|B02", "B01|B03", "B02|B03"]
-        for k, (i, j) in enumerate(table.dyads):
+        for k, (i, j) in enumerate(zip(*_dyads(len(table.node_ids)))):
             if blocks[i] == blocks[j] == 0:
                 assert list(dense[k, int_cols]) == [-1.0, -1.0, 0.0]
                 break
@@ -93,7 +94,7 @@ class TestCoding:
         blocks = partition.indices_for(design.node_ids)
         dense = design.matrix.toarray()
         int_cols = design.group_indices(GROUP_INTERACTION)
-        for k, (i, j) in enumerate(table.dyads):
+        for k, (i, j) in enumerate(zip(*_dyads(len(table.node_ids)))):
             if blocks[i] == 0 and blocks[j] == 1:
                 assert list(dense[k, int_cols]) == [1.0, 0.0, 0.0]
                 break
@@ -104,7 +105,7 @@ class TestCoding:
         node_cols = design.group_indices(GROUP_NODE)
         # dyad (0, n-1): +1 at column 0 cancelled by the fold, so (0,-1,-1,-1)
         last = len(design.node_ids) - 1
-        for k, (i, j) in enumerate(table.dyads):
+        for k, (i, j) in enumerate(zip(*_dyads(len(table.node_ids)))):
             if i == 0 and j == last:
                 assert list(dense[k, node_cols]) == [0.0, -1.0, -1.0, -1.0]
             if i == 0 and j == 1:
@@ -115,7 +116,7 @@ class TestCoding:
         blocks = partition.indices_for(design.node_ids)
         dense = design.matrix.toarray()
         block_cols = design.group_indices(GROUP_BLOCK)
-        for k, (i, j) in enumerate(table.dyads):
+        for k, (i, j) in enumerate(zip(*_dyads(len(table.node_ids)))):
             coded = dense[k, block_cols]
             expected = sum(1 if blocks[v] == 0 else -1 for v in (i, j))
             assert coded[0] == expected
@@ -581,7 +582,8 @@ class TestCells:
     def test_node_effects_make_every_dyad_a_cell(self):
         _, table, _, design = bernoulli_instance(12, n=9, p=3)
         assert len(design.row_pairs) == design.n_dyads == table.dyad_count
-        assert np.array_equal(np.column_stack(design.row_nodes), table.dyads)
+        assert np.array_equal(np.column_stack(design.row_nodes),
+                              np.column_stack(_dyads(len(table.node_ids))))
 
     @pytest.mark.parametrize("make", [
         lambda: bernoulli_instance(12, n=9, p=3)[3],

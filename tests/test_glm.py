@@ -14,7 +14,7 @@ from blocklasso import design as design_module
 from blocklasso import glm
 from blocklasso.glm import SEPARATION_RIDGE, _CellData, _solve_normal_equations, _step_counts
 from helpers import (bernoulli_instance, edge_weight, graph_from_weights, one_block_partition,
-                     poisson_instance)
+                     poisson_instance, unit_weights)
 from oracles import damped_newton, naive_log_likelihood
 
 FALLBACKS = ("jitter_escalations", "lstsq_fallbacks", "step_halvings")
@@ -132,10 +132,12 @@ class TestFitMle:
     def test_fitted_values_in_range(self):
         _, table, _, design = bernoulli_instance(19, n=10, p=2)
         fit = bl.fit_mle(design, table.response)
-        assert np.all((fit.fitted_values > 0) & (fit.fitted_values < 1))
+        mu = _CellData(design, table.response).evaluate(design.predictor(fit.coefficients))[0]
+        assert np.all((mu > 0) & (mu < 1))
         _, table2, _, design2 = poisson_instance(16, n=10, p=2)
         fit2 = bl.fit_mle(design2, table2.response)
-        assert np.all(fit2.fitted_values > 0)
+        mu2 = _CellData(design2, table2.response).evaluate(design2.predictor(fit2.coefficients))[0]
+        assert np.all(mu2 > 0)
 
     def test_node_relabeling_invariance(self):
         graph, table, partition, design = bernoulli_instance(17, n=10, p=2)
@@ -316,7 +318,8 @@ class TestCellFits:
         if lam is None:
             fit = bl.fit_mle(design, table.response)
         else:
-            fit = bl.fit_penalized(design, table.response, lam=lam)
+            path = bl.lambda_path(design, table.response, unit_weights(design), grid_size=1)
+            fit = bl.select(path, fixed_lambda=lam)
         assert fit.converged
         X, y = design.matrix.toarray(), table.response.astype(float)
         mu = np.exp(design.matrix @ fit.coefficients)
@@ -328,8 +331,11 @@ class TestCellFits:
         loglik = naive_log_likelihood(X, y, fit.coefficients, family)
         assert fit.log_likelihood == pytest.approx(loglik, rel=1e-10, abs=0)
         assert fit.deviance == pytest.approx(deviance, rel=1e-10, abs=0)
-        assert fit.fitted_values.shape == (design.n_dyads,)
-        assert np.allclose(fit.fitted_values, mu, rtol=1e-10, atol=0)
+        # the row means that the solver evaluates, expanded to the dyads
+        data = _CellData(design, table.response)
+        fitted = design.dyad_values(data.evaluate(design.predictor(fit.coefficients))[0])
+        assert fitted.shape == (design.n_dyads,)
+        assert np.allclose(fitted, mu, rtol=1e-10, atol=0)
         if lam is None:
             oracle = damped_newton(X, y, family, free=~design.inestimable)
             assert np.abs(fit.coefficients - oracle).max() < 1e-6
@@ -354,7 +360,9 @@ class TestIdentifiability:
     def refusal(self, design, response):
         """The one-line message with which both fits refuse ``design``."""
         messages = set()
-        for fit in (bl.fit_mle, bl.lambda_path):
+        for fit in (bl.fit_mle,
+                    lambda design, response: bl.lambda_path(design, response,
+                                                            unit_weights(design))):
             with pytest.raises(ValueError, match="are linearly dependent") as raised:
                 fit(design, response)
             messages.add(str(raised.value))
@@ -446,7 +454,7 @@ class TestSerialization:
         assert loaded.log_likelihood == fit.log_likelihood
         assert loaded.converged == fit.converged
         assert np.array_equal(loaded.block_interactions, fit.block_interactions)
-        assert loaded.fitted_values is None
+        assert loaded.to_json_dict() == fit.to_json_dict()
 
     @pytest.mark.parametrize("document,message", [
         ({}, "no key 'coefficients'"),

@@ -12,7 +12,7 @@ from blocklasso.design import GROUP_INTERACTION, DesignMatrix
 from blocklasso.glm import ConvergenceError, _step_counts
 from blocklasso.penalty import _PenalizedSolver
 
-from helpers import bernoulli_instance, poisson_instance
+from helpers import bernoulli_instance, poisson_instance, unit_weights
 from oracles import naive_log_likelihood
 
 
@@ -21,6 +21,13 @@ def path_top(design, response, weights):
     fit there: the one point of a one-point path."""
     path = bl.lambda_path(design, response, weights=weights, grid_size=1)
     return float(path.lambdas[0]), path.fits[0].coefficients
+
+
+def fit_at(design, response, weights, lam):
+    """The fit at the one penalty ``lam``: the top point of a one-point
+    path, refit at ``lam`` when it is not that point's penalty."""
+    path = bl.lambda_path(design, response, weights, grid_size=1)
+    return bl.select(path, fixed_lambda=lam)
 
 
 def soft_threshold(x, t):
@@ -112,7 +119,7 @@ class TestSoftThreshold:
                                               (1.0, 1.0, 0.0)])
     def test_values(self, x, t, expected):
         _, table, _, design = bernoulli_instance(37, n=8, p=2)
-        solver = _PenalizedSolver(design, table.response)
+        solver = _PenalizedSolver(design, table.response, unit_weights(design))
         coef, grad = np.zeros(1), np.array([x])
         solver._coordinate_pass(np.array([[2.0]]), coef, grad, np.array([t]), [0])
         assert coef[0] == expected / 2.0
@@ -120,13 +127,15 @@ class TestSoftThreshold:
 
 
 class TestFitPenalized:
+    """Fits at one penalty level, ``select`` on a one-point path."""
+
     @pytest.mark.parametrize("maker,seed", [(bernoulli_instance, 30), (poisson_instance, 31)])
     def test_lambda_zero_matches_mle(self, maker, seed):
         _, table, _, design = maker(seed, n=12, p=3)
         mle = bl.fit_mle(design, table.response)
         assert mle.converged
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        pen = bl.fit_penalized(design, table.response, weights=weights, lam=0.0)
+        pen = fit_at(design, table.response, weights, 0.0)
         assert pen.converged
         assert np.abs(pen.coefficients - mle.coefficients).max() < 1e-6
 
@@ -135,7 +144,7 @@ class TestFitPenalized:
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
         lam_max, beta_r = path_top(design, table.response, weights)
-        fit = bl.fit_penalized(design, table.response, weights=weights, lam=1.01 * lam_max)
+        fit = fit_at(design, table.response, weights, 1.01 * lam_max)
         pen = design.penalized_mask
         assert np.all(fit.coefficients[pen] == 0.0)
         assert np.abs(fit.coefficients - beta_r).max() < 1e-6
@@ -146,12 +155,13 @@ class TestFitPenalized:
         _, table, _, design = bernoulli_instance(43, n=30, p=3, node_scale=0.5)
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        lam_max, beta_r = path_top(design, table.response, weights)
-        fit = bl.fit_penalized(design, table.response, weights=weights, lam=lam_max)
+        path = bl.lambda_path(design, table.response, weights, grid_size=1)
+        lam_max, beta_r = float(path.lambdas[0]), path.fits[0].coefficients
+        fit = bl.select(path, fixed_lambda=lam_max)
         assert np.array_equal(fit.coefficients, beta_r)
         assert np.all(fit.coefficients[design.penalized_mask] == 0.0)
         assert fit.converged and fit.diagnostics["active_set_size"] == 0
-        assert fit.fitted_values.shape == (design.n_dyads,)
+        assert fit is path.fits[0] and path.selected_index == 0
 
     def test_lambda_max_is_the_activation_boundary(self):
         for seed in (33, 34, 35):
@@ -159,8 +169,8 @@ class TestFitPenalized:
             mle = bl.fit_mle(design, table.response)
             weights = bl.adaptive_weights(mle, design.penalized_mask)
             lam_max = path_top(design, table.response, weights)[0]
-            above = bl.fit_penalized(design, table.response, weights=weights, lam=1.01 * lam_max)
-            below = bl.fit_penalized(design, table.response, weights=weights, lam=0.99 * lam_max)
+            above = fit_at(design, table.response, weights, 1.01 * lam_max)
+            below = fit_at(design, table.response, weights, 0.99 * lam_max)
             pen = design.penalized_mask
             assert np.count_nonzero(above.coefficients[pen]) == 0
             assert np.count_nonzero(below.coefficients[pen]) >= 1
@@ -170,7 +180,7 @@ class TestFitPenalized:
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
         lam = 0.3 * path_top(design, table.response, weights)[0]
-        fit = bl.fit_penalized(design, table.response, weights=weights, lam=lam)
+        fit = fit_at(design, table.response, weights, lam)
         assert fit.converged
         gap = kkt_violation(design, table.response, design.spec.family, weights, lam, fit)
         assert gap <= 1e-5
@@ -185,7 +195,7 @@ class TestFitPenalized:
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
         lam = 0.3 * path_top(design, table.response, weights)[0]
-        fit = bl.fit_penalized(design, table.response, weights=weights, lam=lam)
+        fit = fit_at(design, table.response, weights, lam)
         solver = _PenalizedSolver(design, table.response, weights)
         for other in (fit, mle):
             fast = solver.kkt_violation(other.coefficients, lam)
@@ -201,7 +211,6 @@ class TestFitPenalized:
         weights[j] = 0.0
         response = table.response
         for call in (lambda: bl.lambda_path(design, response, weights=weights, grid_size=5),
-                     lambda: bl.fit_penalized(design, response, weights=weights, lam=0.1),
                      lambda: _PenalizedSolver(design, response, weights)):
             with pytest.raises(ValueError, match=re.escape(design.column_names[j])):
                 call()
@@ -209,7 +218,7 @@ class TestFitPenalized:
     def test_negative_lambda_rejected(self):
         _, table, _, design = bernoulli_instance(37, n=8, p=2)
         with pytest.raises(ValueError, match="nonnegative"):
-            bl.fit_penalized(design, table.response, lam=-1.0)
+            fit_at(design, table.response, unit_weights(design), -1.0)
 
     @pytest.mark.parametrize("lam", [np.inf, np.nan])
     def test_non_finite_lambda_rejected(self, lam):
@@ -217,7 +226,7 @@ class TestFitPenalized:
         # column is NaN; it is refused before any fit
         _, table, _, design = bernoulli_instance(37, n=8, p=2)
         with pytest.raises(ValueError, match="finite"):
-            bl.fit_penalized(design, table.response, lam=lam)
+            fit_at(design, table.response, unit_weights(design), lam)
 
     def test_objective_not_above_restricted_start(self):
         _, table, _, design = bernoulli_instance(38, n=12, p=3)
@@ -235,7 +244,7 @@ class TestFitPenalized:
 
         for frac in (0.5, 0.1, 0.01):
             lam = frac * lam_max
-            fit = bl.fit_penalized(design, table.response, weights=weights, lam=lam)
+            fit = fit_at(design, table.response, weights, lam)
             assert objective(fit.coefficients, lam) <= objective(beta_r, lam) + 1e-9
 
 
@@ -276,20 +285,6 @@ class TestLambdaPath:
             small = np.abs(values) < 1e-9
             assert np.all(values[small] == 0.0)
 
-    def test_path_fits_keep_no_fitted_values(self):
-        design, table, mle, weights, path = self.build(grid_size=10)
-        assert all(fit.fitted_values is None for fit in path.fits)
-        off_grid = float(np.sqrt(path.lambdas[3] * path.lambdas[4]))
-        selected = [bl.select(path), bl.select(path, fixed_lambda=off_grid)]
-        assert all(fit.fitted_values is None for fit in selected)
-        partition = bernoulli_instance(40, n=14, p=3)[2]
-        with pytest.raises(ValueError, match="lambda_path"):
-            bl.reduce_threshold(selected[0], partition, 0.5)
-        # single fits keep theirs
-        single = bl.fit_penalized(design, table.response, weights=weights,
-                                  lam=float(path.lambdas[4]))
-        assert mle.fitted_values.shape == single.fitted_values.shape == (design.n_dyads,)
-
     @pytest.mark.parametrize("degree_corrected", [True, False],
                              ids=["degree_corrected", "replicate_shaped"])
     def test_predictor_start_keeps_answers_with_fewer_outer_steps(self, degree_corrected):
@@ -306,8 +301,7 @@ class TestLambdaPath:
         assert all(fit.converged for fit in path.fits)
         pen = design.penalized_mask
         for k in range(0, len(path), 10):
-            single = bl.fit_penalized(design, response, weights=weights,
-                                      lam=float(path.lambdas[k]))
+            single = fit_at(design, response, weights, float(path.lambdas[k]))
             fit = path.fits[k]
             assert np.array_equal(np.sign(fit.coefficients[pen]), np.sign(single.coefficients[pen]))
             assert np.abs(fit.coefficients - single.coefficients).max() < 1e-6
@@ -378,7 +372,7 @@ class TestChordSteps:
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
         solver = _PenalizedSolver(design, table.response, weights)
-        lam = 0.3 * solver.lambda_max(solver.restricted_fit().beta)
+        lam = 0.3 * path_top(design, table.response, weights)[0]
         # (Gram builds, step halvings) so far, as each outer step starts its working solve
         steps = []
         solve_working = solver._solve_working
@@ -402,14 +396,14 @@ class TestChordSteps:
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
         solver = _PenalizedSolver(design, table.response, weights)
-        beta = solver.restricted_fit().beta
+        lam_max, beta = path_top(design, table.response, weights)
         eta = design.predictor(beta)
         mu = solver.data.evaluate(eta)[0]
         A = np.empty((design.n_columns,) * 2)
         b = design.gram(*solver.data.working(eta, mu), A)
         pen = solver.pen_idx
         thresholds = np.zeros(design.n_columns)
-        thresholds[pen] = 0.05 * solver.lambda_max(beta) * weights[pen]
+        thresholds[pen] = 0.05 * lam_max * weights[pen]
         # a poor active set: random penalized coefficients, half of them zero
         rng = np.random.default_rng(seed)
         x = beta.copy()
@@ -446,7 +440,7 @@ class TestOneColumnSpace:
         assert not design.inestimable.any()
         mle = bl.fit_mle(design, table.response)
         weights = bl.adaptive_weights(mle, design.penalized_mask)
-        bl.fit_penalized(design, table.response, weights=weights, lam=0.0)
+        fit_at(design, table.response, weights, 0.0)
         path = bl.lambda_path(design, table.response, weights=weights, grid_size=10)
         off_grid = float(np.sqrt(path.lambdas[3] * path.lambdas[4]))
         assert bl.select(path, fixed_lambda=off_grid).converged
@@ -468,7 +462,7 @@ class TestOneColumnSpace:
             weights = bl.adaptive_weights(mle, design.penalized_mask)
             weights[frozen] = np.inf
             path = bl.lambda_path(design, table.response, weights=weights, grid_size=20)
-            exact = bl.fit_penalized(design, table.response, weights=weights, lam=0.0)
+            exact = fit_at(design, table.response, weights, 0.0)
         assert mle.coefficients[zero] == 0.0 and np.isinf(weights[zero])
         for lam, fit in [*zip(path.lambdas, path.fits), (0.0, exact)]:
             assert fit.converged
@@ -488,8 +482,8 @@ class TestStopCauses:
     def test_max_iterations(self, monkeypatch):
         design, response, weights, lam = self.problem()
         monkeypatch.setattr(penalty, "MAX_OUTER", 2)
-        # from a poor start, through the solver that fit_penalized and
-        # lambda_path run
+        # from a poor start, through the solver that lambda_path and
+        # select run
         fit = _PenalizedSolver(design, response, weights).solve(lam, np.zeros(design.n_columns))
         assert fit.converged is False
         assert fit.diagnostics["cause"] == "max_iterations"
@@ -501,7 +495,7 @@ class TestStopCauses:
         # a working solve that never moves: the KKT violation stays put,
         # so the first step sets the best value and fifteen more stall
         monkeypatch.setattr(_PenalizedSolver, "_solve_working", lambda self, *args: None)
-        fit = bl.fit_penalized(design, response, weights=weights, lam=lam)
+        fit = fit_at(design, response, weights, lam)
         assert fit.converged is False
         assert fit.diagnostics["cause"] == "stalled"
         assert fit.iterations == 16

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import blocklasso as bl
 from blocklasso.design import reconstruct_interactions
+from blocklasso.glm import _logistic
 
-from helpers import bernoulli_instance, poisson_instance
+from helpers import bernoulli_instance, poisson_instance, unit_weights
 from oracles import block_mean_probabilities, brute_force_positive_pairs
 
 
@@ -22,16 +24,19 @@ def random_interactions(seed, p):
 def singleton_threshold_graph(threshold=0.5):
     """Threshold graph over two singleton blocks and one larger block:
     both singletons' within-pairs have no dyads and are flagged. The
-    probabilities come from a fit over the graph's own two blocks: a fit
-    with node effects over one-node blocks is refused."""
-    graph, table, partition, _ = bernoulli_instance(54, n=6, p=2)
+    probabilities come from a penalized fit without node effects (a fit
+    with node effects over one-node blocks is refused), whose penalty
+    keeps it finite where the pair of the two singletons, one dyad, is
+    separated."""
+    graph, table, _, _ = bernoulli_instance(54, n=6, p=2)
     single = bl.Partition(
         ("a", "b", "rest"),
         {v: (0 if k == 0 else 1 if k == 1 else 2) for k, v in enumerate(graph.node_ids)},
     )
-    design = bl.encode(table, partition, bl.ModelSpec(family="bernoulli_logit"))
-    fit = bl.fit_mle(design, table.response)
-    return bl.reduce_threshold(fit, single, threshold)
+    design = bl.encode(table, single, bl.ModelSpec(family="bernoulli_logit"))
+    path = bl.lambda_path(design, table.response, unit_weights(design), grid_size=3,
+                          grid_ratio=0.1)
+    return bl.reduce_threshold(path.fits[1], design, threshold)
 
 
 def upper_pairs(p):
@@ -94,24 +99,24 @@ class TestReducePositive:
 class TestReduceThreshold:
     def fit(self, seed=50):
         graph, table, partition, design = bernoulli_instance(seed, n=12, p=3)
-        return bl.fit_mle(design, table.response), partition
+        return bl.fit_mle(design, table.response), design, partition
 
     def test_threshold_one_gives_no_edges(self):
-        fit, partition = self.fit()
-        rg = bl.reduce_threshold(fit, partition, 1.0)
+        fit, design, _ = self.fit()
+        rg = bl.reduce_threshold(fit, design, 1.0)
         assert rg.edges == ()
 
     def test_threshold_zero_gives_every_pair_with_dyads(self):
-        fit, partition = self.fit()
-        rg = bl.reduce_threshold(fit, partition, 0.0)
+        fit, design, partition = self.fit()
+        rg = bl.reduce_threshold(fit, design, 0.0)
         p = partition.block_count
         assert len(rg.edges) + len(rg.flagged_pairs) == p * (p + 1) // 2
 
     def test_matches_hand_averaging(self):
-        fit, partition = self.fit(51)
-        rg = bl.reduce_threshold(fit, partition, 0.5)
+        fit, design, partition = self.fit(51)
+        rg = bl.reduce_threshold(fit, design, 0.5)
         blocks = partition.indices_for(fit.node_ids)
-        mean_by_pair = block_mean_probabilities(fit.fitted_values, blocks,
+        mean_by_pair = block_mean_probabilities(expit(design.matrix @ fit.coefficients), blocks,
                                                 partition.block_count)
         expected = {pair for pair, mean in mean_by_pair.items() if mean > 0.5}
         assert set(rg.edges) == expected
@@ -119,10 +124,10 @@ class TestReduceThreshold:
             assert rg.edge_values[pair] == pytest.approx(mean_by_pair[pair])
 
     def test_monotone_in_threshold(self):
-        fit, partition = self.fit(52)
+        fit, design, _ = self.fit(52)
         previous = None
         for t in (0.1, 0.3, 0.5, 0.7, 0.9):
-            edges = set(bl.reduce_threshold(fit, partition, t).edges)
+            edges = set(bl.reduce_threshold(fit, design, t).edges)
             if previous is not None:
                 assert edges.issubset(previous)
             previous = edges
@@ -131,12 +136,47 @@ class TestReduceThreshold:
         _, table, partition, design = poisson_instance(53, n=10, p=2)
         fit = bl.fit_mle(design, table.response)
         with pytest.raises(ValueError, match="probabilities"):
-            bl.reduce_threshold(fit, partition, 0.5)
+            bl.reduce_threshold(fit, design, 0.5)
 
     def test_pairs_without_dyads_flagged(self):
         rg = singleton_threshold_graph()
         assert (0, 0) in rg.flagged_pairs and (1, 1) in rg.flagged_pairs
         assert rg.sign_summary.total == 6
+
+    def test_takes_every_bernoulli_fit_over_its_design(self, tmp_path):
+        # the MLE, a path point, the BIC pick, an off-grid refit and fits
+        # read back from JSON: the means come from each fit's coefficients
+        _, table, partition, design = bernoulli_instance(55, n=14, p=3, node_scale=0.3)
+        mle = bl.fit_mle(design, table.response)
+        weights = bl.adaptive_weights(mle, design.penalized_mask)
+        path = bl.lambda_path(design, table.response, weights, grid_size=10)
+        off_grid = float(np.sqrt(path.lambdas[3] * path.lambdas[4]))
+        fits = [mle, path.fits[3], bl.select(path), bl.select(path, fixed_lambda=off_grid)]
+        for k, fit in enumerate(fits[:4]):
+            fit.write_json(tmp_path / f"fit_{k}.json")
+            fits.append(bl.read_fit_json(tmp_path / f"fit_{k}.json"))
+        blocks = partition.indices_for(design.node_ids)
+        graphs = []
+        for fit in fits:
+            rg = bl.reduce_threshold(fit, design, 0.3)
+            means = block_mean_probabilities(expit(design.matrix @ fit.coefficients), blocks,
+                                             design.block_count)
+            assert {**rg.edge_values, **rg.nonedge_values} == pytest.approx(means, rel=1e-12)
+            assert set(rg.edges) == {pair for pair, mean in means.items() if mean > 0.3}
+            graphs.append(rg.to_json_dict())
+        # a fit read back holds the same coefficients, so the same graph:
+        # the MLE's for the MLE
+        assert graphs[4:] == graphs[:4]
+        assert graphs[0] != graphs[1]
+
+    def test_fit_over_other_columns_refused(self):
+        _, table, partition, design = bernoulli_instance(56, n=10, p=3)
+        fit = bl.fit_mle(design, table.response)
+        plain = bl.encode(table, partition, bl.ModelSpec(family="bernoulli_logit"))
+        two_blocks = bernoulli_instance(56, n=10, p=2)[3]
+        for other in (plain, two_blocks):
+            with pytest.raises(ValueError, match="columns differ"):
+                bl.reduce_threshold(fit, other, 0.5)
 
 
 class TestRulesAgainstOracles:
@@ -163,24 +203,36 @@ class TestRulesAgainstOracles:
                                               sum(v == 0 for v in upper),
                                               sum(v < 0 for v in upper))
 
-    @settings(max_examples=60, deadline=None)
-    @given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=8),
-           seed=st.integers(0, 10_000))
-    def test_threshold_rule(self, sizes, seed):
-        # blocks of one to three nodes, so singleton blocks are common
+    @staticmethod
+    def check_threshold_rule(sizes, seed, node_effects):
+        """The rule on a design over blocks of ``sizes`` nodes, in a random
+        node order, at random coefficients, against the oracle's dyad loop.
+        The coefficients are quarters, so that every linear predictor is
+        exact and the design's factors and its dense matrix give the same
+        one. The oracle averages the package's logistic of it
+        (``glm._logistic``, the fits' mean function), which is within an
+        ulp of scipy's expit."""
         rng = np.random.default_rng(seed)
         p = len(sizes)
         node_blocks = rng.permutation(np.repeat(np.arange(p), sizes))
-        node_ids = tuple(f"v{i}" for i in range(len(node_blocks)))
+        node_ids = tuple(f"v{i:02d}" for i in range(len(node_blocks)))
         partition = bl.Partition(tuple(f"b{r}" for r in range(p)),
                                  {v: int(b) for v, b in zip(node_ids, node_blocks)})
-        fitted = rng.random(len(node_ids) * (len(node_ids) - 1) // 2)
-        fit = SimpleNamespace(family="bernoulli_logit", node_ids=node_ids,
-                              fitted_values=fitted)
+        m = len(node_ids) * (len(node_ids) - 1) // 2
+        table = bl.DyadTable(node_ids, np.zeros(m), np.empty((m, 0)), ())
+        spec = (bl.ModelSpec.degree_corrected() if node_effects
+                else bl.ModelSpec(family="bernoulli_logit"))
+        design = bl.encode(table, partition, spec)
+        beta = rng.integers(-8, 9, design.n_columns) / 4.0
+        fit = SimpleNamespace(family="bernoulli_logit", column_names=design.column_names,
+                              coefficients=beta)
+        eta = design.matrix @ beta
+        fitted = _logistic(eta)[0]
+        assert np.allclose(fitted, expit(eta), rtol=2.3e-16, atol=0.0)
         means = block_mean_probabilities(fitted, node_blocks, p)
         # a threshold equal to one of the means checks the strict inequality
         threshold = float(rng.choice(list(means.values()))) if means else 0.5
-        rg = bl.reduce_threshold(fit, partition, threshold)
+        rg = bl.reduce_threshold(fit, design, threshold)
         edges = [pair for pair in upper_pairs(p) if pair in means and means[pair] > threshold]
         assert rg.edges == tuple(edges)
         assert rg.edge_values == {pair: means[pair] for pair in edges}
@@ -190,6 +242,18 @@ class TestRulesAgainstOracles:
         assert rg.flagged_pairs == flagged
         assert rg.sign_summary.as_tuple() == (len(edges), len(flagged),
                                               len(means) - len(edges))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=8),
+           seed=st.integers(0, 10_000))
+    def test_threshold_rule(self, sizes, seed):
+        # blocks of one to three nodes, so singleton blocks are common
+        self.check_threshold_rule(sizes, seed, node_effects=True)
+
+    def test_threshold_rule_on_collapsed_rows(self):
+        # without node effects a design row holds every dyad of its block
+        # pair, and the rule expands the row means back to the dyads
+        self.check_threshold_rule([1, 3, 2, 3, 1], 7, node_effects=False)
 
 
 class TestExport:

@@ -42,7 +42,6 @@ PUBLIC = [
     "encode",
     "export_reduced_graph",
     "fit_mle",
-    "fit_penalized",
     "lambda_path",
     "load_attributes",
     "load_edge_list",
@@ -63,6 +62,7 @@ PUBLIC = [
 REMOVED = [
     ("penalty", "restricted_fit"),      # lambda_path(..., grid_size=1).fits[0]
     ("penalty", "lambda_max"),          # lambda_path(..., grid_size=1).lambdas[0]
+    ("penalty", "fit_penalized"),       # select(lambda_path(..., grid_size=1), fixed_lambda=lam)
     ("penalty", "soft_threshold"),      # inline in the coordinate pass
     ("glm", "log_likelihood"),          # FitResult.log_likelihood
     ("covariates", "unstandardize_coefficients"),  # the ScalingRecord docstring
@@ -129,4 +129,5 @@ def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
     assert "Teachers" in namespace["partition"].block_labels
     printed = capsys.readouterr().out.strip()
     assert printed == str(namespace["rg"].sign_summary.as_tuple())
+    assert namespace["rg_threshold"].rule == "threshold"
     assert (tmp_path / "reduced.dot").read_text(encoding="utf-8").startswith("graph")
